@@ -52,15 +52,6 @@ class Schema:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One row of a workload table."""
-
-    knobs: np.ndarray
-    metrics: np.ndarray
-    latency: float
-
-
-@dataclass(frozen=True)
 class WorkloadTable:
     """All observations of one workload, stored column-major as arrays.
 
@@ -87,9 +78,6 @@ class WorkloadTable:
     @property
     def n_rows(self) -> int:
         return self.latency.shape[0]
-
-    def row(self, i: int) -> Observation:
-        return Observation(self.knobs[i], self.metrics[i], float(self.latency[i]))
 
     def take(self, idx) -> "WorkloadTable":
         idx = np.asarray(idx, dtype=int)
@@ -152,8 +140,15 @@ def read_manifest(manifest_path) -> tuple[Schema, dict[str, list[str]]]:
     return schema, groups
 
 
-def _parse_file(path: Path, schema: Schema) -> dict[str, list[tuple[np.ndarray, np.ndarray, float]]]:
-    """Parse one CSV into workload-id -> row list, preserving file order."""
+def _parse_file(path: Path, schema: Schema
+                ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Parse one CSV into workload-id -> (knobs, metrics, latency), in file order.
+
+    Each needed column is converted with float() in one pass; only a column
+    where that fails is parsed cell by cell with `encode_booleans`. The error
+    raised is that of the first fault in file order, as a row-by-row parse
+    would find it.
+    """
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     with open(path, newline="") as fh:
@@ -166,35 +161,53 @@ def _parse_file(path: Path, schema: Schema) -> dict[str, list[tuple[np.ndarray, 
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names in header")
         col = {name: i for i, name in enumerate(header)}
-        needed = list(schema.knob_names) + list(schema.metric_names)
-        needed += [schema.latency_name, schema.workload_id_name]
-        for name in needed:
+        names = list(schema.knob_names) + list(schema.metric_names) + [schema.latency_name]
+        for name in names + [schema.workload_id_name]:
             if name not in col:
                 raise DataError(f"{path}: missing column {name!r}")
 
-        by_workload: dict[str, list] = {}
+        rows, linenos, ragged = [], [], None
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+                ragged = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                break
+            rows.append(row)
+            linenos.append(lineno)
 
-            def cell(name):
+    columns = list(zip(*rows))
+    values = np.zeros((len(rows), len(names)))
+    faults = []  # (row, column position, message); the least is the first in file order
+    for j, name in enumerate(names):
+        cells = columns[col[name]] if rows else ()
+        try:
+            values[:, j] = list(map(float, cells))
+        except ValueError:
+            for i, raw in enumerate(cells):
                 try:
-                    return encode_booleans(row[col[name]])
+                    values[i, j] = encode_booleans(raw)
                 except DataError as exc:
-                    raise DataError(f"{path}:{lineno}: column {name!r}: {exc}") from None
+                    faults.append((i, j, f"{path}:{linenos[i]}: column {name!r}: {exc}"))
+                    break
+    negative = np.flatnonzero(values[:, -1] < 0)
+    if negative.size:
+        i = negative[0]
+        faults.append((i, len(names),
+                       f"{path}:{linenos[i]}: negative latency {float(values[i, -1])}"))
+    if faults:
+        raise DataError(min(faults)[2])
+    if ragged:
+        raise DataError(ragged)
+    if not rows:
+        raise DataError(f"{path}: no observations")
 
-            wid = row[col[schema.workload_id_name]].strip()
-            knobs = np.array([cell(n) for n in schema.knob_names])
-            metrics = np.array([cell(n) for n in schema.metric_names])
-            latency = cell(schema.latency_name)
-            if latency < 0:
-                raise DataError(f"{path}:{lineno}: negative latency {latency}")
-            by_workload.setdefault(wid, []).append((knobs, metrics, latency))
-        if not by_workload:
-            raise DataError(f"{path}: no observations")
-    return by_workload
+    rows_of: dict[str, list[int]] = {}
+    for i, wid in enumerate(columns[col[schema.workload_id_name]]):
+        rows_of.setdefault(wid.strip(), []).append(i)
+    k, m = schema.n_knobs, schema.n_metrics
+    return {wid: (values[idx, :k], values[idx, k:k + m], values[idx, -1])
+            for wid, idx in rows_of.items()}
 
 
 def load_corpus(paths, manifest) -> Corpus:
@@ -202,7 +215,8 @@ def load_corpus(paths, manifest) -> Corpus:
 
     `paths` is an iterable of CSV paths. The manifest's optional `groups`
     mapping assigns file names to offline/online_b/online_c; files not named
-    there go to the offline group.
+    there go to the offline group. Rows of one workload id in several files of
+    a group are concatenated; one id in two groups is a DataError.
     """
     schema, groups = read_manifest(manifest)
     group_of_file = {}
@@ -210,24 +224,31 @@ def load_corpus(paths, manifest) -> Corpus:
         for name in names:
             group_of_file[name] = group
 
-    rows_by_group: dict[str, dict[str, list]] = {g: {} for g in GROUP_NAMES}
+    blocks_by_group: dict[str, dict[str, list]] = {g: {} for g in GROUP_NAMES}
     for p in paths:
         path = Path(p)
         group = group_of_file.get(path.name, "offline")
-        parsed = _parse_file(path, schema)
-        dest = rows_by_group[group]
-        for wid, rows in parsed.items():
-            dest.setdefault(wid, []).extend(rows)
+        dest = blocks_by_group[group]
+        for wid, block in _parse_file(path, schema).items():
+            dest.setdefault(wid, []).append(block)
+
+    group_of_id: dict[str, str] = {}
+    for group in GROUP_NAMES:
+        for wid in sorted(blocks_by_group[group]):
+            if wid in group_of_id:
+                raise DataError(f"workload id {wid!r} appears in groups "
+                                f"{group_of_id[wid]} and {group}")
+            group_of_id[wid] = group
 
     def build(group):
         tables = []
-        for wid in sorted(rows_by_group[group]):
-            rows = rows_by_group[group][wid]
+        for wid in sorted(blocks_by_group[group]):
+            knobs, metrics, latency = zip(*blocks_by_group[group][wid])
             tables.append(WorkloadTable(
                 workload_id=wid,
-                knobs=np.array([r[0] for r in rows]),
-                metrics=np.array([r[1] for r in rows]),
-                latency=np.array([r[2] for r in rows]),
+                knobs=np.vstack(knobs),
+                metrics=np.vstack(metrics),
+                latency=np.concatenate(latency),
                 schema=schema,
             ))
         return tuple(tables)

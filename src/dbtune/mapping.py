@@ -5,6 +5,12 @@ nearest; per pruned metric the paired value vectors are compared, and the
 per-metric distances are averaged into a workload score. The lowest-scoring
 source is the match, and its rows (minus knob-config conflicts) are appended
 to the target's rows as training data.
+
+A target is scored against all sources in one batched pass: the sources are
+stacked in id order, one knob-distance array pairs every target row with its
+nearest row inside each source (first row on ties), and every per-metric
+distance and score is a reduction over a contiguous last axis. The floats are
+those of scoring one source and one metric column at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ import numpy as np
 
 from .cluster import PrunedMetricSet
 from .errors import ConfigError, DataError
+from .evaluate import MAPE_EPS
 from .ingest import WorkloadTable
-from .predict import MAPE_EPS, StandardScaler, pruned_metric_indices
+from .predict import StandardScaler, pruned_metric_indices
 
 KNOB_CONFLICT_TOL = 1e-9
 SCORE_VARIANTS = ("euclid", "mse", "mape")
@@ -38,15 +45,19 @@ class MappingResult:
     conflicts_dropped: int
 
 
-def _metric_distance(t_col: np.ndarray, s_col: np.ndarray, variant: str) -> float:
-    diff = t_col - s_col
+def _metric_distances(t_cols: np.ndarray, paired: np.ndarray, variant: str) -> np.ndarray:
+    """Per-metric distances of every source, (n_sources, n_metrics).
+
+    `t_cols` is (n_metrics, n_rows) and `paired` is (n_sources, n_metrics,
+    n_rows), both C-contiguous: each reduction then runs over a contiguous
+    last axis, the same summation as on the 1-D column of one metric.
+    """
+    diff = t_cols - paired
     if variant == "euclid":
-        return float(np.sqrt(np.sum(diff ** 2)))
+        return np.sqrt(np.sum(diff ** 2, axis=-1))
     if variant == "mse":
-        return float(np.mean(diff ** 2))
-    if variant == "mape":
-        return float(100.0 * np.mean(np.abs(diff) / np.maximum(np.abs(t_col), MAPE_EPS)))
-    raise ConfigError(f"unknown score variant {variant!r}")
+        return np.mean(diff ** 2, axis=-1)
+    return 100.0 * np.mean(np.abs(diff) / np.maximum(np.abs(t_cols), MAPE_EPS), axis=-1)
 
 
 def score_workloads(target: WorkloadTable, sources: list[WorkloadTable],
@@ -57,26 +68,43 @@ def score_workloads(target: WorkloadTable, sources: list[WorkloadTable],
         raise DataError("empty pruned metric set")
     if target.n_rows < 1:
         raise DataError(f"target {target.workload_id} has no rows")
+    if variant not in SCORE_VARIANTS:
+        raise ConfigError(f"unknown score variant {variant!r}")
     idx = pruned_metric_indices(target.schema, pruned)
-    t_knobs = scaler.transform_knobs(target.knobs)
-    t_metrics = scaler.transform_metrics(target.metrics)[:, idx]
+    sources = sorted(sources, key=lambda s: s.workload_id)
+    if not sources:
+        return []
+    empty = next((s for s in sources if s.n_rows < 1), None)
+    if empty is not None:
+        raise DataError(f"source {empty.workload_id} has no rows")
 
-    scores = []
-    for source in sorted(sources, key=lambda s: s.workload_id):
-        if source.n_rows < 1:
-            raise DataError(f"source {source.workload_id} has no rows")
-        s_knobs = scaler.transform_knobs(source.knobs)
-        s_metrics = scaler.transform_metrics(source.metrics)[:, idx]
-        diff = t_knobs[:, None, :] - s_knobs[None, :, :]
-        pair = np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
-        paired = s_metrics[pair]
-        per_metric = {
-            name: _metric_distance(t_metrics[:, j], paired[:, j], variant)
-            for j, name in enumerate(pruned.metric_names)
-        }
-        score = float(np.mean(list(per_metric.values())))
-        scores.append(WorkloadScore(source.workload_id, per_metric, score))
-    return scores
+    k = scaler.n_knobs
+    means, stds = scaler.means[k:][idx], scaler.stds[k:][idx]
+    t_knobs = scaler.transform_knobs(target.knobs)
+    t_metrics = (target.metrics[:, idx] - means) / stds
+    s_knobs = scaler.transform_knobs(np.concatenate([s.knobs for s in sources]))
+
+    # nearest source row of every target row, within each source's own rows:
+    # distances go into a (target rows, sources, max source rows) grid padded
+    # with inf, so argmin keeps its first-occurrence tie-break per source
+    lengths = np.array([s.n_rows for s in sources])
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    width = lengths.max()
+    diff = t_knobs[:, None, :] - s_knobs[None, :, :]
+    dist = np.einsum("ijk,ijk->ij", diff, diff)
+    slot = np.arange(len(s_knobs)) + np.repeat(np.arange(len(sources)) * width - starts, lengths)
+    grid = np.full((target.n_rows, len(sources) * width), np.inf)
+    grid[:, slot] = dist
+    pair = grid.reshape(target.n_rows, len(sources), width).argmin(axis=2) + starts
+
+    # only the paired rows' pruned metrics are scaled: (sources, metrics, target rows)
+    paired = np.concatenate([s.metrics for s in sources])[pair.T][:, :, idx]
+    paired = np.ascontiguousarray(((paired - means) / stds).transpose(0, 2, 1))
+    per_metric = _metric_distances(np.ascontiguousarray(t_metrics.T), paired, variant)
+    totals = np.mean(per_metric, axis=-1)
+    names = pruned.metric_names
+    return [WorkloadScore(s.workload_id, dict(zip(names, row)), score)
+            for s, row, score in zip(sources, per_metric.tolist(), totals.tolist())]
 
 
 def nearest_workload(scores: list[WorkloadScore]) -> str:

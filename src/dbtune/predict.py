@@ -18,11 +18,11 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .cluster import PrunedMetricSet
 from .errors import ConfigError, DataError, NumericalError
+from .evaluate import MAPE_EPS
 from .ingest import Schema, WorkloadTable
 
 MODEL_FORMAT_VERSION = 1
 CONST_STD_EPS = 1e-12
-MAPE_EPS = 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,20 @@ class TestExitCodes:
     def test_bad_config_file(self, tmp_path):
         assert run(["pipeline", "--config", tmp_path / "nope.json"]) == 1
 
+    def test_workload_id_in_two_groups_is_data_error(self, corpus_dir, tmp_path, capsys):
+        # an online-B table that reuses an offline id: stage 2 would score two
+        # tables named off_000 and could augment with the wrong one
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in corpus_dir.parent.iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        b_file = data / "online_b_b_000.csv"
+        b_file.write_text(b_file.read_text().replace("\nb_000,", "\noff_000,"))
+        assert run(["pipeline", "--manifest", data / "manifest.json",
+                    "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "workload id 'off_000' appears in groups offline and online_b" in err
+
 
 class TestSynthCommand:
     def test_writes_manifest_and_truth(self, tmp_path, capsys):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dbtune import synth
 from dbtune.errors import DataError
@@ -120,6 +120,64 @@ class TestRoundTrip:
             assert np.array_equal(orig.knobs, back.knobs)
             assert np.array_equal(orig.metrics, back.metrics)
             assert np.array_equal(orig.latency, back.latency)
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t", " \t"])
+_BOOL = st.sampled_from(["true", "FALSE", "On", "off", "YES", "no", "True", "oFF"])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.3e}"),
+)
+_LATENCY = st.one_of(st.floats(0, 1e9).map(repr), st.integers(0, 10**6).map(str), _BOOL)
+
+
+def _cell(token):
+    return st.tuples(_PAD, token, _PAD).map("".join)
+
+
+class TestColumnParse:
+    """Column-wise float() parsing against encode_booleans applied cell by cell."""
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b"]), _cell(st.one_of(_NUMBER, _BOOL)),
+                              _cell(_NUMBER), _cell(st.one_of(_NUMBER, _BOOL)),
+                              _cell(_LATENCY)),
+                    min_size=1, max_size=8))
+    def test_bit_equal_to_per_cell_encoding(self, tmp_path, rows):
+        manifest = write_manifest(tmp_path / "m.json", ["k0", "k1"], ["m0"])
+        csv = tmp_path / "data.csv"
+        csv.write_text("workload_id,k0,k1,m0,latency\n"
+                       + "".join(",".join(row) + "\n" for row in rows))
+        corpus = load_corpus([csv], manifest)
+        assert [t.workload_id for t in corpus.offline] == sorted({r[0] for r in rows})
+        for table in corpus.offline:
+            cells = np.array([[encode_booleans(c) for c in r[1:]]
+                              for r in rows if r[0] == table.workload_id])
+            for got, want in ((table.knobs, cells[:, :2]), (table.metrics, cells[:, 2:3]),
+                              (table.latency, cells[:, 3])):
+                assert got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("body,message", [
+        # one fault each
+        ("w,1,2,3\nw,1,bogus,3\n", "{path}:3: column 'm0': unrecognized cell value 'bogus'"),
+        ("w,1,2,3\nw,1,2\n", "{path}:3: expected 4 cells, got 3"),
+        ("w,1,2,3\n\nw,1,2,-2.5\n", "{path}:4: negative latency -2.5"),
+        # two faults: the one a row-by-row reader meets first
+        ("w,1,2,-1\nw,x,2,3\n", "{path}:2: negative latency -1.0"),
+        ("w,1,y,-1\n", "{path}:2: column 'm0': unrecognized cell value 'y'"),
+        ("w,1,2,z\nw,q,2,3\n", "{path}:2: column 'latency': unrecognized cell value 'z'"),
+        ("w,q,2,3\nw,1,2\n", "{path}:2: column 'k0': unrecognized cell value 'q'"),
+        ("w,1,2\nw,q,2,3\n", "{path}:2: expected 4 cells, got 3"),
+    ])
+    def test_first_fault_message(self, tmp_path, body, message):
+        manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"])
+        csv = tmp_path / "data.csv"
+        csv.write_text("workload_id,k0,m0,latency\n" + body)
+        with pytest.raises(DataError) as info:
+            load_corpus([csv], manifest)
+        assert str(info.value) == message.format(path=csv)
 
 
 class TestDropConstantColumns:

@@ -4,6 +4,8 @@ import pytest
 from dbtune import synth
 from dbtune.cluster import PrunedMetricSet
 from dbtune.errors import DataError
+from dbtune.evaluate import MAPE_EPS
+from dbtune.ingest import Schema
 from dbtune.mapping import (
     augment,
     map_and_augment,
@@ -11,7 +13,7 @@ from dbtune.mapping import (
     score_workloads,
     WorkloadScore,
 )
-from dbtune.predict import fit_scaler
+from dbtune.predict import fit_scaler, pruned_metric_indices
 
 from conftest import identity_scaler, make_table
 
@@ -71,6 +73,104 @@ class TestScoreWorkloads:
             scores = score_workloads(t, [s], pruned,
                                      identity_scaler(tiny_schema), variant)
             assert scores[0].score >= 0
+
+
+def reference_scores(target, sources, pruned, scaler, variant):
+    """One source at a time, one metric column at a time: the batched scorer
+    must give exactly these floats."""
+    idx = pruned_metric_indices(target.schema, pruned)
+    t_knobs = scaler.transform_knobs(target.knobs)
+    t_metrics = scaler.transform_metrics(target.metrics)[:, idx]
+    scores = []
+    for source in sorted(sources, key=lambda s: s.workload_id):
+        s_knobs = scaler.transform_knobs(source.knobs)
+        s_metrics = scaler.transform_metrics(source.metrics)[:, idx]
+        diff = t_knobs[:, None, :] - s_knobs[None, :, :]
+        paired = s_metrics[np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)]
+        per_metric = {}
+        for j, name in enumerate(pruned.metric_names):
+            t_col, d = t_metrics[:, j], t_metrics[:, j] - paired[:, j]
+            if variant == "euclid":
+                per_metric[name] = float(np.sqrt(np.sum(d ** 2)))
+            elif variant == "mse":
+                per_metric[name] = float(np.mean(d ** 2))
+            else:
+                per_metric[name] = float(100.0 * np.mean(
+                    np.abs(d) / np.maximum(np.abs(t_col), MAPE_EPS)))
+        score = float(np.mean(list(per_metric.values())))
+        scores.append(WorkloadScore(source.workload_id, per_metric, score))
+    return scores
+
+
+class TestBatchedScoringExact:
+    """The batched scorer against the per-source reference loop, compared with ==."""
+
+    schema = Schema(knob_names=("k0", "k1", "k2"),
+                    metric_names=tuple(f"m{i}" for i in range(12)),
+                    latency_name="latency", workload_id_name="workload_id")
+    # 9 pruned metrics and up to 11 target rows: both means run over >= 8
+    # values, where numpy's pairwise summation differs from a plain loop
+    pruned = PrunedMetricSet(metric_names=("m7", "m0", "m3", "m11", "m5", "m1",
+                                           "m9", "m2", "m10"),
+                             cluster_of=tuple(range(9)))
+
+    def _table(self, rng, wid, n, knob_levels=None):
+        knobs = (rng.integers(0, knob_levels, size=(n, 3)).astype(float)
+                 if knob_levels else rng.normal(size=(n, 3)) * 5.0)
+        metrics = rng.lognormal(size=(n, 12)) * 100.0
+        metrics[:, 4] = 0.0  # zero truth values exercise the MAPE guard
+        return make_table(wid, knobs, metrics, rng.random(n), self.schema)
+
+    def _check(self, target, sources):
+        scaler = fit_scaler(sources + [target], self.schema)
+        for variant in ("euclid", "mse", "mape"):
+            got = score_workloads(target, sources, self.pruned, scaler, variant)
+            want = reference_scores(target, sources, self.pruned, scaler, variant)
+            assert [s.source_workload_id for s in got] == [s.source_workload_id for s in want]
+            for g, w in zip(got, want):
+                assert g.per_metric_distance == w.per_metric_distance
+                assert list(g.per_metric_distance) == list(w.per_metric_distance)
+                assert g.score == w.score
+            assert nearest_workload(got) == nearest_workload(want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_target", [1, 5, 11])
+    def test_unequal_row_counts(self, seed, n_target):
+        rng = np.random.default_rng(seed)
+        sources = [self._table(rng, f"s{i:02d}", int(rng.integers(1, 16)))
+                   for i in range(25)]
+        rng.shuffle(sources)
+        self._check(self._table(rng, "t", n_target), sources)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_knob_distances_first_row_wins(self, seed):
+        # knobs on a 2-level grid: most target rows have several source rows
+        # at the same (often zero) distance, and the first of them must pair
+        rng = np.random.default_rng(100 + seed)
+        sources = [self._table(rng, f"s{i}", int(rng.integers(2, 12)), knob_levels=2)
+                   for i in range(8)]
+        self._check(self._table(rng, "t", 9, knob_levels=2), sources)
+
+    def test_tie_pairs_first_row(self, tiny_schema, pruned):
+        t = simple_table("t", tiny_schema, [[0, 0]], [[1.0, 1.0]])
+        s = simple_table("s", tiny_schema, [[1, 0], [0, 1], [5, 5]],
+                         [[1.0, 1.0], [9.0, 9.0], [1.0, 1.0]])
+        score = score_workloads(t, [s], pruned, identity_scaler(tiny_schema))[0]
+        assert score.score == 0.0
+
+    def test_empty_source_list(self, tiny_schema, pruned):
+        t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
+        assert score_workloads(t, [], pruned, identity_scaler(tiny_schema)) == []
+        with pytest.raises(DataError, match="no workload scores"):
+            map_and_augment([], t, pruned, identity_scaler(tiny_schema))
+
+    def test_zero_row_source_named_first_in_sorted_order(self, tiny_schema, pruned):
+        t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
+        ok = simple_table("a_ok", tiny_schema, [[0, 0]], [[1, 2]])
+        empties = [make_table(w, np.zeros((0, 2)), np.zeros((0, 2)), [], tiny_schema)
+                   for w in ("z_empty", "m_empty")]
+        with pytest.raises(DataError, match="source m_empty has no rows"):
+            score_workloads(t, [ok, *empties], pruned, identity_scaler(tiny_schema))
 
 
 class TestNearestWorkload:
