@@ -24,9 +24,7 @@ def main() -> int:
                            noise_std=args.noise_std, seed=args.seed)
     corpus, _ = synth.generate_corpus(spec)
     scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
-    pruned = cluster.PrunedMetricSet(
-        metric_names=corpus.schema.metric_names,
-        cluster_of=tuple(range(len(corpus.schema.metric_names))))
+    pruned = cluster.PrunedMetricSet(metric_names=corpus.schema.metric_names)
     feats = np.vstack([predict.build_features(t, pruned, scaler)
                        for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])

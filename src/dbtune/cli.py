@@ -14,6 +14,7 @@ import json
 import sys
 import warnings
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,6 +22,8 @@ import numpy as np
 
 from . import cluster, evaluate, factors, ingest, mapping, predict, synth
 from .errors import ConfigError, DataError, DbtuneError, NumericalError
+
+EXIT_CODES = {ConfigError: 1, DataError: 2, NumericalError: 3}
 
 
 @dataclass(frozen=True)
@@ -42,27 +45,21 @@ class PipelineConfig:
     out: str = "out"
 
     def __post_init__(self):
-        if self.method not in ("kmeans", "gmm"):
-            raise ConfigError(f"method must be kmeans or gmm, got {self.method!r}")
-        if self.predictor not in ("gpr", "rf", "nn"):
-            raise ConfigError(f"predictor must be gpr, rf or nn, got {self.predictor!r}")
-        if self.map_score not in mapping.SCORE_VARIANTS:
-            raise ConfigError(f"map_score must be one of {mapping.SCORE_VARIANTS}")
+        for name, allowed in (("method", ("kmeans", "gmm")), ("predictor", ("gpr", "rf", "nn")),
+                              ("map_score", mapping.SCORE_VARIANTS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.k_min < 2 or self.k_max < self.k_min:
             raise ConfigError(f"bad k range [{self.k_min}, {self.k_max}]")
 
 
+@contextmanager
 def _stage(name):
     """Context that prefixes propagated errors with the failing stage name."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, DbtuneError):
-                raise type(exc)(f"[{name}] {exc}") from exc
-            return False
-    return _Ctx()
+    try:
+        yield
+    except DbtuneError as exc:
+        raise type(exc)(f"[{name}] {exc}") from exc
 
 
 def _workload_seed(base_seed: int, workload_id: str) -> int:
@@ -94,7 +91,7 @@ def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
     n_metrics = len(model.metric_names)
     if n_metrics < 2:
         warnings.warn("only one metric available; cluster sweep skipped", stacklevel=2)
-        pruned = cluster.PrunedMetricSet(metric_names=model.metric_names, cluster_of=(0,))
+        pruned = cluster.PrunedMetricSet(metric_names=model.metric_names)
     else:
         k_max = min(config.k_max, n_metrics)
         ks = tuple(range(config.k_min, k_max + 1))
@@ -170,10 +167,16 @@ def run_two_stage(config: PipelineConfig) -> list[evaluate.EvalReport]:
     for report in reports:
         (out / f"predictions_{report.model_name}.csv").write_text(
             report.predictions_csv())
+    _write_summary(reports, out)
+    return reports
+
+
+def _write_summary(reports: list[evaluate.EvalReport], out: Path) -> str:
+    """Write summary.csv and summary.txt into `out`; returns the aligned text."""
     csv_text, aligned = evaluate.compare_models(reports)
     (out / "summary.csv").write_text(csv_text)
     (out / "summary.txt").write_text(aligned)
-    return reports
+    return aligned
 
 
 def run_eval(config: PipelineConfig, predictions_dir) -> str:
@@ -187,12 +190,9 @@ def run_eval(config: PipelineConfig, predictions_dir) -> str:
         name = f.stem.removeprefix("predictions_")
         with _stage(f"eval/{f.name}"):
             reports.append(evaluate.parse_predictions_csv(f.read_text(), name))
-    csv_text, aligned = evaluate.compare_models(reports)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.csv").write_text(csv_text)
-    (out / "summary.txt").write_text(aligned)
-    return aligned
+    return _write_summary(reports, out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,37 +200,30 @@ def run_eval(config: PipelineConfig, predictions_dir) -> str:
 # ---------------------------------------------------------------------------
 
 def _add_config_flags(p: argparse.ArgumentParser):
+    """One flag per PipelineConfig field (`k_min` -> `--k-min`), typed like its default."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--manifest")
-    p.add_argument("--method", choices=["kmeans", "gmm"])
-    p.add_argument("--k-min", dest="k_min", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--factor-cap", dest="factor_cap", type=int)
-    p.add_argument("--predictor", choices=["gpr", "rf", "nn"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--map-score", dest="map_score", choices=list(mapping.SCORE_VARIANTS))
-    p.add_argument("--n-map", dest="n_map", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    for f in fields(PipelineConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    doc = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        doc = json.loads(path.read_text())
-        unknown = set(doc) - {f.name for f in fields(PipelineConfig)}
+    """The --config file's values, each checked against its field's type,
+    overridden by the flags given."""
+    merged = {}
+    if args.config:
+        doc = ingest.read_json_object(args.config, ConfigError)
+        types = {f.name: type(f.default) for f in fields(PipelineConfig)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(doc)
+        for key, value in doc.items():
+            # an int such as 1 is also a valid value of a float field
+            if type(value) is not types[key] and not (types[key] is float and type(value) is int):
+                raise ConfigError(f"config key {key!r} must be {types[key].__name__}, "
+                                  f"got {value!r}")
+        merged.update(doc)
     for f in fields(PipelineConfig):
-        v = getattr(args, f.name, None)
+        v = getattr(args, f.name)
         if v is not None:
             merged[f.name] = v
     return PipelineConfig(**merged)
@@ -252,12 +245,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_prune(args) -> int:
-    config = build_config(args)
-    if not config.manifest:
-        raise ConfigError("prune requires --manifest")
-    pruned = run_prune(config)
-    for name in pruned.metric_names:
+def _cmd_prune(args, config: PipelineConfig) -> int:
+    for name in run_prune(config).metric_names:
         print(name)
     return 0
 
@@ -266,102 +255,82 @@ def _read_pruned(path) -> cluster.PrunedMetricSet:
     names = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
     if not names:
         raise DataError(f"pruned metric file {path} is empty")
-    return cluster.PrunedMetricSet(metric_names=tuple(names),
-                                   cluster_of=tuple(range(len(names))))
+    return cluster.PrunedMetricSet(metric_names=tuple(names))
 
 
-def _cmd_map(args) -> int:
-    config = build_config(args)
-    if not config.manifest:
-        raise ConfigError("map requires --manifest")
+def _cmd_map(args, config: PipelineConfig) -> int:
     out = Path(config.out)
     corpus = _load_and_clean(config, out)
     pruned = _read_pruned(args.pruned)
     scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
-    results = []
-    for table in list(corpus.online_b) + list(corpus.online_c):
-        results.append(mapping.map_and_augment(
-            list(corpus.offline), table, pruned, scaler, config.map_score))
+    results = [mapping.map_and_augment(list(corpus.offline), table, pruned, scaler,
+                                       config.map_score)
+               for table in list(corpus.online_b) + list(corpus.online_c)]
     text = mapping.mapping_report_csv(results)
     (out / "map_report.csv").write_text(text)
     print(text, end="")
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = build_config(args)
-    if not config.manifest:
-        raise ConfigError("train requires --manifest")
+def _cmd_train(args, config: PipelineConfig) -> int:
     out = Path(config.out)
     corpus = _load_and_clean(config, out)
-    pruned = _read_pruned(args.pruned)
-    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
-    feats = np.vstack([predict.build_features(t, pruned, scaler)
+    pre = predict.Preprocessing(_read_pruned(args.pruned),
+                                predict.fit_scaler(list(corpus.offline), corpus.schema))
+    feats = np.vstack([predict.build_features(t, pre.pruned, pre.scaler)
                        for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])
     model = _train_predictor(config, feats, targets, config.seed)
     predict.save_model(model, out / "model.json")
-    (out / "preprocess.json").write_text(json.dumps({
-        "pruned_metrics": list(pruned.metric_names),
-        "scaler_means": scaler.means.tolist(),
-        "scaler_stds": scaler.stds.tolist(),
-        "n_knobs": scaler.n_knobs,
-        "constant_features": list(scaler.constant_features),
-    }) + "\n")
+    pre.save(out / "preprocess.json")
     print(out / "model.json")
     return 0
 
 
-def _cmd_predict(args) -> int:
-    config = build_config(args)
-    if not config.manifest:
-        raise ConfigError("predict requires --manifest")
+def _cmd_predict(args, config: PipelineConfig) -> int:
     model_dir = Path(args.model_dir)
     model = predict.load_model(model_dir / "model.json")
-    pre = json.loads((model_dir / "preprocess.json").read_text())
-    scaler = predict.StandardScaler(
-        means=np.array(pre["scaler_means"]), stds=np.array(pre["scaler_stds"]),
-        n_knobs=pre["n_knobs"], constant_features=tuple(pre["constant_features"]))
-    pruned = cluster.PrunedMetricSet(
-        metric_names=tuple(pre["pruned_metrics"]),
-        cluster_of=tuple(range(len(pre["pruned_metrics"]))))
+    pre = predict.Preprocessing.load(model_dir / "preprocess.json")
     corpus = ingest.load_corpus_from_manifest(config.manifest)
     corpus, _ = ingest.drop_constant_columns(corpus)
     points = []
     for table in corpus.group(args.group):
-        feats = predict.build_features(table, pruned, scaler)
-        preds = predict.predict_with(model, feats)
-        for i in range(table.n_rows):
-            points.append((table.workload_id, float(table.latency[i]), float(preds[i])))
+        preds = predict.predict_with(model, predict.build_features(table, pre.pruned, pre.scaler))
+        points += [(table.workload_id, float(t), float(p)) for t, p in zip(table.latency, preds)]
     if not points:
         raise DataError(f"no rows in group {args.group!r}")
-    report = evaluate.EvalReport(config.predictor, tuple(points))
+    # named after the model that made them, by its --predictor name
+    name = "nn" if model.kind == "mlp" else model.kind
+    report = evaluate.EvalReport(name, tuple(points))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"predictions_{config.predictor}.csv"
+    path = out / f"predictions_{name}.csv"
     path.write_text(report.predictions_csv())
     print(path)
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = build_config(args)
+def _cmd_eval(args, config: PipelineConfig) -> int:
     print(run_eval(config, args.predictions_dir), end="")
     return 0
 
 
-def _cmd_pipeline(args) -> int:
-    config = build_config(args)
-    if not config.manifest:
-        raise ConfigError("pipeline requires --manifest")
-    reports = run_two_stage(config)
-    _, aligned = evaluate.compare_models(reports)
-    print(aligned, end="")
+def _cmd_pipeline(args, config: PipelineConfig) -> int:
+    run_two_stage(config)
+    print((Path(config.out) / "summary.txt").read_text(), end="")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad command-line usage is a configuration error (exit 1), as the exit
+    codes promise, not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dbtune",
         description="Automated DBMS-tuning pipeline: metric pruning, workload "
                     "mapping and latency prediction.")
@@ -373,52 +342,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("prune", help="factor + cluster metrics, emit pruned set")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_prune)
-
-    p = sub.add_parser("map", help="map online workloads onto the offline repository")
-    _add_config_flags(p)
-    p.add_argument("--pruned", required=True, help="pruned metric list file")
-    p.set_defaults(func=_cmd_map)
-
-    p = sub.add_parser("train", help="train one predictor on the offline corpus")
-    _add_config_flags(p)
-    p.add_argument("--pruned", required=True)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("predict", help="predict latency with a saved model")
-    _add_config_flags(p)
-    p.add_argument("--model-dir", required=True)
-    p.add_argument("--group", default="online_b", choices=list(ingest.GROUP_NAMES))
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("eval", help="recompute metrics from prediction CSVs")
-    _add_config_flags(p)
-    p.add_argument("--predictions-dir", required=True)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("pipeline", help="run the full two-stage pipeline")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_pipeline)
-
+    for name, func, help_text, extra in (
+            ("prune", _cmd_prune, "factor + cluster metrics, emit pruned set", {}),
+            ("map", _cmd_map, "map online workloads onto the offline repository",
+             {"--pruned": dict(required=True, help="pruned metric list file")}),
+            ("train", _cmd_train, "train one predictor on the offline corpus",
+             {"--pruned": dict(required=True)}),
+            ("predict", _cmd_predict, "predict latency with a saved model",
+             {"--model-dir": dict(required=True),
+              "--group": dict(default="online_b", choices=list(ingest.GROUP_NAMES))}),
+            ("eval", _cmd_eval, "recompute metrics from prediction CSVs",
+             {"--predictions-dir": dict(required=True)}),
+            ("pipeline", _cmd_pipeline, "run the full two-stage pipeline", {})):
+        p = sub.add_parser(name, help=help_text)
+        _add_config_flags(p)
+        for flag, kwargs in extra.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        args = build_parser().parse_args(argv)
+        if args.command == "synth":
+            return _cmd_synth(args)
+        config = build_config(args)
+        if not config.manifest and args.command != "eval":
+            raise ConfigError(f"{args.command} requires --manifest")
+        return args.func(args, config)
+    except (ConfigError, DataError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

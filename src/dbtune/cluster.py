@@ -39,10 +39,6 @@ class KMeansModel:
     def centers(self) -> np.ndarray:
         return self.centroids
 
-    def hard_assignments(self, points: np.ndarray) -> np.ndarray:
-        d2 = _sq_dists(points, self.centroids)
-        return d2.argmin(axis=1)
-
 
 @dataclass(frozen=True)
 class GmmModel:
@@ -89,14 +85,14 @@ class ClusterSelection:
 @dataclass(frozen=True)
 class PrunedMetricSet:
     metric_names: tuple[str, ...]
-    cluster_of: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.metric_names) != len(set(self.metric_names)):
             raise NumericalError("duplicate metrics in pruned set")
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every point to every center, (n, k)."""
     diff = points[:, None, :] - centers[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
@@ -124,7 +120,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     prev_assign = None
     trace: list[float] = []
     for _ in range(MAX_LLOYD_ITER):
-        d2 = _sq_dists(points, centroids)
+        d2 = sq_dists(points, centroids)
         assign = d2.argmin(axis=1)
         # empty-cluster repair: reseed at the point farthest from its centroid
         for j in range(k):
@@ -137,7 +133,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
             members = assign == j
             if np.any(members):
                 centroids[j] = points[members].mean(axis=0)
-        inertia = float(_sq_dists(points, centroids)[np.arange(n), assign].sum())
+        inertia = float(sq_dists(points, centroids)[np.arange(n), assign].sum())
         trace.append(inertia)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
@@ -173,7 +169,7 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
     if labels.size < 2:
         raise DataError("silhouette needs at least 2 clusters")
     n = points.shape[0]
-    dists = np.sqrt(np.maximum(_sq_dists(points, points), 0.0))
+    dists = np.sqrt(np.maximum(sq_dists(points, points), 0.0))
     scores = np.zeros(n)
     sizes = {lab: int(np.sum(assignments == lab)) for lab in labels}
     for i in range(n):
@@ -301,15 +297,14 @@ def sweep_k(points: np.ndarray, method: str, ks=DEFAULT_KS, seed: int = 0) -> Cl
                             chosen_k=chosen, method=method, model=models[chosen])
 
 
-def select_representatives(model, loadings: FactorModel,
-                           metric_names=None) -> PrunedMetricSet:
+def select_representatives(model, loadings: FactorModel) -> PrunedMetricSet:
     """Pick per cluster the metric whose loading row is nearest the center.
 
     Ties break toward the lexicographically smaller metric name. A cluster
     left empty by hard GMM assignment falls back to the nearest not-yet-chosen
     metric.
     """
-    names = tuple(metric_names) if metric_names is not None else loadings.metric_names
+    names = loadings.metric_names
     points = loadings.points
     if points.shape[0] != len(names):
         raise DataError("metric names do not align with loading rows")
@@ -317,7 +312,6 @@ def select_representatives(model, loadings: FactorModel,
     assign = (model.assignments if isinstance(model, KMeansModel)
               else model.hard_assignments(points))
     chosen_names: list[str] = []
-    chosen_clusters: list[int] = []
     taken = set()
     for j in range(centers.shape[0]):
         dist = np.sqrt(np.sum((points - centers[j]) ** 2, axis=1))
@@ -329,6 +323,4 @@ def select_representatives(model, loadings: FactorModel,
         best = min(members, key=lambda i: (dist[i], names[i]))
         taken.add(best)
         chosen_names.append(names[best])
-        chosen_clusters.append(j)
-    return PrunedMetricSet(metric_names=tuple(chosen_names),
-                           cluster_of=tuple(chosen_clusters))
+    return PrunedMetricSet(metric_names=tuple(chosen_names))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DbtuneError
 
 _BOOL_TOKENS = {
     "true": 1.0, "false": 0.0,
@@ -117,6 +117,20 @@ def encode_booleans(raw_cell: str) -> float:
         return float(token)
     except ValueError:
         raise DataError(f"unrecognized cell value {raw_cell!r}") from None
+
+
+def read_json_object(path, error: type[DbtuneError] = DataError) -> dict:
+    """Parse a JSON object file; an unreadable file, invalid JSON or another
+    JSON value raises `error`."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path} must hold a JSON object")
+    return doc
 
 
 def read_manifest(manifest_path) -> tuple[Schema, dict[str, list[str]]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import PrunedMetricSet
+from .cluster import PrunedMetricSet, sq_dists
 from .errors import ConfigError, DataError
 from .evaluate import MAPE_EPS
 from .ingest import WorkloadTable
@@ -90,8 +90,7 @@ def score_workloads(target: WorkloadTable, sources: list[WorkloadTable],
     lengths = np.array([s.n_rows for s in sources])
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     width = lengths.max()
-    diff = t_knobs[:, None, :] - s_knobs[None, :, :]
-    dist = np.einsum("ijk,ijk->ij", diff, diff)
+    dist = sq_dists(t_knobs, s_knobs)
     slot = np.arange(len(s_knobs)) + np.repeat(np.arange(len(sources)) * width - starts, lengths)
     grid = np.full((target.n_rows, len(sources) * width), np.inf)
     grid[:, slot] = dist

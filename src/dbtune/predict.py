@@ -12,14 +12,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .cluster import PrunedMetricSet
+from .cluster import PrunedMetricSet, sq_dists
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import MAPE_EPS
-from .ingest import Schema, WorkloadTable
+from .ingest import Schema, WorkloadTable, read_json_object
 
 MODEL_FORMAT_VERSION = 1
 CONST_STD_EPS = 1e-12
@@ -41,9 +42,6 @@ class StandardScaler:
     stds: np.ndarray
     n_knobs: int
     constant_features: tuple[str, ...] = ()
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=float) - self.means) / self.stds
 
     def transform_knobs(self, knobs: np.ndarray) -> np.ndarray:
         k = self.n_knobs
@@ -92,12 +90,41 @@ def build_features(table: WorkloadTable, pruned: PrunedMetricSet,
     ])
 
 
+@dataclass(frozen=True)
+class Preprocessing:
+    """The fitted feature preprocessing that `train` stores beside its model
+    as preprocess.json and `predict` reuses: pruned metrics and scaler."""
+
+    pruned: PrunedMetricSet
+    scaler: StandardScaler
+
+    def save(self, path) -> None:
+        Path(path).write_text(json.dumps({
+            "pruned_metrics": list(self.pruned.metric_names),
+            "scaler_means": self.scaler.means.tolist(),
+            "scaler_stds": self.scaler.stds.tolist(),
+            "n_knobs": self.scaler.n_knobs,
+            "constant_features": list(self.scaler.constant_features),
+        }) + "\n")
+
+    @classmethod
+    def load(cls, path) -> "Preprocessing":
+        doc = read_json_object(path)
+        try:
+            return cls(PrunedMetricSet(tuple(doc["pruned_metrics"])), StandardScaler(
+                means=np.array(doc["scaler_means"]), stds=np.array(doc["scaler_stds"]),
+                n_knobs=doc["n_knobs"], constant_features=tuple(doc["constant_features"])))
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{path}: malformed preprocessing: {exc!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Gaussian process regression
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GprModel:
+    kind: ClassVar[str] = "gpr"
     alpha: float  # effective diagonal noise actually used
     length_scale: float
     signal_variance: float
@@ -107,11 +134,27 @@ class GprModel:
     chol: np.ndarray = field(repr=False)
     dual_coef: np.ndarray = field(repr=False)  # (K + alpha I)^-1 y_centered
 
+    def to_json(self) -> dict:
+        return {"alpha": self.alpha, "length_scale": self.length_scale,
+                "signal_variance": self.signal_variance,
+                "x_train": _arr(self.x_train), "y_mean": self.y_mean,
+                "y_centered": _arr(self.y_centered),
+                "chol": _arr(self.chol), "dual_coef": _arr(self.dual_coef)}
 
-def _rbf_kernel(xa: np.ndarray, xb: np.ndarray, length_scale: float,
-                signal_variance: float) -> np.ndarray:
-    diff = xa[:, None, :] - xb[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    @classmethod
+    def from_json(cls, doc: dict) -> "GprModel":
+        return cls(alpha=doc["alpha"], length_scale=doc["length_scale"],
+                   signal_variance=doc["signal_variance"],
+                   x_train=np.array(doc["x_train"]), y_mean=doc["y_mean"],
+                   y_centered=np.array(doc["y_centered"]),
+                   chol=np.array(doc["chol"]), dual_coef=np.array(doc["dual_coef"]))
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return gpr_predict(self, features)[0]
+
+
+def _rbf_kernel(d2: np.ndarray, length_scale: float, signal_variance: float) -> np.ndarray:
+    """RBF kernel from pairwise squared distances."""
     return signal_variance * np.exp(-d2 / (2.0 * length_scale ** 2))
 
 
@@ -126,8 +169,9 @@ def _try_cholesky(k_matrix: np.ndarray, alpha: float) -> tuple[np.ndarray, float
     raise NumericalError(f"Cholesky failed up to jitter {100 * alpha}")
 
 
-def _log_marginal_likelihood(x, y, length_scale, signal_variance, alpha):
-    k = _rbf_kernel(x, x, length_scale, signal_variance)
+def _log_marginal_likelihood(x, y, length_scale, signal_variance, alpha, d2=None):
+    """`d2` is sq_dists(x, x), when the caller already has it."""
+    k = _rbf_kernel(sq_dists(x, x) if d2 is None else d2, length_scale, signal_variance)
     chol, eff = _try_cholesky(k, alpha)
     dual = cho_solve((chol, True), y)
     n = len(y)
@@ -150,13 +194,9 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
     yc = y - y_mean
 
     n = x.shape[0]
-    if n > 1:
-        diff = x[:, None, :] - x[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        pd = d[np.triu_indices(n, k=1)]
-        base = float(np.median(pd))
-    else:
-        base = 0.0
+    # train x train squared distances, for the median heuristic and every kernel
+    d2 = sq_dists(x, x)
+    base = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)]))) if n > 1 else 0.0
     if base <= 0:
         base = 1.0
     var_y = float(yc.var())
@@ -168,7 +208,7 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
     best = None
     for ell in ell_grid:
         for sig in sig_grid:
-            lml, chol, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha)
+            lml, chol, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha, d2)
             if best is None or lml > best[0]:
                 best = (lml, ell, sig, chol, dual, eff)
 
@@ -177,7 +217,7 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
         for f in factors:
             ell = best[1] * f if coord == "ell" else best[1]
             sig = best[2] * f if coord == "sig" else best[2]
-            lml, chol, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha)
+            lml, chol, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha, d2)
             if lml > best[0]:
                 best = (lml, ell, sig, chol, dual, eff)
 
@@ -192,7 +232,8 @@ def gpr_posterior(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np
     xq = np.atleast_2d(np.asarray(features, dtype=float))
     if xq.shape[1] != model.x_train.shape[1]:
         raise DataError("query feature dimension mismatch")
-    kstar = _rbf_kernel(model.x_train, xq, model.length_scale, model.signal_variance)
+    kstar = _rbf_kernel(sq_dists(model.x_train, xq), model.length_scale,
+                        model.signal_variance)
     mean = kstar.T @ model.dual_coef + model.y_mean
     v = solve_triangular(model.chol, kstar, lower=True)
     var = model.signal_variance - np.sum(v ** 2, axis=0)
@@ -220,10 +261,40 @@ class _TreeNode:
 
 @dataclass(frozen=True)
 class RfModel:
+    kind: ClassVar[str] = "rf"
     n_trees: int
     max_depth: int
     trees: tuple[_TreeNode, ...]
     seed: int
+
+    def to_json(self) -> dict:
+        return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed,
+                "trees": [_tree_to_dict(t) for t in self.trees]}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "RfModel":
+        return cls(n_trees=doc["n_trees"], max_depth=doc["max_depth"], seed=doc["seed"],
+                   trees=tuple(_tree_from_dict(t) for t in doc["trees"]))
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return rf_predict(self, features)
+
+
+def _tree_to_dict(node: _TreeNode) -> dict:
+    if node.feature < 0:
+        return {"value": node.value}
+    return {"feature": node.feature, "threshold": node.threshold,
+            "value": node.value,
+            "left": _tree_to_dict(node.left), "right": _tree_to_dict(node.right)}
+
+
+def _tree_from_dict(doc: dict) -> _TreeNode:
+    if "feature" not in doc:
+        return _TreeNode(value=doc["value"])
+    return _TreeNode(feature=doc["feature"], threshold=doc["threshold"],
+                     value=doc["value"],
+                     left=_tree_from_dict(doc["left"]),
+                     right=_tree_from_dict(doc["right"]))
 
 
 def _best_split(x, y, feat_candidates):
@@ -322,12 +393,27 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
+    kind: ClassVar[str] = "mlp"
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
     config: MlpConfig
     loss_trace: tuple[float, ...] = ()
+
+    def to_json(self) -> dict:
+        return {"w1": _arr(self.w1), "b1": _arr(self.b1),
+                "w2": _arr(self.w2), "b2": _arr(self.b2),
+                "config": self.config.__dict__, "loss_trace": list(self.loss_trace)}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "MlpModel":
+        return cls(w1=np.array(doc["w1"]), b1=np.array(doc["b1"]),
+                   w2=np.array(doc["w2"]), b2=np.array(doc["b2"]),
+                   config=MlpConfig(**doc["config"]), loss_trace=tuple(doc["loss_trace"]))
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return mlp_predict(self, features)
 
 
 def _mlp_init(n_features: int, config: MlpConfig) -> MlpModel:
@@ -427,76 +513,29 @@ def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
-def _tree_to_dict(node: _TreeNode) -> dict:
-    if node.feature < 0:
-        return {"value": node.value}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "value": node.value,
-            "left": _tree_to_dict(node.left), "right": _tree_to_dict(node.right)}
-
-
-def _tree_from_dict(doc: dict) -> _TreeNode:
-    if "feature" not in doc:
-        return _TreeNode(value=doc["value"])
-    return _TreeNode(feature=doc["feature"], threshold=doc["threshold"],
-                     value=doc["value"],
-                     left=_tree_from_dict(doc["left"]),
-                     right=_tree_from_dict(doc["right"]))
+MODEL_KINDS = {cls.kind: cls for cls in (GprModel, RfModel, MlpModel)}
 
 
 def save_model(model, path) -> None:
     """Serialize a fitted predictor to a versioned JSON container."""
-    if isinstance(model, GprModel):
-        doc = {"kind": "gpr", "alpha": model.alpha,
-               "length_scale": model.length_scale,
-               "signal_variance": model.signal_variance,
-               "x_train": _arr(model.x_train), "y_mean": model.y_mean,
-               "y_centered": _arr(model.y_centered),
-               "chol": _arr(model.chol), "dual_coef": _arr(model.dual_coef)}
-    elif isinstance(model, RfModel):
-        doc = {"kind": "rf", "n_trees": model.n_trees, "max_depth": model.max_depth,
-               "seed": model.seed, "trees": [_tree_to_dict(t) for t in model.trees]}
-    elif isinstance(model, MlpModel):
-        doc = {"kind": "mlp", "w1": _arr(model.w1), "b1": _arr(model.b1),
-               "w2": _arr(model.w2), "b2": _arr(model.b2),
-               "config": model.config.__dict__, "loss_trace": list(model.loss_trace)}
-    else:
-        raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
-    doc["format_version"] = MODEL_FORMAT_VERSION
+    doc = {"kind": model.kind, **model.to_json(), "format_version": MODEL_FORMAT_VERSION}
     Path(path).write_text(json.dumps(doc))
 
 
 def load_model(path):
-    doc = json.loads(Path(path).read_text())
+    doc = read_json_object(path)
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
     kind = doc.get("kind")
-    if kind == "gpr":
-        return GprModel(alpha=doc["alpha"], length_scale=doc["length_scale"],
-                        signal_variance=doc["signal_variance"],
-                        x_train=np.array(doc["x_train"]), y_mean=doc["y_mean"],
-                        y_centered=np.array(doc["y_centered"]),
-                        chol=np.array(doc["chol"]),
-                        dual_coef=np.array(doc["dual_coef"]))
-    if kind == "rf":
-        return RfModel(n_trees=doc["n_trees"], max_depth=doc["max_depth"],
-                       seed=doc["seed"],
-                       trees=tuple(_tree_from_dict(t) for t in doc["trees"]))
-    if kind == "mlp":
-        return MlpModel(w1=np.array(doc["w1"]), b1=np.array(doc["b1"]),
-                        w2=np.array(doc["w2"]), b2=np.array(doc["b2"]),
-                        config=MlpConfig(**doc["config"]),
-                        loss_trace=tuple(doc["loss_trace"]))
-    raise DataError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise DataError(f"unknown model kind {kind!r}")
+    try:
+        return MODEL_KINDS[kind].from_json(doc)
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed {kind} model: {exc!r}") from None
 
 
 def predict_with(model, features: np.ndarray) -> np.ndarray:
     """Uniform prediction entry point for all three model kinds."""
-    if isinstance(model, GprModel):
-        return gpr_predict(model, features)[0]
-    if isinstance(model, RfModel):
-        return rf_predict(model, features)
-    if isinstance(model, MlpModel):
-        return mlp_predict(model, features)
-    raise ConfigError(f"unknown model type {type(model).__name__}")
+    return model.predict(features)

@@ -97,8 +97,7 @@ def test_criterion_4_mapping_oracle():
         corpus, truth = synth.generate_corpus(spec)
         scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
         pruned = cluster.PrunedMetricSet(
-            metric_names=corpus.schema.metric_names,
-            cluster_of=tuple(range(len(corpus.schema.metric_names))))
+            metric_names=corpus.schema.metric_names)
         target = corpus.online_b[0]
         res = mapping.map_and_augment(list(corpus.offline), target, pruned, scaler)
         if res.chosen_source == truth.nearest_source_of[target.workload_id]:
@@ -158,8 +157,7 @@ def test_criterion_6_alpha_trend():
     corpus, _ = synth.generate_corpus(spec)
     scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
     pruned = cluster.PrunedMetricSet(
-        metric_names=corpus.schema.metric_names,
-        cluster_of=tuple(range(len(corpus.schema.metric_names))))
+        metric_names=corpus.schema.metric_names)
     feats = np.vstack([predict.build_features(t, pruned, scaler)
                        for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])

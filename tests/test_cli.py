@@ -1,5 +1,7 @@
 import json
+import shutil
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +26,22 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+@pytest.fixture(scope="module")
+def trained_dir(corpus_dir, tmp_path_factory):
+    """prune + train output of a small GPR model on the shared corpus."""
+    out = tmp_path_factory.mktemp("trained")
+    assert run(["prune", "--manifest", corpus_dir, "--out", out]) == 0
+    assert run(["train", "--manifest", corpus_dir, "--out", out,
+                "--pruned", out / "pruned_metrics.txt", "--alpha", "1e-4"]) == 0
+    return out
+
+
+# a value for every PipelineConfig field, none of them its default
+NON_DEFAULT = dict(manifest="m.json", method="gmm", k_min=3, k_max=9, factor_cap=4,
+                   predictor="nn", alpha=0.25, trees=7, depth=5, hidden=8, epochs=3,
+                   map_score="mape", n_map=4, seed=11, out="elsewhere")
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cli.PipelineConfig()
@@ -46,6 +64,21 @@ class TestConfig:
         assert config.trees == 9
         assert config.seed == 3
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_every_field_round_trips(self, source, tmp_path):
+        assert set(NON_DEFAULT) == {f.name for f in fields(cli.PipelineConfig)}
+        default = cli.PipelineConfig()
+        assert all(getattr(default, k) != v for k, v in NON_DEFAULT.items())
+        if source == "flags":
+            argv = [a for k, v in NON_DEFAULT.items()
+                    for a in ("--" + k.replace("_", "-"), str(v))]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(NON_DEFAULT))
+            argv = ["--config", str(cfg)]
+        args = cli.build_parser().parse_args(["pipeline", *argv])
+        assert cli.build_config(args) == cli.PipelineConfig(**NON_DEFAULT)
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -66,6 +99,46 @@ class TestExitCodes:
 
     def test_bad_config_file(self, tmp_path):
         assert run(["pipeline", "--config", tmp_path / "nope.json"]) == 1
+
+    @pytest.mark.parametrize("config_text, flags, message", [
+        ('{"k_min": 3,', [], "not valid JSON"),
+        ('{"k_min": "a"}', [], "'k_min' must be int"),
+        ('{"alpha": true}', [], "'alpha' must be float"),
+        ('[["k_min", 3]]', [], "must hold a JSON object"),
+        (None, ["--predictor", "xx"], "predictor must be one of"),
+        (None, ["--k-min", "a"], "invalid int value"),
+    ], ids=["bad-json", "str-for-int", "bool-for-float", "not-an-object",
+            "unknown-predictor", "flag-not-int"])
+    def test_bad_config_exits_1(self, config_text, flags, message, corpus_dir,
+                                tmp_path, capsys):
+        argv = ["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out", *flags]
+        if config_text is not None:
+            (tmp_path / "cfg.json").write_text(config_text)
+            argv += ["--config", tmp_path / "cfg.json"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: (d / "model.json").unlink(), "cannot read"),
+        (lambda d: (d / "preprocess.json").unlink(), "cannot read"),
+        (lambda d: (d / "model.json").write_text(
+            (d / "model.json").read_text().replace('"chol"', '"cholx"')), "'chol'"),
+        (lambda d: (d / "preprocess.json").write_text(
+            (d / "preprocess.json").read_text().replace('"n_knobs"', '"knobs"')),
+         "'n_knobs'"),
+        (lambda d: (d / "model.json").write_text("{"), "not valid JSON"),
+    ], ids=["no-model", "no-preprocess", "model-key", "preprocess-key", "model-bad-json"])
+    def test_bad_model_dir_exits_2(self, damage, message, corpus_dir, trained_dir,
+                                   tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        damage(model_dir)
+        assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                    "--model-dir", model_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_workload_id_in_two_groups_is_data_error(self, corpus_dir, tmp_path, capsys):
         # an online-B table that reuses an offline id: stage 2 would score two
@@ -172,6 +245,50 @@ class TestTrainPredictCommands:
         pred_file = out / "predictions_gpr.csv"
         report = evaluate.parse_predictions_csv(pred_file.read_text(), "gpr")
         assert report.n > 0
+
+    def test_predictions_named_after_loaded_model(self, corpus_dir, trained_dir,
+                                                  tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["predict", "--manifest", corpus_dir, "--out", out,
+                    "--model-dir", trained_dir, "--predictor", "rf"]) == 0
+        capsys.readouterr()
+        assert [p.name for p in out.iterdir()] == ["predictions_gpr.csv"]
+
+    def test_nn_model_predictions_named_nn(self, corpus_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["train", "--manifest", corpus_dir, "--out", out, "--predictor", "nn",
+                    "--epochs", "3", "--pruned", trained_dir / "pruned_metrics.txt"]) == 0
+        assert run(["predict", "--manifest", corpus_dir, "--out", out / "p",
+                    "--model-dir", out]) == 0
+        capsys.readouterr()
+        assert [p.name for p in (out / "p").iterdir()] == ["predictions_nn.csv"]
+
+    def test_reloaded_preprocessing_matches_in_process_path(self, corpus_dir, trained_dir,
+                                                            tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["predict", "--manifest", corpus_dir, "--out", out,
+                    "--model-dir", trained_dir, "--group", "online_c"]) == 0
+        capsys.readouterr()
+        corpus, _ = ingest.drop_constant_columns(ingest.load_corpus_from_manifest(corpus_dir))
+        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
+        pre = predict.Preprocessing.load(trained_dir / "preprocess.json")
+        assert pre.scaler.means.tobytes() == scaler.means.tobytes()
+        assert pre.scaler.stds.tobytes() == scaler.stds.tobytes()
+        assert pre.scaler.n_knobs == scaler.n_knobs
+        assert pre.scaler.constant_features == scaler.constant_features
+        pruned = pre.pruned
+        assert pruned.metric_names == tuple(
+            (trained_dir / "pruned_metrics.txt").read_text().split())
+
+        feats = np.vstack([predict.build_features(t, pruned, scaler) for t in corpus.offline])
+        model = predict.gpr_fit(feats, np.concatenate([t.latency for t in corpus.offline]),
+                                1e-4)
+        expected = [(t.workload_id, float(y), float(p)) for t in corpus.online_c
+                    for y, p in zip(t.latency, predict.predict_with(
+                        model, predict.build_features(t, pruned, scaler)))]
+        got = evaluate.parse_predictions_csv(
+            (out / "predictions_gpr.csv").read_text(), "gpr").per_point
+        assert got == tuple(expected)
 
 
 class TestStageComposability:

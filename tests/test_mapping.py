@@ -20,7 +20,7 @@ from conftest import identity_scaler, make_table
 
 @pytest.fixture
 def pruned(tiny_schema):
-    return PrunedMetricSet(metric_names=tiny_schema.metric_names, cluster_of=(0, 1))
+    return PrunedMetricSet(metric_names=tiny_schema.metric_names)
 
 
 def simple_table(wid, schema, knob_rows, metric_rows, latency=None):
@@ -37,7 +37,7 @@ class TestScoreWorkloads:
 
     def test_hand_evaluation(self, tiny_schema):
         # single pruned metric, single row: target 3 vs paired source 0
-        p = PrunedMetricSet(metric_names=("m0",), cluster_of=(0,))
+        p = PrunedMetricSet(metric_names=("m0",))
         target = simple_table("t", tiny_schema, [[0, 0]], [[3.0, 9]])
         source = simple_table("s", tiny_schema, [[0, 0]], [[0.0, 9]])
         scores = score_workloads(target, [source], p, identity_scaler(tiny_schema))
@@ -63,7 +63,7 @@ class TestScoreWorkloads:
     def test_empty_pruned_rejected(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
         with pytest.raises(DataError):
-            score_workloads(t, [t], PrunedMetricSet((), ()),
+            score_workloads(t, [t], PrunedMetricSet(()),
                             identity_scaler(tiny_schema))
 
     def test_variants_run(self, tiny_schema, pruned):
@@ -111,8 +111,7 @@ class TestBatchedScoringExact:
     # 9 pruned metrics and up to 11 target rows: both means run over >= 8
     # values, where numpy's pairwise summation differs from a plain loop
     pruned = PrunedMetricSet(metric_names=("m7", "m0", "m3", "m11", "m5", "m1",
-                                           "m9", "m2", "m10"),
-                             cluster_of=tuple(range(9)))
+                                           "m9", "m2", "m10"))
 
     def _table(self, rng, wid, n, knob_levels=None):
         knobs = (rng.integers(0, knob_levels, size=(n, 3)).astype(float)
@@ -274,8 +273,7 @@ class TestMapAndAugment:
         scaler = fit_scaler(list(corpus.offline), corpus.schema)
         p = PrunedMetricSet(
             metric_names=(corpus.schema.metric_names[0],
-                          corpus.schema.metric_names[2]),
-            cluster_of=(0, 1))
+                          corpus.schema.metric_names[2]))
         for t in corpus.online_b:
             res = map_and_augment(list(corpus.offline), t, p, scaler)
             assert res.chosen_source == truth.nearest_source_of[t.workload_id]
