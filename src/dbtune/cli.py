@@ -51,6 +51,9 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.k_min < 2 or self.k_max < self.k_min:
             raise ConfigError(f"bad k range [{self.k_min}, {self.k_max}]")
+        if self.trees < 1 or self.depth < 0:
+            raise ConfigError(f"trees must be >= 1 and depth >= 0, "
+                              f"got {self.trees} and {self.depth}")
 
 
 @contextmanager
@@ -252,7 +255,13 @@ def _cmd_prune(args, config: PipelineConfig) -> int:
 
 
 def _read_pruned(path) -> cluster.PrunedMetricSet:
-    names = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    names = [line.strip() for line in text.splitlines() if line.strip()]
     if not names:
         raise DataError(f"pruned metric file {path} is empty")
     return cluster.PrunedMetricSet(metric_names=tuple(names))

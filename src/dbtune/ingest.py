@@ -138,7 +138,7 @@ def read_manifest(manifest_path) -> tuple[Schema, dict[str, list[str]]]:
     path = Path(manifest_path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
-    doc = json.loads(path.read_text())
+    doc = read_json_object(path)
     for key in ("workload_id", "latency", "knobs", "metrics"):
         if key not in doc:
             raise DataError(f"manifest missing key {key!r}")

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -111,10 +112,14 @@ class Preprocessing:
     def load(cls, path) -> "Preprocessing":
         doc = read_json_object(path)
         try:
-            return cls(PrunedMetricSet(tuple(doc["pruned_metrics"])), StandardScaler(
-                means=np.array(doc["scaler_means"]), stds=np.array(doc["scaler_stds"]),
-                n_knobs=doc["n_knobs"], constant_features=tuple(doc["constant_features"])))
-        except (KeyError, TypeError) as exc:
+            means, stds = _float_array(doc, "scaler_means"), _float_array(doc, "scaler_stds")
+            n_knobs = _typed(doc, "n_knobs", int)
+            if len(stds) != len(means) or not 0 <= n_knobs <= len(means):
+                raise ValueError(f"{len(means)} means, {len(stds)} stds and {n_knobs} knobs")
+            return cls(PrunedMetricSet(_strings(doc, "pruned_metrics")), StandardScaler(
+                means=means, stds=stds, n_knobs=n_knobs,
+                constant_features=_strings(doc, "constant_features")))
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed preprocessing: {exc!r}") from None
 
 
@@ -250,13 +255,24 @@ def gpr_predict(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np.n
 # Random forest
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _TreeNode:
     feature: int = -1  # -1 marks a leaf
     threshold: float = 0.0
     left: "_TreeNode | None" = None
     right: "_TreeNode | None" = None
     value: float = 0.0
+
+
+class _FlatForest(NamedTuple):
+    """All nodes of a forest in arrays, breadth first; tree t's root is
+    node t. A leaf has feature -1 and is its own left and right child."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -273,8 +289,26 @@ class RfModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RfModel":
-        return cls(n_trees=doc["n_trees"], max_depth=doc["max_depth"], seed=doc["seed"],
-                   trees=tuple(_tree_from_dict(t) for t in doc["trees"]))
+        trees = doc["trees"]
+        if not isinstance(trees, list) or not trees:
+            raise TypeError("trees must be a non-empty list")
+        return cls(n_trees=_typed(doc, "n_trees", int), max_depth=_typed(doc, "max_depth", int),
+                   seed=_typed(doc, "seed", int),
+                   trees=tuple(_tree_from_dict(t) for t in trees))
+
+    @cached_property
+    def flat(self) -> _FlatForest:
+        nodes = list(self.trees)
+        for node in nodes:  # the list grows while it is read
+            if node.feature >= 0:
+                nodes += (node.left, node.right)
+        feature = np.array([node.feature for node in nodes])
+        internal = np.nonzero(feature >= 0)[0]
+        left, right = np.arange(len(nodes)), np.arange(len(nodes))
+        left[internal] = len(self.trees) + 2 * np.arange(len(internal))
+        right[internal] = left[internal] + 1
+        return _FlatForest(feature, np.array([node.threshold for node in nodes], dtype=float),
+                           left, right, np.array([node.value for node in nodes], dtype=float))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return rf_predict(self, features)
@@ -289,90 +323,278 @@ def _tree_to_dict(node: _TreeNode) -> dict:
 
 
 def _tree_from_dict(doc: dict) -> _TreeNode:
+    if not isinstance(doc, dict):
+        raise TypeError(f"tree node must be an object, got {type(doc).__name__}")
+    value = _typed(doc, "value", (int, float))
     if "feature" not in doc:
-        return _TreeNode(value=doc["value"])
-    return _TreeNode(feature=doc["feature"], threshold=doc["threshold"],
-                     value=doc["value"],
+        return _TreeNode(value=value)
+    feature = _typed(doc, "feature", int)
+    if feature < 0:
+        raise ValueError(f"feature must be >= 0, got {feature}")
+    return _TreeNode(feature=feature, threshold=_typed(doc, "threshold", (int, float)),
+                     value=value,
                      left=_tree_from_dict(doc["left"]),
                      right=_tree_from_dict(doc["right"]))
 
 
-def _best_split(x, y, feat_candidates):
-    """Greedy split minimizing summed child SSE; returns (feature, threshold) or None."""
-    best = None
-    for f in feat_candidates:
-        order = np.argsort(x[:, f], kind="stable")
-        xs, ys = x[order, f], y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys ** 2)
-        total_sum, total_sq, n = csum[-1], csq[-1], len(ys)
-        for i in range(n - 1):
-            if xs[i] == xs[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            sse_l = csq[i] - csum[i] ** 2 / nl
-            sse_r = (total_sq - csq[i]) - (total_sum - csum[i]) ** 2 / nr
-            cost = sse_l + sse_r
-            if best is None or cost < best[0] - 1e-15:
-                best = (cost, f, 0.5 * (xs[i] + xs[i + 1]))
-    if best is None:
-        return None
-    return best[1], best[2]
+# cap on the cells of one batched array in rf_fit and rf_predict
+_CHUNK_CELLS = 1 << 11
 
 
-def _grow_tree(x, y, depth, max_depth, rng):
-    node = _TreeNode(value=float(y.mean()))
-    if depth >= max_depth or len(y) < 2 or float(np.ptp(y)) == 0.0:
-        return node
-    d = x.shape[1]
-    n_cand = max(1, int(round(math.sqrt(d))))
-    feats = sorted(rng.choice(d, size=n_cand, replace=False).tolist())
-    split = _best_split(x, y, feats)
-    if split is None:
+def _pow2(v: float) -> float:
+    try:
+        return math.pow(v, 2.0)
+    except OverflowError:
+        return math.inf
+
+
+_POW2 = np.frompyfunc(_pow2, 1, 1)
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """a ** 2 as a float64 scalar squares, through libm pow (inf on
+    overflow); the array square a * a differs in the last bit for some a."""
+    return _POW2(a).astype(float)
+
+
+def _segments(rows: np.ndarray, trees: np.ndarray, starts: np.ndarray,
+              sizes: np.ndarray, width: int) -> np.ndarray:
+    """Row ids of each node, padded to `width` with the pad row id
+    rows.shape[1]. Node i owns rows[trees[i], starts[i]:starts[i] + sizes[i]]."""
+    cols = np.arange(width)
+    ids = rows[trees[:, None], np.minimum(starts[:, None] + cols, rows.shape[1] - 1)]
+    return np.where(cols < sizes[:, None], ids, rows.shape[1])
+
+
+def _node_stats(ypad, rows, trees, starts, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and max - min of each node's targets.
+
+    Each mean sums its rows as y[node].mean() does: numpy's pairwise sum
+    adds 8-wide blocks, then the rest one by one, and splits at 128. So
+    nodes with the same size // 8 (below 128) reduce together, padded with
+    -0.0, which adds nothing; larger nodes reduce in groups of one size.
+    """
+    means, spread = np.full(len(sizes), np.nan), np.zeros(len(sizes))
+    keys = np.where(sizes < 128, sizes // 8, sizes)
+    for key in np.unique(keys[sizes > 0]):
+        at = np.nonzero((keys == key) & (sizes > 0))[0]
+        seg = _segments(rows, trees[at], starts[at], sizes[at], sizes[at].max())
+        ys, inside = ypad[seg], seg < rows.shape[1]
+        means[at] = ys.sum(axis=1) / sizes[at]
+        spread[at] = (np.where(inside, ys, -np.inf).max(axis=1)
+                      - np.where(inside, ys, np.inf).min(axis=1))
+    return means, spread
+
+
+def _min_before(a: np.ndarray) -> np.ndarray:
+    """Per row, the least non-NaN value left of each column (inf at column 0)."""
+    out = np.full(a.shape, np.inf)
+    np.fmin.accumulate(a[:, :-1], axis=1, out=out[:, 1:])
+    return out
+
+
+def _best_splits(xpad, ypad, seg, sizes, feats) -> tuple[np.ndarray, np.ndarray]:
+    """Split of least summed child SSE for each node: (feature, threshold),
+    feature -1 where no candidate feature separates two rows.
+
+    seg is (nodes, width) padded row ids and feats (nodes, c) sorted
+    candidate features. Splits are tried in (feature, position) order and a
+    later one replaces the best only if it costs less by more than 1e-15.
+    """
+    k, w = seg.shape
+    c = feats.shape[1]
+    # (k, c, w) row ids of each node, sorted by each candidate feature; the
+    # pad row sorts last and adds -0.0 to csum and +0.0 to csq, so the last
+    # column holds each node's totals
+    order = np.argsort(xpad[seg[:, None, :], feats[:, :, None]], axis=2, kind="stable")
+    ids = seg.reshape(-1)[order + (np.arange(k) * w)[:, None, None]]
+    xs, ys = xpad[ids, feats[:, :, None]], ypad[ids]
+    csum, csq = np.cumsum(ys, axis=2), np.cumsum(ys ** 2, axis=2)
+
+    # split at position i: rows 0..i go left
+    last = (sizes - 1)[:, None, None]
+    nl = np.arange(1, w)
+    valid = ((nl <= last) & (xs[..., :-1] != xs[..., 1:])).reshape(k, -1)
+    first = valid & (np.cumsum(valid, axis=1) == 1)
+    # Only the first split of a node and one costing less than every earlier
+    # split can become the best (the best is never 1e-15 above an earlier
+    # cost). Costs square through libm pow, which is slow; squaring by
+    # multiplication moves a cost by far less than `slack`, so only splits
+    # that may cost less than every earlier one get the exact cost.
+    cs, cq, tq = csum[..., :-1], csq[..., :-1], csq[..., -1:]
+    rest = csum[..., -1:] - cs
+    left_sq, right_sq = cs * cs / nl, rest * rest / np.maximum(last + 1 - nl, 1)
+    approx = ((cq - left_sq) + ((tq - cq) - right_sq)).reshape(k, -1)
+    slack = (1e-13 * (np.abs(cq) + np.abs(tq) + left_sq + right_sq)).reshape(k, -1)
+    safe = np.isfinite(slack) & (np.abs(cs) < 1e150).reshape(k, -1) & (
+        np.abs(rest) < 1e150).reshape(k, -1)
+    bound = np.where(valid & safe, approx + slack, np.inf)
+    e = np.flatnonzero(first | (valid & (~safe | (approx - slack < _min_before(bound)))))
+
+    q, ii = np.divmod(e, w - 1)  # q: node * c + feature column
+    kk = q // c
+    at, end = q * w + ii, q * w + w - 1
+    cs, cq = csum.reshape(-1)[at], csq.reshape(-1)[at]
+    rest, tq = csum.reshape(-1)[end] - cs, csq.reshape(-1)[end]
+    nl = ii + 1
+    cost = (cq - _square(cs) / nl) + ((tq - cq) - _square(rest) / (sizes[kk] - nl))
+    exact = np.full(k * c * (w - 1), np.inf)
+    exact[e] = cost
+    keep = first.reshape(-1)[e] | (cost < _min_before(exact.reshape(k, -1)).reshape(-1)[e])
+    kk, col, cost = kk[keep], (e - kk * (c * (w - 1)))[keep], cost[keep]
+
+    rank = np.arange(len(kk)) - np.searchsorted(kk, kk)
+    best, pick = np.full(k, np.nan), np.full(k, -1)
+    for r in range(rank.max(initial=-1) + 1):
+        at = rank == r
+        nd, ct = kk[at], cost[at]
+        take = ct < best[nd] - 1e-15 if r else np.ones(len(nd), dtype=bool)
+        best[nd[take]], pick[nd[take]] = ct[take], col[at][take]
+
+    found = np.nonzero(pick >= 0)[0]
+    fi, ii = np.divmod(pick[found], w - 1)
+    at = (found * c + fi) * w + ii
+    feature, threshold = np.full(k, -1), np.zeros(k)
+    feature[found] = feats[found, fi]
+    threshold[found] = 0.5 * (xs.reshape(-1)[at] + xs.reshape(-1)[at + 1])
+    return feature, threshold
+
+
+def _partition(rows, xpad, seg, trees, starts, sizes, feature, threshold) -> np.ndarray:
+    """Reorder each split node's slice of rows: the rows going left first,
+    each side in its old order. Returns the left sizes."""
+    w = seg.shape[1]
+    inside = np.arange(w) < sizes[:, None]
+    goes_left = inside & (xpad[seg, feature[:, None]] <= threshold[:, None])
+    key = np.where(inside, ~goes_left, 2)
+    seg = seg[np.arange(len(seg))[:, None], np.argsort(key, axis=1, kind="stable")]
+    cols = starts[:, None] + np.arange(w)
+    rows[np.broadcast_to(trees[:, None], cols.shape)[inside], cols[inside]] = seg[inside]
+    return goes_left.sum(axis=1)
+
+
+def _split(xpad, ypad, rows, trees, starts, sizes, feats):
+    """Split each node: (feature, threshold, left size), feature -1 where no
+    feature separates two rows. Nodes go in size order into chunks, each
+    padded to the power of two that holds its largest node and kept within
+    _CHUNK_CELLS."""
+    feature, threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
+    n_left = np.zeros(len(sizes), dtype=int)
+    by_size = np.argsort(sizes, kind="stable")
+    widths = 2 ** np.ceil(np.log2(sizes[by_size])).astype(int)
+    lo = 0
+    while lo < len(by_size):
+        cells = np.arange(1, len(by_size) - lo + 1) * widths[lo:] * feats.shape[1]
+        hi = lo + max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
+        at, w = by_size[lo:hi], int(widths[hi - 1])
+        lo = hi
+        seg = _segments(rows, trees[at], starts[at], sizes[at], w)
+        f, thr = _best_splits(xpad, ypad, seg, sizes[at], feats[at])
         # retry with all features so splittable nodes are not stranded by
         # an unlucky candidate draw
-        split = _best_split(x, y, range(d))
-        if split is None:
-            return node
-    f, thr = split
-    mask = x[:, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.left = _grow_tree(x[mask], y[mask], depth + 1, max_depth, rng)
-    node.right = _grow_tree(x[~mask], y[~mask], depth + 1, max_depth, rng)
-    return node
-
-
-def _tree_predict(node: _TreeNode, row: np.ndarray) -> float:
-    while node.feature >= 0:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.value
+        retry = np.nonzero(f < 0)[0]
+        if len(retry):
+            f[retry], thr[retry] = _best_splits(
+                xpad, ypad, seg[retry], sizes[at[retry]],
+                np.tile(np.arange(xpad.shape[1]), (len(retry), 1)))
+        ok = f >= 0
+        at = at[ok]
+        n_left[at] = _partition(rows, xpad, seg[ok], trees[at], starts[at], sizes[at],
+                                f[ok], thr[ok])
+        feature[at], threshold[at] = f[ok], thr[ok]
+    return feature, threshold, n_left
 
 
 def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int = 200,
            max_depth: int = 50, seed: int = 0) -> RfModel:
-    """Bagged regression forest; tree t uses rng seed + t so serial and
-    per-tree-parallel training agree."""
+    """Bagged forest of variance-splitting regression trees; tree t draws
+    its bootstrap and, at each node, its sqrt(d) candidate features from rng
+    seed + t.
+
+    The trees grow in lock-step: each step takes the next node, in
+    preorder, of every tree that has one, and scores the splits of all
+    these nodes in batched passes (`_split`). Each tree still makes its
+    draws in its own preorder, so the forest equals the one grown tree by
+    tree, node by node.
+    """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
-    n = x.shape[0]
+    if n_trees < 1 or max_depth < 0:
+        raise ConfigError(f"random forest needs n_trees >= 1 and max_depth >= 0, "
+                          f"got {n_trees} and {max_depth}")
+    n, d = x.shape
     if n < 2:
         raise DataError(f"random forest needs >= 2 rows, has {n}")
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(seed + t)
-        idx = rng.integers(n, size=n)
-        trees.append(_grow_tree(x[idx], y[idx], 0, max_depth, rng))
-    return RfModel(n_trees=n_trees, max_depth=max_depth, trees=tuple(trees), seed=seed)
+    rngs = [np.random.default_rng(seed + t) for t in range(n_trees)]
+    # rows[t] holds tree t's bootstrap row ids; a node owns a slice of it,
+    # in bootstrap order, and a split reorders the slice into its children
+    rows = np.array([rng.integers(n, size=n) for rng in rngs])
+    # the pad row, id n, sorts after every value and adds -0.0 to every sum
+    xpad = np.vstack([x, np.full((1, d), np.nan)])
+    ypad = np.append(y, -0.0)
+    n_cand = max(1, int(round(math.sqrt(d))))
+
+    # per tree, a stack of pending nodes (id, start, size, depth), popped in
+    # preorder; a node's id is its index in `nodes`
+    nodes = [_TreeNode() for _ in range(n_trees)]
+    stack = np.zeros((4, n_trees, 8), dtype=int)
+    stack[0, :, 0], stack[2, :, 0] = np.arange(n_trees), n
+    height = np.ones(n_trees, dtype=int)
+    while len(trees := np.nonzero(height)[0]):
+        height[trees] -= 1
+        ids, starts, sizes, depths = stack[:, trees, height[trees]]
+        means, spread = _node_stats(ypad, rows, trees, starts, sizes)
+        feature, threshold = np.full(len(trees), -1), np.zeros(len(trees))
+        n_left = np.zeros(len(trees), dtype=int)
+        split = np.nonzero((depths < max_depth) & (sizes >= 2) & (spread != 0.0))[0]
+        if len(split):
+            feats = np.sort([rngs[t].choice(d, size=n_cand, replace=False)
+                             for t in trees[split].tolist()], axis=1)
+            feature[split], threshold[split], n_left[split] = _split(
+                xpad, ypad, rows, trees[split], starts[split], sizes[split], feats)
+
+        for i, value in zip(ids.tolist(), means.tolist()):
+            nodes[i].value = value
+        s = np.nonzero(feature >= 0)[0]
+        left = len(nodes) + 2 * np.arange(len(s))
+        for i, f, thr in zip(ids[s].tolist(), feature[s].tolist(), threshold[s].tolist()):
+            node = nodes[i]
+            node.feature, node.threshold = f, thr
+            node.left, node.right = _TreeNode(), _TreeNode()
+            nodes += (node.left, node.right)
+        t, top = trees[s], height[trees[s]]
+        if len(s) and top.max() + 2 > stack.shape[2]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=2)
+        # push the right child, then the left one, which is popped first
+        stack[:, t, top] = left + 1, starts[s] + n_left[s], sizes[s] - n_left[s], depths[s] + 1
+        stack[:, t, top + 1] = left, starts[s], n_left[s], depths[s] + 1
+        height[t] += 2
+    return RfModel(n_trees=n_trees, max_depth=max_depth, trees=tuple(nodes[:n_trees]),
+                   seed=seed)
 
 
 def rf_predict(model: RfModel, features: np.ndarray) -> np.ndarray:
+    """Mean leaf value over the trees. A chunk of trees routes all rows one
+    level per step until every row is at a leaf; leaf values are then added
+    one tree at a time, in tree order."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    out = np.zeros(x.shape[0])
-    for tree in model.trees:
-        out += np.array([_tree_predict(tree, row) for row in x])
-    return out / len(model.trees)
+    forest = model.flat
+    top = int(forest.feature.max())
+    if top >= x.shape[1]:
+        raise DataError(f"forest splits on feature {top}, rows have {x.shape[1]} features")
+    n, n_trees = x.shape[0], len(model.trees)
+    rows = np.arange(n)
+    out = np.zeros(n)
+    per_chunk = max(1, _CHUNK_CELLS // max(n, 1))
+    for lo in range(0, n_trees, per_chunk):
+        node = np.repeat(np.arange(lo, min(lo + per_chunk, n_trees))[:, None], n, axis=1)
+        # a leaf's feature -1 reads the last column; it routes to itself
+        while ((f := forest.feature[node]) >= 0).any():
+            node = np.where(x[rows, f] <= forest.threshold[node],
+                            forest.left[node], forest.right[node])
+        for leaf_values in forest.value[node]:
+            out += leaf_values
+    return out / n_trees
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +735,29 @@ def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
+def _typed(doc: dict, key: str, kind: type | tuple[type, ...]):
+    """doc[key], which must be an instance of kind (a bool is not a number)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} must be {getattr(kind, '__name__', 'a number')}, "
+                        f"got {value!r}")
+    return value
+
+
+def _float_array(doc: dict, key: str) -> np.ndarray:
+    values = _typed(doc, key, list)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise TypeError(f"{key} must be a list of numbers")
+    return np.array(values, dtype=float)
+
+
+def _strings(doc: dict, key: str) -> tuple[str, ...]:
+    values = _typed(doc, key, list)
+    if not all(isinstance(v, str) for v in values):
+        raise TypeError(f"{key} must be a list of strings")
+    return tuple(values)
+
+
 MODEL_KINDS = {cls.kind: cls for cls in (GprModel, RfModel, MlpModel)}
 
 
@@ -532,7 +777,7 @@ def load_model(path):
         raise DataError(f"unknown model kind {kind!r}")
     try:
         return MODEL_KINDS[kind].from_json(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed {kind} model: {exc!r}") from None
 
 

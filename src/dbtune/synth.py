@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import Corpus, Schema, WorkloadTable
+from .ingest import Corpus, Schema, WorkloadTable, read_json_object
 
 ONLINE_PERTURB = 0.05
 LATENCY_NOISE_GAIN = 10.0
@@ -55,7 +55,7 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
-        doc = json.loads(Path(path).read_text())
+        doc = read_json_object(path)
         known = {f for f in cls.__dataclass_fields__}
         bad = set(doc) - known
         if bad:

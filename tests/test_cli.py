@@ -155,6 +155,82 @@ class TestExitCodes:
         assert "workload id 'off_000' appears in groups offline and online_b" in err
 
 
+@pytest.fixture(scope="module")
+def rf_trained_dir(trained_dir, corpus_dir, tmp_path_factory):
+    """train output of a small forest beside the shared pruned metrics."""
+    out = tmp_path_factory.mktemp("rf_trained")
+    assert run(["train", "--manifest", corpus_dir, "--out", out, "--predictor", "rf",
+                "--trees", "3", "--depth", "4",
+                "--pruned", trained_dir / "pruned_metrics.txt"]) == 0
+    return out
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _set_root_feature(value):
+    def edit(doc):
+        assert "feature" in doc["trees"][0]
+        doc["trees"][0]["feature"] = value
+    return edit
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("flags, message", [
+        (["--trees", "0"], "trees must be >= 1"),
+        (["--depth", "-1"], "depth >= 0"),
+    ], ids=["zero-trees", "negative-depth"])
+    def test_bad_forest_config_exits_1(self, flags, message, corpus_dir, tmp_path, capsys):
+        assert run(["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                    "--predictor", "rf", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("prune-bad-manifest", "not valid JSON"),
+        ("synth-bad-spec", "not valid JSON"),
+        ("map-missing-pruned", "cannot read"),
+        ("train-missing-pruned", "cannot read"),
+    ])
+    def test_unreadable_input_exits_2(self, command, message, corpus_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        missing = tmp_path / "missing.txt"
+        argv = {
+            "prune-bad-manifest": ["prune", "--manifest", bad],
+            "synth-bad-spec": ["synth", "--spec", bad],
+            "map-missing-pruned": ["map", "--manifest", corpus_dir, "--pruned", missing],
+            "train-missing-pruned": ["train", "--manifest", corpus_dir, "--pruned", missing],
+        }[command]
+        assert run([*argv, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("file, edit, message", [
+        ("model.json", _set_root_feature("3"), "feature must be int"),
+        ("model.json", _set_root_feature(99), "splits on feature 99"),
+        ("model.json", _set_root_feature(-2), "feature must be >= 0"),
+        ("model.json", lambda d: d.update(trees=[]), "non-empty list"),
+        ("preprocess.json", lambda d: d.update(n_knobs="3"), "n_knobs must be int"),
+        ("preprocess.json", lambda d: d.update(n_knobs=99), "99 knobs"),
+        ("preprocess.json", lambda d: d.update(scaler_means=["a"]), "list of numbers"),
+    ], ids=["feature-str", "feature-past-width", "feature-negative", "no-trees",
+            "n-knobs-str", "n-knobs-past-width", "means-str"])
+    def test_malformed_model_dir_exits_2(self, file, edit, message, corpus_dir,
+                                         rf_trained_dir, trained_dir, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        shutil.copytree(rf_trained_dir, model_dir)
+        _edit_json(model_dir / file, edit)
+        assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                    "--model-dir", model_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 class TestSynthCommand:
     def test_writes_manifest_and_truth(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -190,6 +193,136 @@ class TestRandomForest:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             predict.rf_fit(np.zeros((1, 2)), np.zeros(1))
+
+
+# The forest as grown before lock-step growth: one tree at a time,
+# recursively, each node's splits scanned in a Python loop. Squares go
+# through libm pow, as the float64 scalar `csum[i] ** 2` did.
+def _reference_split(x, y, feats, log):
+    best = None
+    for f in feats:
+        order = np.argsort(x[:, f], kind="stable")
+        xs, ys = x[order, f], y[order]
+        csum, csq = np.cumsum(ys), np.cumsum(ys ** 2)
+        n = len(ys)
+        for i in range(n - 1):
+            if xs[i] == xs[i + 1]:
+                continue
+            nl, nr = i + 1, n - i - 1
+            cost = ((csq[i] - math.pow(csum[i], 2) / nl)
+                    + ((csq[-1] - csq[i]) - math.pow(csum[-1] - csum[i], 2) / nr))
+            if best is None or cost < best[0] - 1e-15:
+                best = (cost, f, 0.5 * (xs[i] + xs[i + 1]))
+    return None if best is None else best[1:]
+
+
+def _reference_tree(x, y, depth, max_depth, rng, log):
+    value = float(y.mean())
+    if depth >= max_depth or len(y) < 2 or float(np.ptp(y)) == 0.0:
+        return {"value": value}
+    d = x.shape[1]
+    feats = sorted(rng.choice(d, size=max(1, round(math.sqrt(d))), replace=False).tolist())
+    split = _reference_split(x, y, feats, log)
+    if split is None:
+        log["retries"] += 1
+        split = _reference_split(x, y, range(d), log)
+        if split is None:
+            return {"value": value}
+    f, thr = split
+    mask = x[:, f] <= thr
+    return {"feature": f, "threshold": thr, "value": value,
+            "left": _reference_tree(x[mask], y[mask], depth + 1, max_depth, rng, log),
+            "right": _reference_tree(x[~mask], y[~mask], depth + 1, max_depth, rng, log)}
+
+
+def _reference_model_json(x, y, n_trees, max_depth, seed, log):
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(seed + t)
+        idx = rng.integers(len(y), size=len(y))
+        trees.append(_reference_tree(x[idx], y[idx], 0, max_depth, rng, log))
+    return json.dumps({"kind": "rf", "n_trees": n_trees, "max_depth": max_depth,
+                       "seed": seed, "trees": trees, "format_version": 1})
+
+
+def _reference_predict(model, x):
+    out = np.zeros(len(x))
+    for tree in model.trees:
+        values = []
+        for row in x:
+            node = tree
+            while node.feature >= 0:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            values.append(node.value)
+        out += np.array(values)
+    return out / len(model.trees)
+
+
+def _forest_case(i):
+    """Inputs of random case i: ties in features and targets, n = 2, d = 1,
+    depth limits 0..60, mostly constant features (the all-features retry),
+    signed zeros, non-finite features and nodes past 128 rows."""
+    rng = np.random.default_rng(1000 + i)
+    n = int(rng.choice([2, 3, 5, 11, 17, 40, 130]))
+    d = 1 if i % 7 == 0 else int(rng.integers(1, 9))
+    x = rng.normal(size=(n, d))
+    y = rng.uniform(1, 100, size=n)
+    kind = i % 6
+    if kind == 1:
+        x = np.round(x)
+    elif kind == 2:
+        x[:, :max(1, d - 1)] = 1.0
+    elif kind == 3:
+        y = np.round(y / 30)
+    elif kind == 4:
+        y[rng.uniform(size=n) < 0.5] = -0.0
+        y[rng.uniform(size=n) < 0.3] = 0.0
+    elif kind == 5:
+        x[rng.uniform(size=x.shape) < 0.15] = np.nan
+        x[rng.uniform(size=x.shape) < 0.1] = np.inf
+    n_trees = int(rng.integers(1, 4 if n > 100 else 13))
+    return x, y, n_trees, int(rng.integers(0, 61)), int(rng.integers(0, 1000))
+
+
+class TestForestExact:
+    # an inf threshold can leave a child empty, whose mean the reference warns of
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice",
+                                "ignore:invalid value encountered")
+    def test_model_json_and_predictions_equal_reference(self, tmp_path):
+        log = {"retries": 0}
+        for i in range(64):
+            x, y, n_trees, max_depth, seed = _forest_case(i)
+            model = predict.rf_fit(x, y, n_trees, max_depth, seed)
+            predict.save_model(model, tmp_path / "model.json")
+            assert ((tmp_path / "model.json").read_text()
+                    == _reference_model_json(x, y, n_trees, max_depth, seed, log)), i
+            query = np.vstack([x, np.random.default_rng(i).normal(size=(20, x.shape[1]))])
+            assert np.array_equal(predict.rf_predict(model, query),
+                                  _reference_predict(model, query), equal_nan=True), i
+        assert log["retries"] > 0
+
+    def test_loaded_forest_predicts_the_same(self, tmp_path):
+        x, y, n_trees, max_depth, seed = _forest_case(3)
+        model = predict.rf_fit(x, y, n_trees, max_depth, seed)
+        predict.save_model(model, tmp_path / "model.json")
+        back = predict.load_model(tmp_path / "model.json")
+        assert np.array_equal(back.predict(x), _reference_predict(back, x))
+        assert np.array_equal(back.predict(x), model.predict(x))
+
+    def test_nodes_are_slotted(self):
+        model = predict.rf_fit(np.arange(6.0)[:, None], np.arange(6.0), 2, 3, seed=0)
+        assert all(isinstance(t, predict._TreeNode) for t in model.trees)
+        assert not hasattr(model.trees[0], "__dict__")
+
+    @pytest.mark.parametrize("n_trees, max_depth", [(0, 5), (3, -1)])
+    def test_bad_config_rejected(self, n_trees, max_depth):
+        with pytest.raises(ConfigError):
+            predict.rf_fit(np.zeros((4, 2)), np.arange(4.0), n_trees, max_depth)
+
+    def test_feature_past_row_width_rejected(self):
+        model = predict.rf_fit(np.arange(12.0).reshape(6, 2), np.arange(6.0), 2, 3, seed=0)
+        with pytest.raises(DataError, match="feature"):
+            predict.rf_predict(model, np.zeros((3, 1)))
 
 
 class TestMlp:
