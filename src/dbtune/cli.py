@@ -215,16 +215,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     merged = {}
     if args.config:
         doc = ingest.read_json_object(args.config, ConfigError)
-        types = {f.name: type(f.default) for f in fields(PipelineConfig)}
-        unknown = set(doc) - set(types)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            # an int such as 1 is also a valid value of a float field
-            if type(value) is not types[key] and not (types[key] is float and type(value) is int):
-                raise ConfigError(f"config key {key!r} must be {types[key].__name__}, "
-                                  f"got {value!r}")
-        merged.update(doc)
+        merged.update(ingest.check_fields(PipelineConfig, doc, "config", ConfigError))
     for f in fields(PipelineConfig):
         v = getattr(args, f.name)
         if v is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,16 +120,58 @@ def encode_booleans(raw_cell: str) -> float:
 
 
 def read_json_object(path, error: type[DbtuneError] = DataError) -> dict:
-    """Parse a JSON object file; an unreadable file, invalid JSON or another
-    JSON value raises `error`."""
+    """Parse a JSON object file; an unreadable file, invalid JSON, JSON
+    nested too deeply to parse or another JSON value raises `error`."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise error(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{path} nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise error(f"{path} must hold a JSON object")
+    return doc
+
+
+def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
+    """doc[key], which must be an instance of kind (a bool is not a number)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} must be {getattr(kind, '__name__', 'a number')}, "
+                        f"got {value!r}")
+    return value
+
+
+def json_floats(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
+    """doc[key] as a float array: a list of numbers, or for ndim 2 a list of
+    equally long such lists."""
+    cells = np.array(json_field(doc, key, list), dtype=object)
+    if cells.ndim != ndim or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in cells.flat):
+        raise TypeError(f"{key} must be {'a list' if ndim == 1 else 'lists'} of numbers")
+    return cells.astype(float)
+
+
+def json_strings(doc: dict, key: str) -> tuple[str, ...]:
+    values = json_field(doc, key, list)
+    if not all(isinstance(v, str) for v in values):
+        raise TypeError(f"{key} must be a list of strings")
+    return tuple(values)
+
+
+def check_fields(cls, doc: dict, what: str, error: type[Exception] = DataError) -> dict:
+    """doc, as keyword arguments of the dataclass cls: every key names a field
+    and every value has the type of that field's default (an int is also a
+    valid float, as JSON writes 1.0 as 1). Anything else raises `error`."""
+    types = {f.name: type(f.default) for f in fields(cls)}
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        if type(value) is not types[key] and not (types[key] is float and type(value) is int):
+            raise error(f"{what} key {key!r} must be {types[key].__name__}, got {value!r}")
     return doc
 
 
@@ -142,16 +184,18 @@ def read_manifest(manifest_path) -> tuple[Schema, dict[str, list[str]]]:
     for key in ("workload_id", "latency", "knobs", "metrics"):
         if key not in doc:
             raise DataError(f"manifest missing key {key!r}")
-    if not doc["knobs"] or not doc["metrics"]:
+    try:
+        knobs, metrics = json_strings(doc, "knobs"), json_strings(doc, "metrics")
+        latency, workload_id = json_field(doc, "latency", str), json_field(doc, "workload_id", str)
+        files = json_field(doc, "groups", dict) if "groups" in doc else {}
+        groups = {name: list(json_strings(files, name)) if name in files else []
+                  for name in GROUP_NAMES}
+    except TypeError as exc:
+        raise DataError(f"{path}: malformed manifest: {exc}") from None
+    if not knobs or not metrics:
         raise DataError("manifest knob and metric lists must be non-empty")
-    schema = Schema(
-        knob_names=tuple(doc["knobs"]),
-        metric_names=tuple(doc["metrics"]),
-        latency_name=doc["latency"],
-        workload_id_name=doc["workload_id"],
-    )
-    groups = {name: list(doc.get("groups", {}).get(name, [])) for name in GROUP_NAMES}
-    return schema, groups
+    return Schema(knob_names=knobs, metric_names=metrics, latency_name=latency,
+                  workload_id_name=workload_id), groups
 
 
 def _parse_file(path: Path, schema: Schema
@@ -165,30 +209,42 @@ def _parse_file(path: Path, schema: Schema
     """
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, no header") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
-        col = {name: i for i, name in enumerate(header)}
-        names = list(schema.knob_names) + list(schema.metric_names) + [schema.latency_name]
-        for name in names + [schema.workload_id_name]:
-            if name not in col:
-                raise DataError(f"{path}: missing column {name!r}")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, no header") from None
+            except csv.Error as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise DataError(f"{path}: duplicate column names in header")
+            col = {name: i for i, name in enumerate(header)}
+            names = list(schema.knob_names) + list(schema.metric_names) + [schema.latency_name]
+            for name in names + [schema.workload_id_name]:
+                if name not in col:
+                    raise DataError(f"{path}: missing column {name!r}")
 
-        rows, linenos, ragged = [], [], None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                ragged = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                break
-            rows.append(row)
-            linenos.append(lineno)
+            # the first row the reader cannot take ends the rows, as a fault
+            # raised after those of the rows before it
+            rows, linenos, stop = [], [], None
+            try:
+                for lineno, row in enumerate(reader, start=2):
+                    if not row or all(not c.strip() for c in row):
+                        continue
+                    if len(row) != len(header):
+                        stop = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                        break
+                    rows.append(row)
+                    linenos.append(lineno)
+            except csv.Error as exc:  # such as a field over csv.field_size_limit()
+                stop = f"{path}:{reader.line_num}: {exc}"
+    except OSError as exc:  # such as a directory
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode {path}: {exc.reason}") from None
 
     columns = list(zip(*rows))
     values = np.zeros((len(rows), len(names)))
@@ -211,8 +267,8 @@ def _parse_file(path: Path, schema: Schema
                        f"{path}:{linenos[i]}: negative latency {float(values[i, -1])}"))
     if faults:
         raise DataError(min(faults)[2])
-    if ragged:
-        raise DataError(ragged)
+    if stop:
+        raise DataError(stop)
     if not rows:
         raise DataError(f"{path}: no observations")
 

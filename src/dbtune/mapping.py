@@ -123,12 +123,9 @@ def augment(target: WorkloadTable, source: WorkloadTable) -> tuple[WorkloadTable
     """
     if target.schema != source.schema:
         raise DataError("augment requires a shared schema")
-    keep = []
-    for i in range(source.n_rows):
-        delta = np.abs(target.knobs - source.knobs[i])
-        conflict = bool(np.any(np.all(delta <= KNOB_CONFLICT_TOL, axis=1))) if target.n_rows else False
-        if not conflict:
-            keep.append(i)
+    # (source rows, target rows, knobs)
+    close = np.abs(target.knobs[None] - source.knobs[:, None]) <= KNOB_CONFLICT_TOL
+    keep = np.flatnonzero(~close.all(axis=2).any(axis=1))
     dropped = source.n_rows - len(keep)
     merged = WorkloadTable(
         workload_id=target.workload_id,

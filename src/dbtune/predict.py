@@ -21,7 +21,8 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from .cluster import PrunedMetricSet, sq_dists
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import MAPE_EPS
-from .ingest import Schema, WorkloadTable, read_json_object
+from .ingest import (Schema, WorkloadTable, check_fields, json_field, json_floats,
+                     json_strings, read_json_object)
 
 MODEL_FORMAT_VERSION = 1
 CONST_STD_EPS = 1e-12
@@ -112,13 +113,13 @@ class Preprocessing:
     def load(cls, path) -> "Preprocessing":
         doc = read_json_object(path)
         try:
-            means, stds = _float_array(doc, "scaler_means"), _float_array(doc, "scaler_stds")
-            n_knobs = _typed(doc, "n_knobs", int)
+            means, stds = json_floats(doc, "scaler_means"), json_floats(doc, "scaler_stds")
+            n_knobs = json_field(doc, "n_knobs", int)
             if len(stds) != len(means) or not 0 <= n_knobs <= len(means):
                 raise ValueError(f"{len(means)} means, {len(stds)} stds and {n_knobs} knobs")
-            return cls(PrunedMetricSet(_strings(doc, "pruned_metrics")), StandardScaler(
+            return cls(PrunedMetricSet(json_strings(doc, "pruned_metrics")), StandardScaler(
                 means=means, stds=stds, n_knobs=n_knobs,
-                constant_features=_strings(doc, "constant_features")))
+                constant_features=json_strings(doc, "constant_features")))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed preprocessing: {exc!r}") from None
 
@@ -148,11 +149,17 @@ class GprModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GprModel":
-        return cls(alpha=doc["alpha"], length_scale=doc["length_scale"],
-                   signal_variance=doc["signal_variance"],
-                   x_train=np.array(doc["x_train"]), y_mean=doc["y_mean"],
-                   y_centered=np.array(doc["y_centered"]),
-                   chol=np.array(doc["chol"]), dual_coef=np.array(doc["dual_coef"]))
+        x_train, chol = json_floats(doc, "x_train", 2), json_floats(doc, "chol", 2)
+        y_centered, dual_coef = json_floats(doc, "y_centered"), json_floats(doc, "dual_coef")
+        n = len(x_train)
+        if chol.shape != (n, n) or y_centered.shape != (n,) or dual_coef.shape != (n,):
+            raise ValueError(f"arrays do not fit {n} training rows")
+        number = (int, float)
+        return cls(alpha=json_field(doc, "alpha", number),
+                   length_scale=json_field(doc, "length_scale", number),
+                   signal_variance=json_field(doc, "signal_variance", number),
+                   x_train=x_train, y_mean=json_field(doc, "y_mean", number),
+                   y_centered=y_centered, chol=chol, dual_coef=dual_coef)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return gpr_predict(self, features)[0]
@@ -292,8 +299,8 @@ class RfModel:
         trees = doc["trees"]
         if not isinstance(trees, list) or not trees:
             raise TypeError("trees must be a non-empty list")
-        return cls(n_trees=_typed(doc, "n_trees", int), max_depth=_typed(doc, "max_depth", int),
-                   seed=_typed(doc, "seed", int),
+        return cls(n_trees=json_field(doc, "n_trees", int),
+                   max_depth=json_field(doc, "max_depth", int), seed=json_field(doc, "seed", int),
                    trees=tuple(_tree_from_dict(t) for t in trees))
 
     @cached_property
@@ -325,13 +332,13 @@ def _tree_to_dict(node: _TreeNode) -> dict:
 def _tree_from_dict(doc: dict) -> _TreeNode:
     if not isinstance(doc, dict):
         raise TypeError(f"tree node must be an object, got {type(doc).__name__}")
-    value = _typed(doc, "value", (int, float))
+    value = json_field(doc, "value", (int, float))
     if "feature" not in doc:
         return _TreeNode(value=value)
-    feature = _typed(doc, "feature", int)
+    feature = json_field(doc, "feature", int)
     if feature < 0:
         raise ValueError(f"feature must be >= 0, got {feature}")
-    return _TreeNode(feature=feature, threshold=_typed(doc, "threshold", (int, float)),
+    return _TreeNode(feature=feature, threshold=json_field(doc, "threshold", (int, float)),
                      value=value,
                      left=_tree_from_dict(doc["left"]),
                      right=_tree_from_dict(doc["right"]))
@@ -341,20 +348,11 @@ def _tree_from_dict(doc: dict) -> _TreeNode:
 _CHUNK_CELLS = 1 << 11
 
 
-def _pow2(v: float) -> float:
-    try:
-        return math.pow(v, 2.0)
-    except OverflowError:
-        return math.inf
-
-
-_POW2 = np.frompyfunc(_pow2, 1, 1)
-
-
 def _square(a: np.ndarray) -> np.ndarray:
-    """a ** 2 as a float64 scalar squares, through libm pow (inf on
+    """a ** 2 as float64 scalar squares give it, through libm pow (inf on
     overflow); the array square a * a differs in the last bit for some a."""
-    return _POW2(a).astype(float)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.float_power(a, 2.0)
 
 
 def _segments(rows: np.ndarray, trees: np.ndarray, starts: np.ndarray,
@@ -416,32 +414,15 @@ def _best_splits(xpad, ypad, seg, sizes, feats) -> tuple[np.ndarray, np.ndarray]
     nl = np.arange(1, w)
     valid = ((nl <= last) & (xs[..., :-1] != xs[..., 1:])).reshape(k, -1)
     first = valid & (np.cumsum(valid, axis=1) == 1)
-    # Only the first split of a node and one costing less than every earlier
-    # split can become the best (the best is never 1e-15 above an earlier
-    # cost). Costs square through libm pow, which is slow; squaring by
-    # multiplication moves a cost by far less than `slack`, so only splits
-    # that may cost less than every earlier one get the exact cost.
     cs, cq, tq = csum[..., :-1], csq[..., :-1], csq[..., -1:]
     rest = csum[..., -1:] - cs
-    left_sq, right_sq = cs * cs / nl, rest * rest / np.maximum(last + 1 - nl, 1)
-    approx = ((cq - left_sq) + ((tq - cq) - right_sq)).reshape(k, -1)
-    slack = (1e-13 * (np.abs(cq) + np.abs(tq) + left_sq + right_sq)).reshape(k, -1)
-    safe = np.isfinite(slack) & (np.abs(cs) < 1e150).reshape(k, -1) & (
-        np.abs(rest) < 1e150).reshape(k, -1)
-    bound = np.where(valid & safe, approx + slack, np.inf)
-    e = np.flatnonzero(first | (valid & (~safe | (approx - slack < _min_before(bound)))))
-
-    q, ii = np.divmod(e, w - 1)  # q: node * c + feature column
-    kk = q // c
-    at, end = q * w + ii, q * w + w - 1
-    cs, cq = csum.reshape(-1)[at], csq.reshape(-1)[at]
-    rest, tq = csum.reshape(-1)[end] - cs, csq.reshape(-1)[end]
-    nl = ii + 1
-    cost = (cq - _square(cs) / nl) + ((tq - cq) - _square(rest) / (sizes[kk] - nl))
-    exact = np.full(k * c * (w - 1), np.inf)
-    exact[e] = cost
-    keep = first.reshape(-1)[e] | (cost < _min_before(exact.reshape(k, -1)).reshape(-1)[e])
-    kk, col, cost = kk[keep], (e - kk * (c * (w - 1)))[keep], cost[keep]
+    cost = (cq - _square(cs) / nl) + ((tq - cq) - _square(rest) / np.maximum(last + 1 - nl, 1))
+    cost = np.where(valid, cost.reshape(k, -1), np.inf)
+    # Only the first split of a node and one costing less than every earlier
+    # split can become the best (the best is never 1e-15 above an earlier cost)
+    e = np.flatnonzero(first | (valid & (cost < _min_before(cost))))
+    kk, col = np.divmod(e, c * (w - 1))
+    cost = cost.reshape(-1)[e]
 
     rank = np.arange(len(kk)) - np.searchsorted(kk, kk)
     best, pick = np.full(k, np.nan), np.full(k, -1)
@@ -630,9 +611,13 @@ class MlpModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MlpModel":
-        return cls(w1=np.array(doc["w1"]), b1=np.array(doc["b1"]),
-                   w2=np.array(doc["w2"]), b2=np.array(doc["b2"]),
-                   config=MlpConfig(**doc["config"]), loss_trace=tuple(doc["loss_trace"]))
+        w1, b1 = json_floats(doc, "w1", 2), json_floats(doc, "b1")
+        w2, b2 = json_floats(doc, "w2", 2), json_floats(doc, "b2")
+        if b1.shape != (w1.shape[1],) or w2.shape != (len(b1), 1) or b2.shape != (1,):
+            raise ValueError(f"layer shapes {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+        config = check_fields(MlpConfig, json_field(doc, "config", dict), "config", TypeError)
+        return cls(w1=w1, b1=b1, w2=w2, b2=b2, config=MlpConfig(**config),
+                   loss_trace=tuple(json_floats(doc, "loss_trace").tolist()))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return mlp_predict(self, features)
@@ -733,29 +718,6 @@ def mlp_fit(features: np.ndarray, targets: np.ndarray,
 
 def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
-
-
-def _typed(doc: dict, key: str, kind: type | tuple[type, ...]):
-    """doc[key], which must be an instance of kind (a bool is not a number)."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{key} must be {getattr(kind, '__name__', 'a number')}, "
-                        f"got {value!r}")
-    return value
-
-
-def _float_array(doc: dict, key: str) -> np.ndarray:
-    values = _typed(doc, key, list)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise TypeError(f"{key} must be a list of numbers")
-    return np.array(values, dtype=float)
-
-
-def _strings(doc: dict, key: str) -> tuple[str, ...]:
-    values = _typed(doc, key, list)
-    if not all(isinstance(v, str) for v in values):
-        raise TypeError(f"{key} must be a list of strings")
-    return tuple(values)
 
 
 MODEL_KINDS = {cls.kind: cls for cls in (GprModel, RfModel, MlpModel)}

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import Corpus, Schema, WorkloadTable, read_json_object
+from .ingest import Corpus, Schema, WorkloadTable, check_fields, read_json_object
 
 ONLINE_PERTURB = 0.05
 LATENCY_NOISE_GAIN = 10.0
@@ -55,12 +55,7 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
-        doc = read_json_object(path)
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(doc) - known
-        if bad:
-            raise DataError(f"unknown synth spec keys: {sorted(bad)}")
-        return cls(**doc)
+        return cls(**check_fields(cls, read_json_object(path), "synth spec"))
 
 
 @dataclass(frozen=True)

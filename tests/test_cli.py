@@ -107,8 +107,9 @@ class TestExitCodes:
         ('[["k_min", 3]]', [], "must hold a JSON object"),
         (None, ["--predictor", "xx"], "predictor must be one of"),
         (None, ["--k-min", "a"], "invalid int value"),
+        ("[" * 100000 + "]" * 100000, [], "nests too deeply to parse"),
     ], ids=["bad-json", "str-for-int", "bool-for-float", "not-an-object",
-            "unknown-predictor", "flag-not-int"])
+            "unknown-predictor", "flag-not-int", "too-deep"])
     def test_bad_config_exits_1(self, config_text, flags, message, corpus_dir,
                                 tmp_path, capsys):
         argv = ["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out", *flags]
@@ -129,7 +130,12 @@ class TestExitCodes:
             (d / "preprocess.json").read_text().replace('"n_knobs"', '"knobs"')),
          "'n_knobs'"),
         (lambda d: (d / "model.json").write_text("{"), "not valid JSON"),
-    ], ids=["no-model", "no-preprocess", "model-key", "preprocess-key", "model-bad-json"])
+        (lambda d: (d / "model.json").write_text("[" * 100000 + "]" * 100000),
+         "nests too deeply to parse"),
+        (lambda d: _edit_json(d / "model.json", lambda m: m.update(length_scale="a")),
+         "length_scale must be a number"),
+    ], ids=["no-model", "no-preprocess", "model-key", "preprocess-key", "model-bad-json",
+            "model-too-deep", "length-scale-str"])
     def test_bad_model_dir_exits_2(self, damage, message, corpus_dir, trained_dir,
                                    tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -195,16 +201,39 @@ class TestExitContract:
         ("synth-bad-spec", "not valid JSON"),
         ("map-missing-pruned", "cannot read"),
         ("train-missing-pruned", "cannot read"),
+        ("prune-csv-is-directory", "offline_off_000.csv: Is a directory"),
+        ("prune-csv-not-utf8", "cannot decode"),
+        ("prune-csv-huge-field", "offline_off_000.csv:8: field larger than field limit"),
+        ("prune-manifest-knobs-int", "knobs must be list, got 3"),
+        ("synth-spec-str-count", "'n_offline' must be int"),
     ])
     def test_unreadable_input_exits_2(self, command, message, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         missing = tmp_path / "missing.txt"
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n_offline": "6"}')
+        knobs_int = tmp_path / "knobs_int.json"
+        knobs_int.write_text(json.dumps({**json.loads(corpus_dir.read_text()), "knobs": 3}))
+        csv_damage = {
+            "prune-csv-is-directory": lambda p: (p.unlink(), p.mkdir()),
+            "prune-csv-not-utf8": lambda p: p.write_bytes(
+                p.read_bytes() + b"off_000,\xff,1,1,1,1,1\n"),
+            "prune-csv-huge-field": lambda p: p.write_text(
+                p.read_text() + "off_000," + "9" * 131073 + "\n"),
+        }
+        data = tmp_path / "data"
+        if command in csv_damage:
+            shutil.copytree(corpus_dir.parent, data)
+            csv_damage[command](data / "offline_off_000.csv")
         argv = {
             "prune-bad-manifest": ["prune", "--manifest", bad],
             "synth-bad-spec": ["synth", "--spec", bad],
             "map-missing-pruned": ["map", "--manifest", corpus_dir, "--pruned", missing],
             "train-missing-pruned": ["train", "--manifest", corpus_dir, "--pruned", missing],
+            **{name: ["prune", "--manifest", data / "manifest.json"] for name in csv_damage},
+            "prune-manifest-knobs-int": ["prune", "--manifest", knobs_int],
+            "synth-spec-str-count": ["synth", "--spec", spec],
         }[command]
         assert run([*argv, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err

@@ -170,6 +170,12 @@ class TestColumnParse:
         ("w,1,2,z\nw,q,2,3\n", "{path}:2: column 'latency': unrecognized cell value 'z'"),
         ("w,q,2,3\nw,1,2\n", "{path}:2: column 'k0': unrecognized cell value 'q'"),
         ("w,1,2\nw,q,2,3\n", "{path}:2: expected 4 cells, got 3"),
+        # a field the csv reader refuses ends the rows like a ragged one
+        pytest.param("w,1,2,3\nw,1," + "9" * 131073 + ",3\n",
+                     "{path}:3: field larger than field limit (131072)", id="huge-field"),
+        pytest.param("w,1,bogus,3\nw,1," + "9" * 131073 + ",3\n",
+                     "{path}:2: column 'm0': unrecognized cell value 'bogus'",
+                     id="bad-cell-then-huge-field"),
     ])
     def test_first_fault_message(self, tmp_path, body, message):
         manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"])

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,7 +198,14 @@ class TestRandomForest:
 
 # The forest as grown before lock-step growth: one tree at a time,
 # recursively, each node's splits scanned in a Python loop. Squares go
-# through libm pow, as the float64 scalar `csum[i] ** 2` did.
+# through libm pow, as the float64 scalar `csum[i] ** 2` did (inf on overflow).
+def _pow2(v):
+    try:
+        return math.pow(v, 2)
+    except OverflowError:
+        return math.inf
+
+
 def _reference_split(x, y, feats, log):
     best = None
     for f in feats:
@@ -209,8 +217,8 @@ def _reference_split(x, y, feats, log):
             if xs[i] == xs[i + 1]:
                 continue
             nl, nr = i + 1, n - i - 1
-            cost = ((csq[i] - math.pow(csum[i], 2) / nl)
-                    + ((csq[-1] - csq[i]) - math.pow(csum[-1] - csum[i], 2) / nr))
+            cost = ((csq[i] - _pow2(csum[i]) / nl)
+                    + ((csq[-1] - csq[i]) - _pow2(csum[-1] - csum[i]) / nr))
             if best is None or cost < best[0] - 1e-15:
                 best = (cost, f, 0.5 * (xs[i] + xs[i + 1]))
     return None if best is None else best[1:]
@@ -261,13 +269,14 @@ def _reference_predict(model, x):
 def _forest_case(i):
     """Inputs of random case i: ties in features and targets, n = 2, d = 1,
     depth limits 0..60, mostly constant features (the all-features retry),
-    signed zeros, non-finite features and nodes past 128 rows."""
+    signed zeros, non-finite features and nodes past 128 rows; from case 64
+    on, also targets whose squares overflow and features one ulp apart."""
     rng = np.random.default_rng(1000 + i)
     n = int(rng.choice([2, 3, 5, 11, 17, 40, 130]))
     d = 1 if i % 7 == 0 else int(rng.integers(1, 9))
     x = rng.normal(size=(n, d))
     y = rng.uniform(1, 100, size=n)
-    kind = i % 6
+    kind = i % 6 if i < 64 else 6 + i % 2
     if kind == 1:
         x = np.round(x)
     elif kind == 2:
@@ -280,17 +289,23 @@ def _forest_case(i):
     elif kind == 5:
         x[rng.uniform(size=x.shape) < 0.15] = np.nan
         x[rng.uniform(size=x.shape) < 0.1] = np.inf
+    elif kind == 6:
+        y = y * 1e156
+    elif kind == 7:
+        x = x[0] + np.spacing(np.abs(x[0])) * rng.integers(0, 3, size=(n, d))
     n_trees = int(rng.integers(1, 4 if n > 100 else 13))
     return x, y, n_trees, int(rng.integers(0, 61)), int(rng.integers(0, 1000))
 
 
 class TestForestExact:
-    # an inf threshold can leave a child empty, whose mean the reference warns of
+    # an inf threshold can leave a child empty, whose mean the reference warns
+    # of; squares of 1e156-scale targets overflow
     @pytest.mark.filterwarnings("ignore:Mean of empty slice",
-                                "ignore:invalid value encountered")
+                                "ignore:invalid value encountered",
+                                "ignore:overflow encountered")
     def test_model_json_and_predictions_equal_reference(self, tmp_path):
         log = {"retries": 0}
-        for i in range(64):
+        for i in range(80):
             x, y, n_trees, max_depth, seed = _forest_case(i)
             model = predict.rf_fit(x, y, n_trees, max_depth, seed)
             predict.save_model(model, tmp_path / "model.json")
@@ -300,6 +315,19 @@ class TestForestExact:
             assert np.array_equal(predict.rf_predict(model, query),
                                   _reference_predict(model, query), equal_nan=True), i
         assert log["retries"] > 0
+
+    def test_square_is_libm_pow(self):
+        rng = np.random.default_rng(0)
+        tiny = np.finfo(float).smallest_subnormal
+        a = np.concatenate([
+            np.ldexp(rng.uniform(-1, 1, size=20000), rng.integers(-1074, 1025, size=20000)),
+            [0.0, -0.0, tiny, -tiny, 1e-160, 1e154, -1e154, 1e155, -1e155,
+             np.inf, -np.inf, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = predict._square(a)
+        want = np.array([_pow2(v) for v in a])
+        assert got.tobytes() == want.tobytes()
 
     def test_loaded_forest_predicts_the_same(self, tmp_path):
         x, y, n_trees, max_depth, seed = _forest_case(3)
@@ -400,6 +428,24 @@ class TestPersistence:
         y = rng.uniform(1, 5, size=10)
         m = predict.mlp_fit(x, y, predict.MlpConfig(epochs=5, seed=0))
         self._roundtrip(m, x, tmp_path)
+
+    @pytest.mark.parametrize("fit, edit, message", [
+        (lambda x, y: predict.gpr_fit(x, y, 1e-2),
+         lambda d: d.update(chol=d["chol"][:-1]), "do not fit 6 training rows"),
+        (lambda x, y: predict.mlp_fit(x, y, predict.MlpConfig(epochs=1)),
+         lambda d: d.update(w2=[[1.0]]), "layer shapes"),
+        (lambda x, y: predict.mlp_fit(x, y, predict.MlpConfig(epochs=1)),
+         lambda d: d["config"].update(hidden_units="3"), "'hidden_units' must be int"),
+    ], ids=["gpr-chol-shape", "mlp-layer-shape", "mlp-config-str"])
+    def test_malformed_model_rejected(self, fit, edit, message, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "model.json"
+        predict.save_model(fit(rng.uniform(size=(6, 2)), rng.uniform(1, 5, size=6)), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=message):
+            predict.load_model(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
