@@ -54,6 +54,9 @@ class PipelineConfig:
         if self.trees < 1 or self.depth < 0:
             raise ConfigError(f"trees must be >= 1 and depth >= 0, "
                               f"got {self.trees} and {self.depth}")
+        for name, low in (("factor_cap", 1), ("hidden", 1), ("epochs", 0), ("n_map", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @contextmanager
@@ -103,6 +106,9 @@ def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
         with _stage("cluster"):
             sel = cluster.sweep_k(model.points, config.method, ks, config.seed)
             pruned = cluster.select_representatives(sel.model, model)
+        if sel.chosen_k == ks[-1] < n_metrics:
+            warnings.warn(f"chosen k={sel.chosen_k} is the largest candidate, so a larger k "
+                          f"may score higher; raise --k-max to sweep further", stacklevel=2)
         (out / "cluster_report.csv").write_text(sel.report_csv())
     (out / "pruned_metrics.txt").write_text(
         "".join(n + "\n" for n in pruned.metric_names))

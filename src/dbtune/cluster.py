@@ -113,8 +113,21 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
+def _label_sums(values: np.ndarray, labels: np.ndarray, n_labels: int) -> np.ndarray:
+    """Row sums of `values` over the columns of each label, (rows, n_labels).
+
+    `take` copies a label's columns C-ordered, so each row is summed pairwise
+    exactly as `values[i, labels == j].sum()` is; `values[:, cols]` comes back
+    F-ordered and sums in another order.
+    """
+    out = np.empty((values.shape[0], n_labels))
+    for j in range(n_labels):
+        out[:, j] = values.take(np.flatnonzero(labels == j), axis=1).sum(axis=1)
+    return out
+
+
 def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    n, _ = points.shape
+    n, d = points.shape
     k = centroids.shape[0]
     centroids = centroids.copy()
     prev_assign = None
@@ -122,18 +135,27 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     for _ in range(MAX_LLOYD_ITER):
         d2 = sq_dists(points, centroids)
         assign = d2.argmin(axis=1)
-        # empty-cluster repair: reseed at the point farthest from its centroid
-        for j in range(k):
-            if not np.any(assign == j):
-                far = int(d2[np.arange(n), assign].argmax())
-                centroids[j] = points[far]
-                d2[:, j] = np.sum((points - centroids[j]) ** 2, axis=1)
-                assign = d2.argmin(axis=1)
-        for j in range(k):
-            members = assign == j
-            if np.any(members):
-                centroids[j] = points[members].mean(axis=0)
-        inertia = float(sq_dists(points, centroids)[np.arange(n), assign].sum())
+        counts = np.bincount(assign, minlength=k)
+        if counts.min() == 0:
+            # empty-cluster repair: reseed at the point farthest from its centroid
+            for j in range(k):
+                if not np.any(assign == j):
+                    far = int(d2[np.arange(n), assign].argmax())
+                    centroids[j] = points[far]
+                    d2[:, j] = np.sum((points - centroids[j]) ** 2, axis=1)
+                    assign = d2.argmin(axis=1)
+            counts = np.bincount(assign, minlength=k)
+        # the summation order of points[assign == j].mean(axis=0): pairwise
+        # down a single column, else row by row from +0.0, so -0.0 sums to +0.0
+        if d == 1:
+            sums = _label_sums(points.T, assign, k).T
+        else:
+            sums = np.zeros((k, d))
+            np.add.at(sums, assign, points)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+        diff = points - centroids[assign]
+        inertia = float(np.einsum("ij,ij->i", diff, diff).sum())
         trace.append(inertia)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
@@ -161,25 +183,35 @@ def fit_kmeans(points: np.ndarray, k: int, seed: int) -> KMeansModel:
                        inertia=inertia, seed=seed, inertia_trace=tuple(trace))
 
 
-def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
-    """Mean silhouette over points; singleton-cluster points contribute 0."""
+def _point_dists(points: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every pair of points, (n, n)."""
+    return np.sqrt(np.maximum(sq_dists(points, points), 0.0))
+
+
+def silhouette_score(points: np.ndarray, assignments: np.ndarray,
+                     dists: np.ndarray | None = None) -> float:
+    """Mean silhouette over points; singleton-cluster points contribute 0.
+
+    `dists` is the (n, n) matrix of distances between points, computed here
+    when not given; `sweep_k` computes it once for all its candidates.
+    """
     points = np.asarray(points, dtype=float)
-    assignments = np.asarray(assignments)
-    labels = np.unique(assignments)
+    labels, inverse = np.unique(np.asarray(assignments), return_inverse=True)
     if labels.size < 2:
         raise DataError("silhouette needs at least 2 clusters")
-    n = points.shape[0]
-    dists = np.sqrt(np.maximum(sq_dists(points, points), 0.0))
-    scores = np.zeros(n)
-    sizes = {lab: int(np.sum(assignments == lab)) for lab in labels}
-    for i in range(n):
-        own = assignments[i]
-        if sizes[own] == 1:
-            continue
-        same = assignments == own
-        a = dists[i, same].sum() / (sizes[own] - 1)
-        b = min(dists[i, assignments == lab].mean() for lab in labels if lab != own)
-        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    if dists is None:
+        dists = _point_dists(points)
+    rows = np.arange(points.shape[0])
+    sums = _label_sums(dists, inverse, labels.size)
+    sizes = np.bincount(inverse)
+    own = sizes[inverse]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, inverse] / (own - 1)
+        means = sums / sizes
+        means[rows, inverse] = np.inf
+        b = means.min(axis=1)
+        top = np.maximum(a, b)
+        scores = np.where((own > 1) & (top > 0), (b - a) / top, 0.0)
     return float(scores.mean())
 
 
@@ -275,6 +307,7 @@ def sweep_k(points: np.ndarray, method: str, ks=DEFAULT_KS, seed: int = 0) -> Cl
     if method not in ("kmeans", "gmm"):
         raise DataError(f"unknown clustering method {method!r}")
 
+    dists = _point_dists(points)
     sil: dict[int, float] = {}
     bic: dict[int, float] = {}
     models = {}
@@ -287,7 +320,7 @@ def sweep_k(points: np.ndarray, method: str, ks=DEFAULT_KS, seed: int = 0) -> Cl
             assign = model.hard_assignments(points)
             bic[k] = bic_score(model, points)
         models[k] = model
-        sil[k] = silhouette_score(points, assign) if np.unique(assign).size >= 2 else -1.0
+        sil[k] = silhouette_score(points, assign, dists) if np.unique(assign).size >= 2 else -1.0
 
     if method == "kmeans":
         chosen = min(ks, key=lambda k: (-sil[k], k))

@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 import zlib
 from dataclasses import fields
 
@@ -188,7 +189,12 @@ class TestExitContract:
     @pytest.mark.parametrize("flags, message", [
         (["--trees", "0"], "trees must be >= 1"),
         (["--depth", "-1"], "depth >= 0"),
-    ], ids=["zero-trees", "negative-depth"])
+        (["--factor-cap", "0"], "factor_cap must be >= 1, got 0"),
+        (["--hidden", "0"], "hidden must be >= 1, got 0"),
+        (["--epochs", "-1"], "epochs must be >= 0, got -1"),
+        (["--n-map", "0"], "n_map must be >= 1, got 0"),
+    ], ids=["zero-trees", "negative-depth", "zero-factor-cap", "zero-hidden",
+            "negative-epochs", "zero-n-map"])
     def test_bad_forest_config_exits_1(self, flags, message, corpus_dir, tmp_path, capsys):
         assert run(["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out",
                     "--predictor", "rf", *flags]) == 1
@@ -281,6 +287,26 @@ class TestPruneCommand:
         assert (out / "loadings.csv").exists()
         assert (out / "eigenvalues.csv").exists()
         assert (out / "cluster_report.csv").exists()
+
+    @pytest.mark.parametrize("spec, flags, chosen_k, warns", [
+        # 20 planted groups: at the default --k-max 15 silhouette is still rising
+        (synth.SynthSpec(n_latent=20, seed=7), [], 15, True),
+        # prune-wide's shape: 24 groups of 15 metrics, swept up to k = 30
+        (synth.SynthSpec(n_offline=40, n_online=8, rows_per_workload=10, n_knobs=8,
+                         n_latent=24, metrics_per_latent=15, seed=7),
+         ["--k-max", "30"], 24, False),
+    ], ids=["stops-at-k-max", "inside-range"])
+    def test_warns_when_chosen_k_is_k_max(self, spec, flags, chosen_k, warns, tmp_path):
+        manifest = synth.write_corpus(synth.generate_corpus(spec)[0], tmp_path / "corpus")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["prune", "--manifest", manifest, "--out", out, *flags]) == 0
+        notices = [str(w.message) for w in caught if "largest candidate" in str(w.message)]
+        assert notices == ([f"chosen k={chosen_k} is the largest candidate, so a larger k "
+                            f"may score higher; raise --k-max to sweep further"] if warns else [])
+        report = (out / "cluster_report.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in report if line.endswith(",1")] == [chosen_k]
 
 
 class TestPipelineCommand:

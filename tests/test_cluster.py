@@ -175,13 +175,13 @@ class TestSweepK:
         assert sel.chosen_k == 2
 
     def test_tie_breaks_to_smaller_k(self, monkeypatch):
-        monkeypatch.setattr(cluster, "silhouette_score", lambda p, a: 0.5)
+        monkeypatch.setattr(cluster, "silhouette_score", lambda p, a, dists=None: 0.5)
         pts = blobs([[0.0, 0], [10, 10]], per_blob=5, spread=0.1, seed=0)
         sel = cluster.sweep_k(pts, "kmeans", (3, 4), seed=0)
         assert sel.chosen_k == 3
 
     def test_gmm_tie_breaks_by_bic(self, monkeypatch):
-        monkeypatch.setattr(cluster, "silhouette_score", lambda p, a: 0.5)
+        monkeypatch.setattr(cluster, "silhouette_score", lambda p, a, dists=None: 0.5)
         pts = blobs([[0.0, 0], [10, 10], [20, 0]], per_blob=6, spread=0.3, seed=2)
         sel = cluster.sweep_k(pts, "gmm", (2, 3), seed=0)
         assert sel.chosen_k == min((2, 3), key=lambda k: sel.bic_by_k[k])
@@ -309,3 +309,97 @@ class TestSelectRepresentatives:
         model = cluster.fit_kmeans(pts, 3, seed=0)
         pruned = cluster.select_representatives(model, fm)
         assert len(set(pruned.metric_names)) == 3
+
+
+def _reference_silhouette(points, assignments):
+    """The per-point silhouette loop that `silhouette_score` replaced."""
+    labels = np.unique(assignments)
+    dists = np.sqrt(np.maximum(cluster.sq_dists(points, points), 0.0))
+    scores = np.zeros(points.shape[0])
+    sizes = {lab: int(np.sum(assignments == lab)) for lab in labels}
+    for i in range(points.shape[0]):
+        own = assignments[i]
+        if sizes[own] == 1:
+            continue
+        a = dists[i, assignments == own].sum() / (sizes[own] - 1)
+        b = min(dists[i, assignments == lab].mean() for lab in labels if lab != own)
+        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    return float(scores.mean())
+
+
+def _reference_lloyd(points, centroids):
+    """The Lloyd iterations with per-cluster loops that `_lloyd` replaced."""
+    n = points.shape[0]
+    k = centroids.shape[0]
+    centroids = centroids.copy()
+    prev_assign = None
+    trace = []
+    for _ in range(cluster.MAX_LLOYD_ITER):
+        d2 = cluster.sq_dists(points, centroids)
+        assign = d2.argmin(axis=1)
+        for j in range(k):
+            if not np.any(assign == j):
+                far = int(d2[np.arange(n), assign].argmax())
+                centroids[j] = points[far]
+                d2[:, j] = np.sum((points - centroids[j]) ** 2, axis=1)
+                assign = d2.argmin(axis=1)
+        for j in range(k):
+            members = assign == j
+            if np.any(members):
+                centroids[j] = points[members].mean(axis=0)
+        trace.append(float(cluster.sq_dists(points, centroids)[np.arange(n), assign].sum()))
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign
+    return centroids, assign, trace[-1], trace
+
+
+def _exactness_cases(count, seed):
+    """Random point sets: d = 1 to 24, scales 1e-3 to 1e3, every fourth one
+    with duplicate points and every fourth one with many -0.0 coordinates."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(2, 60))
+        d = (1, 1, 2, 3, 8, 24)[case % 6]
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        if case % 4 == 1:
+            points = points[rng.integers(0, max(1, n // 4), size=n)]
+        elif case % 4 == 2:
+            points[rng.random(points.shape) < 0.4] = -0.0
+            points[rng.random(points.shape) < 0.1] = 0.0
+        yield rng, points
+
+
+class TestVectorisedExactness:
+    """The loop-free silhouette and Lloyd step give the loops' bytes."""
+
+    def test_silhouette_bit_equal_to_per_point_loop(self):
+        singletons = 0
+        for rng, points in _exactness_cases(240, seed=0):
+            n = points.shape[0]
+            labels = rng.integers(0, int(rng.integers(2, n + 1)), size=n) * 3
+            if np.unique(labels).size < 2:
+                continue
+            singletons += int((np.bincount(labels) == 1).any())
+            want = _reference_silhouette(points, labels)
+            dists = np.sqrt(np.maximum(cluster.sq_dists(points, points), 0.0))
+            assert np.float64(cluster.silhouette_score(points, labels)).tobytes() \
+                == np.float64(want).tobytes()
+            assert cluster.silhouette_score(points, labels, dists) == want
+        assert singletons > 50
+
+    def test_lloyd_bit_equal_to_per_cluster_loops(self):
+        repaired = 0
+        for rng, points in _exactness_cases(240, seed=1):
+            n = points.shape[0]
+            k = int(rng.integers(1, n + 1))
+            # drawn with replacement, so equal starting centroids leave clusters empty
+            init = points[rng.integers(0, n, size=k)]
+            repaired += int(np.bincount(cluster.sq_dists(points, init).argmin(axis=1),
+                                        minlength=k).min() == 0)
+            want = _reference_lloyd(points, init)
+            got = cluster._lloyd(points, init)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2] and got[3] == want[3]
+        assert repaired > 50
