@@ -196,7 +196,7 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray,
     when not given; `sweep_k` computes it once for all its candidates.
     """
     points = np.asarray(points, dtype=float)
-    labels, inverse = np.unique(np.asarray(assignments), return_inverse=True)
+    labels, inverse = np.unique(assignments, return_inverse=True)
     if labels.size < 2:
         raise DataError("silhouette needs at least 2 clusters")
     if dists is None:
