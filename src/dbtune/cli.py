@@ -102,7 +102,7 @@ def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
         k_max = min(config.k_max, n_metrics)
         ks = tuple(range(config.k_min, k_max + 1))
         if not ks:
-            ks = (2,)
+            raise DataError(f"--k-min {config.k_min} exceeds the {n_metrics} metrics left to cluster")
         with _stage("cluster"):
             sel = cluster.sweep_k(model.points, config.method, ks, config.seed)
             pruned = cluster.select_representatives(sel.model, model)

@@ -24,7 +24,6 @@ MAX_LLOYD_ITER = 300
 MAX_EM_ITER = 200
 EM_TOL = 1e-6
 COV_REG = 1e-6
-DEFAULT_KS = tuple(range(2, 16))
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,8 @@ class GmmModel:
     covariances: np.ndarray  # (k, d, d)
     log_likelihood_trace: tuple[float, ...]
     seed: int
+    assignments: np.ndarray  # (n,) hard assignments at the returned parameters
+    log_likelihood: float  # total log-likelihood at the returned parameters
 
     def centers(self) -> np.ndarray:
         return self.means
@@ -55,9 +56,6 @@ class GmmModel:
     def responsibilities(self, points: np.ndarray) -> np.ndarray:
         log_prob = _weighted_log_prob(points, self.weights, self.means, self.covariances)
         return np.exp(log_prob - logsumexp(log_prob, axis=1, keepdims=True))
-
-    def hard_assignments(self, points: np.ndarray) -> np.ndarray:
-        return self.responsibilities(points).argmax(axis=1)
 
     def total_log_likelihood(self, points: np.ndarray) -> float:
         log_prob = _weighted_log_prob(points, self.weights, self.means, self.covariances)
@@ -70,7 +68,6 @@ class ClusterSelection:
     silhouette_by_k: dict[int, float]
     bic_by_k: dict[int, float]
     chosen_k: int
-    method: str
     model: "KMeansModel | GmmModel" = field(compare=False)
 
     def report_csv(self) -> str:
@@ -218,13 +215,13 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray,
 def _init_gmm_from_kmeans(points, k, seed):
     km = fit_kmeans(points, k, seed)
     n, d = points.shape
-    weights = np.empty(k)
-    means = np.empty((k, d))
+    counts = np.bincount(km.assignments, minlength=k)
+    if counts.min() == 0:
+        raise DataError(f"k={k}: k-means left GMM component {int(counts.argmin())} empty")
+    weights, means = counts / n, km.centroids  # Lloyd left each centroid at its members' mean
     covs = np.empty((k, d, d))
     for j in range(k):
         members = points[km.assignments == j]
-        weights[j] = members.shape[0] / n
-        means[j] = members.mean(axis=0)
         diff = members - means[j]
         covs[j] = diff.T @ diff / members.shape[0] + COV_REG * np.eye(d)
     return weights, means, covs
@@ -260,14 +257,16 @@ def fit_gmm_em(points: np.ndarray, k: int, seed: int) -> GmmModel:
         raise DataError(f"k={k} outside [1, {n}]")
     weights, means, covs = _init_gmm_from_kmeans(points, k, seed)
     trace: list[float] = []
-    for _ in range(MAX_EM_ITER):
+    # the pass that breaks has evaluated the returned parameters, on convergence or past the cap
+    for it in range(MAX_EM_ITER + 1):
         log_prob = _weighted_log_prob(points, weights, means, covs)
         norm = logsumexp(log_prob, axis=1)
-        ll = float(norm.sum())
-        trace.append(ll)
+        resp = np.exp(log_prob - norm[:, None])
+        if it == MAX_EM_ITER:
+            break
+        trace.append(float(norm.sum()))
         if len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL * max(1.0, abs(trace[-2])):
             break
-        resp = np.exp(log_prob - norm[:, None])
         nk = resp.sum(axis=0)
         nk = np.maximum(nk, 1e-12)
         weights = nk / nk.sum()
@@ -277,19 +276,22 @@ def fit_gmm_em(points: np.ndarray, k: int, seed: int) -> GmmModel:
             cov = (resp[:, j, None] * diff).T @ diff / nk[j]
             covs[j] = 0.5 * (cov + cov.T) + COV_REG * np.eye(d)
     return GmmModel(k=k, weights=weights, means=means, covariances=covs,
-                    log_likelihood_trace=tuple(trace), seed=seed)
+                    log_likelihood_trace=tuple(trace), seed=seed,
+                    assignments=resp.argmax(axis=1), log_likelihood=float(norm.sum()))
 
 
 def bic_score(model: GmmModel, points: np.ndarray) -> float:
-    """p * ln(n) - 2 * logL with p = (k-1) + k*d + k*d*(d+1)/2; lower is better."""
+    """p * ln(n) - 2 * logL of the fitted rows, p = (k-1) + k*d + k*d*(d+1)/2; lower is better."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
+    if n != len(model.assignments):
+        raise DataError(f"model was fitted on {len(model.assignments)} rows, not {n}")
     k = model.k
     p = (k - 1) + k * d + k * d * (d + 1) // 2
-    return p * math.log(n) - 2.0 * model.total_log_likelihood(points)
+    return p * math.log(n) - 2.0 * model.log_likelihood
 
 
-def sweep_k(points: np.ndarray, method: str, ks=DEFAULT_KS, seed: int = 0) -> ClusterSelection:
+def sweep_k(points: np.ndarray, method: str, ks, seed: int = 0) -> ClusterSelection:
     """Fit every candidate k and choose by silhouette.
 
     K-means ties break toward smaller k; GMM ties break by lower BIC, then
@@ -314,20 +316,16 @@ def sweep_k(points: np.ndarray, method: str, ks=DEFAULT_KS, seed: int = 0) -> Cl
     for k in ks:
         if method == "kmeans":
             model = fit_kmeans(points, k, seed)
-            assign = model.assignments
         else:
             model = fit_gmm_em(points, k, seed)
-            assign = model.hard_assignments(points)
             bic[k] = bic_score(model, points)
         models[k] = model
+        assign = model.assignments
         sil[k] = silhouette_score(points, assign, dists) if np.unique(assign).size >= 2 else -1.0
 
-    if method == "kmeans":
-        chosen = min(ks, key=lambda k: (-sil[k], k))
-    else:
-        chosen = min(ks, key=lambda k: (-sil[k], bic[k], k))
+    chosen = min(ks, key=lambda k: (-sil[k], bic.get(k, 0.0), k))  # k-means has no BIC
     return ClusterSelection(candidate_ks=ks, silhouette_by_k=sil, bic_by_k=bic,
-                            chosen_k=chosen, method=method, model=models[chosen])
+                            chosen_k=chosen, model=models[chosen])
 
 
 def select_representatives(model, loadings: FactorModel) -> PrunedMetricSet:
@@ -339,11 +337,10 @@ def select_representatives(model, loadings: FactorModel) -> PrunedMetricSet:
     """
     names = loadings.metric_names
     points = loadings.points
-    if points.shape[0] != len(names):
-        raise DataError("metric names do not align with loading rows")
+    if not points.shape[0] == len(names) == len(model.assignments):
+        raise DataError("metric names, loading rows and the model's fitted rows do not align")
     centers = model.centers()
-    assign = (model.assignments if isinstance(model, KMeansModel)
-              else model.hard_assignments(points))
+    assign = model.assignments
     chosen_names: list[str] = []
     taken = set()
     for j in range(centers.shape[0]):

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import warnings
@@ -264,6 +265,38 @@ class TestExitContract:
                     "--model-dir", model_dir]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+    @pytest.mark.parametrize("case, flags, message", [
+        ("k-min-past-metrics", ["--k-min", "5", "--k-max", "9"],
+         "--k-min 5 exceeds the 4 metrics left to cluster"),
+        ("duplicate-columns", ["--method", "gmm", "--k-max", "12"],
+         "k-means left GMM component"),
+    ], ids=["k-min-past-metrics", "duplicate-columns"])
+    def test_cluster_range_data_error_exits_2(self, case, flags, message, tmp_path, capsys):
+        if case == "k-min-past-metrics":
+            spec = synth.SynthSpec(n_latent=2, metrics_per_latent=2, seed=3)
+        else:
+            spec = synth.SynthSpec(seed=3)
+        manifest = synth.write_corpus(synth.generate_corpus(spec)[0], tmp_path / "corpus")
+        if case == "duplicate-columns":
+            # every metric a copy of metric 0 or metric 3: 12 loading rows, few distinct,
+            # so k-means leaves a cluster empty before k reaches 12
+            for path in manifest.parent.glob("*.csv"):
+                rows = list(csv.reader(path.read_text().splitlines()))
+                cols = [i for i, name in enumerate(rows[0]) if name.startswith("metric_")]
+                for row in rows[1:]:
+                    for j, c in enumerate(cols):
+                        row[c] = row[cols[0] if j % 2 == 0 else cols[3]]
+                path.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["prune", "--manifest", manifest, "--out", out, *flags]) == 2
+        assert [w for w in caught if issubclass(w.category, (UserWarning, RuntimeWarning))] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (out / "cluster_report.csv").exists()
 
 
 class TestSynthCommand:

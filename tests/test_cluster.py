@@ -1,8 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from dbtune import cluster
 from dbtune.errors import DataError
@@ -403,3 +405,97 @@ class TestVectorisedExactness:
             assert got[1].tobytes() == want[1].tobytes()
             assert got[2] == want[2] and got[3] == want[3]
         assert repaired > 50
+
+
+def _reference_gmm_start(points, km):
+    """The member-mean loop that set the GMM's starting weights and means."""
+    n, d = points.shape
+    weights, means = np.empty(km.k), np.empty((km.k, d))
+    for j in range(km.k):
+        members = points[km.assignments == j]
+        weights[j] = members.shape[0] / n
+        means[j] = members.mean(axis=0)
+    return weights, means
+
+
+def _reference_em(points, k, seed):
+    """The EM loop before a fit kept its last E-step: parameters and trace."""
+    n, d = points.shape
+    weights, means, covs = cluster._init_gmm_from_kmeans(points, k, seed)
+    trace = []
+    for _ in range(cluster.MAX_EM_ITER):
+        log_prob = cluster._weighted_log_prob(points, weights, means, covs)
+        norm = logsumexp(log_prob, axis=1)
+        trace.append(float(norm.sum()))
+        if len(trace) > 1 and trace[-1] - trace[-2] < cluster.EM_TOL * max(1.0, abs(trace[-2])):
+            break
+        resp = np.exp(log_prob - norm[:, None])
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        weights = nk / nk.sum()
+        means = (resp.T @ points) / nk[:, None]
+        for j in range(k):
+            diff = points - means[j]
+            cov = (resp[:, j, None] * diff).T @ diff / nk[j]
+            covs[j] = 0.5 * (cov + cov.T) + cluster.COV_REG * np.eye(d)
+    return weights, means, covs, tuple(trace)
+
+
+class TestFitCarriesItsResult:
+    """A GMM fit stores the assignments and log-likelihood of its returned
+    parameters, bit-equal to evaluating the model again."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, None])
+    def test_stored_fit_bit_equal_to_reevaluation(self, max_iter, monkeypatch):
+        if max_iter is not None:
+            monkeypatch.setattr(cluster, "MAX_EM_ITER", max_iter)
+        rng = np.random.default_rng(8)
+        for case in range(30):
+            d = case % 5 + 1
+            n = int(rng.integers(8, 40))
+            pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2)
+            k = int(rng.integers(1, 5))
+            model = cluster.fit_gmm_em(pts, k, seed=case)
+            assert model.assignments.tobytes() == \
+                model.responsibilities(pts).argmax(axis=1).tobytes()
+            assert model.log_likelihood == model.total_log_likelihood(pts)
+            weights, means, covs, trace = _reference_em(pts, k, case)
+            assert model.log_likelihood_trace == trace
+            assert len(trace) <= cluster.MAX_EM_ITER
+            for got, want in ((model.weights, weights), (model.means, means),
+                              (model.covariances, covs)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_start_bit_equal_to_member_means(self):
+        compared = empty = 0
+        for rng, points in _exactness_cases(120, seed=2):
+            n = points.shape[0]
+            k = int(rng.integers(1, min(n, 6) + 1))
+            km = cluster.fit_kmeans(points, k, seed=0)
+            if np.bincount(km.assignments, minlength=k).min() == 0:
+                empty += 1
+                with pytest.raises(DataError, match=f"k={k}: k-means left GMM component"):
+                    cluster._init_gmm_from_kmeans(points, k, seed=0)
+                continue
+            weights, means, _ = cluster._init_gmm_from_kmeans(points, k, seed=0)
+            want_weights, want_means = _reference_gmm_start(points, km)
+            assert weights.tobytes() == want_weights.tobytes()
+            assert means.tobytes() == want_means.tobytes()
+            compared += 1
+        assert compared > 80 and empty > 0
+
+    def test_empty_kmeans_cluster_is_data_error(self):
+        pts = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="k=3: k-means left GMM component 2 empty"):
+                cluster.fit_gmm_em(pts, 3, seed=0)
+
+    def test_other_rows_rejected(self):
+        pts = blobs([[0.0, 0], [10, 10]], per_blob=6, spread=0.3, seed=4)
+        gmm = cluster.fit_gmm_em(pts, 2, seed=0)
+        with pytest.raises(DataError, match="fitted on 12 rows, not 11"):
+            cluster.bic_score(gmm, pts[:-1])
+        fm = factor_model_for(pts[:-1], [f"m{i}" for i in range(11)])
+        for model in (gmm, cluster.fit_kmeans(pts, 2, seed=0)):
+            with pytest.raises(DataError, match="do not align"):
+                cluster.select_representatives(model, fm)
