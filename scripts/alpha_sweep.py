@@ -23,10 +23,9 @@ def main() -> int:
                            n_latent=2, metrics_per_latent=2,
                            noise_std=args.noise_std, seed=args.seed)
     corpus, _ = synth.generate_corpus(spec)
-    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
     pruned = cluster.PrunedMetricSet(metric_names=corpus.schema.metric_names)
-    feats = np.vstack([predict.build_features(t, pruned, scaler)
-                       for t in corpus.offline])
+    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
+    feats = np.vstack([predict.build_features(t, scaler) for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])
 
     print(f"{'alpha':>10}  {'train MAPE %':>12}")

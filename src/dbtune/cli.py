@@ -125,7 +125,7 @@ def _train_predictor(config: PipelineConfig, features: np.ndarray,
         hidden_units=config.hidden, epochs=config.epochs, seed=seed))
 
 
-def _map_train_predict(config, sources, targets, pruned, scaler, stage_name):
+def _map_train_predict(config, sources, targets, scaler, stage_name):
     """Map each target onto the sources, train on the augmented table and
     predict its held-out validation row."""
     points = []
@@ -135,12 +135,11 @@ def _map_train_predict(config, sources, targets, pruned, scaler, stage_name):
         wid = table.workload_id
         with _stage(f"{stage_name}/{wid}"):
             map_part, val_part = ingest.split_map_validation(table, config.n_map)
-            res = mapping.map_and_augment(sources, map_part, pruned, scaler,
-                                          config.map_score)
-            feats = predict.build_features(res.augmented, pruned, scaler)
+            res = mapping.map_and_augment(sources, map_part, scaler, config.map_score)
+            feats = predict.build_features(res.augmented, scaler)
             model = _train_predictor(config, feats, res.augmented.latency,
                                      _workload_seed(config.seed, wid))
-            val_feats = predict.build_features(val_part, pruned, scaler)
+            val_feats = predict.build_features(val_part, scaler)
             pred = predict.predict_with(model, val_feats)
         points.append((wid, float(val_part.latency[0]), float(pred[0])))
         results.append(res)
@@ -154,20 +153,20 @@ def run_two_stage(config: PipelineConfig) -> list[evaluate.EvalReport]:
     corpus = _load_and_clean(config, out)
     pruned = run_prune(config, corpus)
     with _stage("scaler"):
-        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
+        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
 
     offline = list(corpus.offline)
     if not corpus.online_b or not corpus.online_c:
         raise DataError("two-stage pipeline needs online_b and online_c groups")
 
     points_b, results_b, map_tables_b = _map_train_predict(
-        config, offline, corpus.online_b, pruned, scaler, "stage1")
+        config, offline, corpus.online_b, scaler, "stage1")
     stage1 = evaluate.EvalReport(f"{config.predictor}_stage1", tuple(points_b))
 
     # stage-2 repository: offline plus every mapped B table
     repo = offline + map_tables_b
     points_c, results_c, _ = _map_train_predict(
-        config, repo, corpus.online_c, pruned, scaler, "stage2")
+        config, repo, corpus.online_c, scaler, "stage2")
     stage2 = evaluate.EvalReport(f"{config.predictor}_stage2", tuple(points_c))
 
     reports = [stage1, stage2]
@@ -267,10 +266,8 @@ def _read_pruned(path) -> cluster.PrunedMetricSet:
 def _cmd_map(args, config: PipelineConfig) -> int:
     out = Path(config.out)
     corpus = _load_and_clean(config, out)
-    pruned = _read_pruned(args.pruned)
-    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
-    results = [mapping.map_and_augment(list(corpus.offline), table, pruned, scaler,
-                                       config.map_score)
+    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, _read_pruned(args.pruned))
+    results = [mapping.map_and_augment(list(corpus.offline), table, scaler, config.map_score)
                for table in list(corpus.online_b) + list(corpus.online_c)]
     text = mapping.mapping_report_csv(results)
     (out / "map_report.csv").write_text(text)
@@ -281,14 +278,12 @@ def _cmd_map(args, config: PipelineConfig) -> int:
 def _cmd_train(args, config: PipelineConfig) -> int:
     out = Path(config.out)
     corpus = _load_and_clean(config, out)
-    pre = predict.Preprocessing(_read_pruned(args.pruned),
-                                predict.fit_scaler(list(corpus.offline), corpus.schema))
-    feats = np.vstack([predict.build_features(t, pre.pruned, pre.scaler)
-                       for t in corpus.offline])
+    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, _read_pruned(args.pruned))
+    feats = np.vstack([predict.build_features(t, scaler) for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])
     model = _train_predictor(config, feats, targets, config.seed)
     predict.save_model(model, out / "model.json")
-    pre.save(out / "preprocess.json")
+    scaler.save(out / "preprocess.json")
     print(out / "model.json")
     return 0
 
@@ -296,12 +291,12 @@ def _cmd_train(args, config: PipelineConfig) -> int:
 def _cmd_predict(args, config: PipelineConfig) -> int:
     model_dir = Path(args.model_dir)
     model = predict.load_model(model_dir / "model.json")
-    pre = predict.Preprocessing.load(model_dir / "preprocess.json")
+    scaler = predict.StandardScaler.load(model_dir / "preprocess.json")
+    # the model's columns are picked by name, so none of this corpus is dropped
     corpus = ingest.load_corpus_from_manifest(config.manifest)
-    corpus, _ = ingest.drop_constant_columns(corpus)
     points = []
     for table in corpus.group(args.group):
-        preds = predict.predict_with(model, predict.build_features(table, pre.pruned, pre.scaler))
+        preds = predict.predict_with(model, predict.build_features(table, scaler))
         points += [(table.workload_id, float(t), float(p)) for t, p in zip(table.latency, preds)]
     if not points:
         raise DataError(f"no rows in group {args.group!r}")

@@ -84,8 +84,9 @@ class PrunedMetricSet:
     metric_names: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.metric_names) != len(set(self.metric_names)):
-            raise NumericalError("duplicate metrics in pruned set")
+        twice = next((n for n in self.metric_names if self.metric_names.count(n) > 1), None)
+        if twice is not None:
+            raise DataError(f"metric {twice!r} named twice in pruned set")
 
 
 def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

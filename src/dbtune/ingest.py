@@ -175,8 +175,10 @@ def check_fields(cls, doc: dict, what: str, error: type[Exception] = DataError) 
     return doc
 
 
-def read_manifest(manifest_path) -> tuple[Schema, dict[str, list[str]]]:
-    """Read a manifest JSON; returns (schema, group -> file names)."""
+def read_manifest(manifest_path) -> tuple[Schema, dict[Path, str]]:
+    """Read a manifest JSON; returns the schema and, in group then entry order,
+    the group of each file its `groups` name, resolved relative to it. A file
+    named twice is a DataError."""
     path = Path(manifest_path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
@@ -187,15 +189,22 @@ def read_manifest(manifest_path) -> tuple[Schema, dict[str, list[str]]]:
     try:
         knobs, metrics = json_strings(doc, "knobs"), json_strings(doc, "metrics")
         latency, workload_id = json_field(doc, "latency", str), json_field(doc, "workload_id", str)
-        files = json_field(doc, "groups", dict) if "groups" in doc else {}
-        groups = {name: list(json_strings(files, name)) if name in files else []
-                  for name in GROUP_NAMES}
+        groups = json_field(doc, "groups", dict) if "groups" in doc else {}
+        entries = [(name, group) for group in GROUP_NAMES if group in groups
+                   for name in json_strings(groups, group)]
     except TypeError as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from None
     if not knobs or not metrics:
         raise DataError("manifest knob and metric lists must be non-empty")
+    group_of: dict[Path, str] = {}
+    for name, group in entries:
+        file = path.parent / name
+        if file in group_of:
+            raise DataError(f"{path}: file {name!r} listed twice, "
+                            f"in {group_of[file]} and in {group}")
+        group_of[file] = group
     return Schema(knob_names=knobs, metric_names=metrics, latency_name=latency,
-                  workload_id_name=workload_id), groups
+                  workload_id_name=workload_id), group_of
 
 
 def _parse_file(path: Path, schema: Schema
@@ -210,7 +219,7 @@ def _parse_file(path: Path, schema: Schema
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -283,21 +292,27 @@ def _parse_file(path: Path, schema: Schema
 def load_corpus(paths, manifest) -> Corpus:
     """Load CSVs into a Corpus, grouped by workload id.
 
-    `paths` is an iterable of CSV paths. The manifest's optional `groups`
-    mapping assigns file names to offline/online_b/online_c; files not named
-    there go to the offline group. Rows of one workload id in several files of
-    a group are concatenated; one id in two groups is a DataError.
+    `paths` is an iterable of CSV paths. A path that the manifest's optional
+    `groups` mapping names goes to that group; any other path goes to the
+    offline group.
     """
-    schema, groups = read_manifest(manifest)
-    group_of_file = {}
-    for group, names in groups.items():
-        for name in names:
-            group_of_file[name] = group
+    schema, group_of = read_manifest(manifest)
+    return _load_files(schema, [(Path(p), group_of.get(Path(p), "offline")) for p in paths])
 
+
+def load_corpus_from_manifest(manifest) -> Corpus:
+    """Load every file named in the manifest's `groups`, resolved relative to it."""
+    schema, group_of = read_manifest(manifest)
+    if not group_of:
+        raise DataError(f"manifest {manifest} names no input files")
+    return _load_files(schema, group_of.items())
+
+
+def _load_files(schema: Schema, files) -> Corpus:
+    """Parse each (path, group) file. Rows of one workload id in several files
+    of a group are concatenated; one id in two groups is a DataError."""
     blocks_by_group: dict[str, dict[str, list]] = {g: {} for g in GROUP_NAMES}
-    for p in paths:
-        path = Path(p)
-        group = group_of_file.get(path.name, "offline")
+    for path, group in files:
         dest = blocks_by_group[group]
         for wid, block in _parse_file(path, schema).items():
             dest.setdefault(wid, []).append(block)
@@ -324,16 +339,6 @@ def load_corpus(paths, manifest) -> Corpus:
         return tuple(tables)
 
     return Corpus(build("offline"), build("online_b"), build("online_c"), schema)
-
-
-def load_corpus_from_manifest(manifest) -> Corpus:
-    """Load every file named in the manifest's `groups`, resolved relative to it."""
-    _, groups = read_manifest(manifest)
-    base = Path(manifest).parent
-    paths = [base / name for group in GROUP_NAMES for name in groups[group]]
-    if not paths:
-        raise DataError(f"manifest {manifest} names no input files")
-    return load_corpus(paths, manifest)
 
 
 def drop_constant_columns(corpus: Corpus) -> tuple[Corpus, list[str]]:
@@ -363,29 +368,15 @@ def drop_constant_columns(corpus: Corpus) -> tuple[Corpus, list[str]]:
     if not dropped:
         return corpus, []
 
-    new_schema = Schema(
-        knob_names=tuple(n for n, k in zip(schema.knob_names, knob_keep) if k),
-        metric_names=tuple(n for n, k in zip(schema.metric_names, metric_keep) if k),
-        latency_name=schema.latency_name,
-        workload_id_name=schema.workload_id_name,
-    )
+    new_schema = replace(
+        schema, knob_names=tuple(n for n, k in zip(schema.knob_names, knob_keep) if k),
+        metric_names=tuple(n for n, k in zip(schema.metric_names, metric_keep) if k))
 
     def strip(table):
-        return WorkloadTable(
-            workload_id=table.workload_id,
-            knobs=table.knobs[:, knob_keep],
-            metrics=table.metrics[:, metric_keep],
-            latency=table.latency,
-            schema=new_schema,
-        )
+        return replace(table, knobs=table.knobs[:, knob_keep],
+                       metrics=table.metrics[:, metric_keep], schema=new_schema)
 
-    new = Corpus(
-        tuple(strip(t) for t in corpus.offline),
-        tuple(strip(t) for t in corpus.online_b),
-        tuple(strip(t) for t in corpus.online_c),
-        new_schema,
-    )
-    return new, dropped
+    return Corpus(*(tuple(map(strip, corpus.group(g))) for g in GROUP_NAMES), new_schema), dropped
 
 
 def split_map_validation(table: WorkloadTable, n_map: int) -> tuple[WorkloadTable, WorkloadTable]:

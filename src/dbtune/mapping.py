@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import PrunedMetricSet, sq_dists
+from .cluster import sq_dists
 from .errors import ConfigError, DataError
 from .evaluate import MAPE_EPS
 from .ingest import WorkloadTable
-from .predict import StandardScaler, pruned_metric_indices
+from .predict import StandardScaler
 
 KNOB_CONFLICT_TOL = 1e-9
 SCORE_VARIANTS = ("euclid", "mse", "mape")
@@ -61,16 +61,15 @@ def _metric_distances(t_cols: np.ndarray, paired: np.ndarray, variant: str) -> n
 
 
 def score_workloads(target: WorkloadTable, sources: list[WorkloadTable],
-                    pruned: PrunedMetricSet, scaler: StandardScaler,
-                    variant: str = "euclid") -> list[WorkloadScore]:
-    """Score every source workload against the target; lower is more similar."""
-    if not pruned.metric_names:
-        raise DataError("empty pruned metric set")
+                    scaler: StandardScaler, variant: str = "euclid") -> list[WorkloadScore]:
+    """Score every source workload against the target on the scaler's knobs
+    and pruned metrics; lower is more similar. The sources share the target's
+    schema."""
     if target.n_rows < 1:
         raise DataError(f"target {target.workload_id} has no rows")
     if variant not in SCORE_VARIANTS:
         raise ConfigError(f"unknown score variant {variant!r}")
-    idx = pruned_metric_indices(target.schema, pruned)
+    kidx, midx = scaler.columns(target.schema)
     sources = sorted(sources, key=lambda s: s.workload_id)
     if not sources:
         return []
@@ -78,11 +77,9 @@ def score_workloads(target: WorkloadTable, sources: list[WorkloadTable],
     if empty is not None:
         raise DataError(f"source {empty.workload_id} has no rows")
 
-    k = scaler.n_knobs
-    means, stds = scaler.means[k:][idx], scaler.stds[k:][idx]
-    t_knobs = scaler.transform_knobs(target.knobs)
-    t_metrics = (target.metrics[:, idx] - means) / stds
-    s_knobs = scaler.transform_knobs(np.concatenate([s.knobs for s in sources]))
+    t_knobs = scaler.transform_knobs(target.knobs.take(kidx, axis=1))
+    t_metrics = scaler.transform_metrics(target.metrics.take(midx, axis=1))
+    s_knobs = scaler.transform_knobs(np.concatenate([s.knobs for s in sources]).take(kidx, axis=1))
 
     # nearest source row of every target row, within each source's own rows:
     # distances go into a (target rows, sources, max source rows) grid padded
@@ -97,11 +94,11 @@ def score_workloads(target: WorkloadTable, sources: list[WorkloadTable],
     pair = grid.reshape(target.n_rows, len(sources), width).argmin(axis=2) + starts
 
     # only the paired rows' pruned metrics are scaled: (sources, metrics, target rows)
-    paired = np.concatenate([s.metrics for s in sources])[pair.T][:, :, idx]
-    paired = np.ascontiguousarray(((paired - means) / stds).transpose(0, 2, 1))
+    paired = np.concatenate([s.metrics for s in sources]).take(midx, axis=1)[pair.T]
+    paired = np.ascontiguousarray(scaler.transform_metrics(paired).transpose(0, 2, 1))
     per_metric = _metric_distances(np.ascontiguousarray(t_metrics.T), paired, variant)
     totals = np.mean(per_metric, axis=-1)
-    names = pruned.metric_names
+    names = scaler.metric_names
     return [WorkloadScore(s.workload_id, dict(zip(names, row)), score)
             for s, row, score in zip(sources, per_metric.tolist(), totals.tolist())]
 
@@ -138,10 +135,9 @@ def augment(target: WorkloadTable, source: WorkloadTable) -> tuple[WorkloadTable
 
 
 def map_and_augment(corpus_sources: list[WorkloadTable], target: WorkloadTable,
-                    pruned: PrunedMetricSet, scaler: StandardScaler,
-                    variant: str = "euclid") -> MappingResult:
+                    scaler: StandardScaler, variant: str = "euclid") -> MappingResult:
     """Compose scoring, nearest-source selection and augmentation."""
-    scores = score_workloads(target, corpus_sources, pruned, scaler, variant)
+    scores = score_workloads(target, corpus_sources, scaler, variant)
     chosen = nearest_workload(scores)
     source = next(s for s in corpus_sources if s.workload_id == chosen)
     augmented, dropped = augment(target, source)

@@ -34,94 +34,105 @@ CONST_STD_EPS = 1e-12
 
 @dataclass(frozen=True)
 class StandardScaler:
-    """Per-feature mean/std over knobs ++ metrics (latency excluded).
+    """The model's features, by name, and their scaling: knobs ++ pruned metrics.
 
-    Features with std below 1e-12 are only centered; their names are kept in
-    `constant_features`.
+    `means` and `stds` hold one value per feature, knobs first. Features with
+    std below 1e-12 are only centered; their names are kept in
+    `constant_features`. `train` stores the scaler beside its model as
+    preprocess.json, and `predict` picks and scales the columns of any corpus
+    with it.
     """
 
+    knob_names: tuple[str, ...]
+    metric_names: tuple[str, ...]
     means: np.ndarray
     stds: np.ndarray
-    n_knobs: int
     constant_features: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        names = self.knob_names + self.metric_names
+        if not self.metric_names:
+            raise DataError("empty pruned metric set")
+        twice = next((n for n in names if names.count(n) > 1), None)
+        if twice is not None:
+            raise DataError(f"feature {twice!r} named twice")
+        if self.means.shape != (len(names),) or self.stds.shape != (len(names),):
+            raise DataError(f"{len(names)} features, {len(self.means)} means "
+                            f"and {len(self.stds)} stds")
+
+    def columns(self, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the knob and metric features among a schema's columns."""
+        return (_positions("knob", self.knob_names, schema.knob_names),
+                _positions("metric", self.metric_names, schema.metric_names))
+
     def transform_knobs(self, knobs: np.ndarray) -> np.ndarray:
-        k = self.n_knobs
+        k = len(self.knob_names)
         return (np.asarray(knobs, dtype=float) - self.means[:k]) / self.stds[:k]
 
     def transform_metrics(self, metrics: np.ndarray) -> np.ndarray:
-        k = self.n_knobs
+        k = len(self.knob_names)
         return (np.asarray(metrics, dtype=float) - self.means[k:]) / self.stds[k:]
-
-
-def fit_scaler(tables: list[WorkloadTable], schema: Schema) -> StandardScaler:
-    """Fit per-feature mean and population std over all rows of all tables."""
-    rows = np.hstack([
-        np.vstack([t.knobs for t in tables]),
-        np.vstack([t.metrics for t in tables]),
-    ])
-    if rows.shape[0] < 2:
-        raise DataError(f"scaler needs >= 2 rows, has {rows.shape[0]}")
-    means = rows.mean(axis=0)
-    stds = rows.std(axis=0)
-    const = stds < CONST_STD_EPS
-    names = list(schema.knob_names) + list(schema.metric_names)
-    stds = np.where(const, 1.0, stds)
-    return StandardScaler(
-        means=means, stds=stds, n_knobs=schema.n_knobs,
-        constant_features=tuple(n for n, c in zip(names, const) if c),
-    )
-
-
-def pruned_metric_indices(schema: Schema, pruned: PrunedMetricSet) -> np.ndarray:
-    idx = []
-    for name in pruned.metric_names:
-        if name not in schema.metric_names:
-            raise DataError(f"pruned metric {name!r} not in schema")
-        idx.append(schema.metric_names.index(name))
-    return np.array(idx, dtype=int)
-
-
-def build_features(table: WorkloadTable, pruned: PrunedMetricSet,
-                   scaler: StandardScaler) -> np.ndarray:
-    """Feature matrix: scaled knobs ++ scaled pruned metrics, one row per observation."""
-    idx = pruned_metric_indices(table.schema, pruned)
-    return np.hstack([
-        scaler.transform_knobs(table.knobs),
-        scaler.transform_metrics(table.metrics)[:, idx],
-    ])
-
-
-@dataclass(frozen=True)
-class Preprocessing:
-    """The fitted feature preprocessing that `train` stores beside its model
-    as preprocess.json and `predict` reuses: pruned metrics and scaler."""
-
-    pruned: PrunedMetricSet
-    scaler: StandardScaler
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps({
-            "pruned_metrics": list(self.pruned.metric_names),
-            "scaler_means": self.scaler.means.tolist(),
-            "scaler_stds": self.scaler.stds.tolist(),
-            "n_knobs": self.scaler.n_knobs,
-            "constant_features": list(self.scaler.constant_features),
+            "knob_names": list(self.knob_names),
+            "pruned_metrics": list(self.metric_names),
+            "scaler_means": self.means.tolist(),
+            "scaler_stds": self.stds.tolist(),
+            "constant_features": list(self.constant_features),
         }) + "\n")
 
     @classmethod
-    def load(cls, path) -> "Preprocessing":
+    def load(cls, path) -> "StandardScaler":
         doc = read_json_object(path)
         try:
-            means, stds = json_floats(doc, "scaler_means"), json_floats(doc, "scaler_stds")
-            n_knobs = json_field(doc, "n_knobs", int)
-            if len(stds) != len(means) or not 0 <= n_knobs <= len(means):
-                raise ValueError(f"{len(means)} means, {len(stds)} stds and {n_knobs} knobs")
-            return cls(PrunedMetricSet(json_strings(doc, "pruned_metrics")), StandardScaler(
-                means=means, stds=stds, n_knobs=n_knobs,
-                constant_features=json_strings(doc, "constant_features")))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(json_strings(doc, "knob_names"), json_strings(doc, "pruned_metrics"),
+                       json_floats(doc, "scaler_means"), json_floats(doc, "scaler_stds"),
+                       json_strings(doc, "constant_features"))
+        except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{path}: malformed preprocessing: {exc!r}") from None
+
+
+def _positions(kind: str, names: tuple[str, ...], columns: tuple[str, ...]) -> np.ndarray:
+    at = {name: i for i, name in enumerate(columns)}
+    missing = next((n for n in names if n not in at), None)
+    if missing is not None:
+        raise DataError(f"{kind} {missing!r} not in schema")
+    return np.array([at[n] for n in names], dtype=int)
+
+
+def fit_scaler(tables: list[WorkloadTable], schema: Schema,
+               pruned: PrunedMetricSet) -> StandardScaler:
+    """Fit the features' mean and population std over all rows of all tables.
+
+    The statistics are reduced over every knob and metric column, then the
+    features are picked: numpy's axis-0 reduction order depends on the
+    array's width, so reducing the picked columns alone changes last bits.
+    """
+    rows = np.hstack([np.vstack([t.knobs for t in tables]),
+                      np.vstack([t.metrics for t in tables])])
+    if rows.shape[0] < 2:
+        raise DataError(f"scaler needs >= 2 rows, has {rows.shape[0]}")
+    metrics = tuple(pruned.metric_names)
+    idx = np.concatenate([np.arange(schema.n_knobs),
+                          schema.n_knobs + _positions("metric", metrics, schema.metric_names)])
+    means, stds = rows.mean(axis=0)[idx], rows.std(axis=0)[idx]
+    const = stds < CONST_STD_EPS
+    return StandardScaler(
+        schema.knob_names, metrics, means, np.where(const, 1.0, stds),
+        tuple(n for n, c in zip(schema.knob_names + metrics, const) if c))
+
+
+def build_features(table: WorkloadTable, scaler: StandardScaler) -> np.ndarray:
+    """Feature matrix, C-ordered: the scaler's knobs ++ pruned metrics, picked
+    from the table by name and scaled, one row per observation.
+
+    `take` copies the columns C-ordered; `[:, idx]` returns them F-ordered,
+    and distances over F-ordered features sum in another order.
+    """
+    kidx, midx = scaler.columns(table.schema)
+    return np.hstack([scaler.transform_knobs(table.knobs.take(kidx, axis=1)),
+                      scaler.transform_metrics(table.metrics.take(midx, axis=1))])
 
 
 # ---------------------------------------------------------------------------

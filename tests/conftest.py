@@ -25,6 +25,7 @@ def make_table(wid, knobs, metrics, latency, schema):
     )
 
 
-def identity_scaler(schema):
-    n = schema.n_knobs + schema.n_metrics
-    return StandardScaler(means=np.zeros(n), stds=np.ones(n), n_knobs=schema.n_knobs)
+def identity_scaler(schema, metric_names=None):
+    metrics = schema.metric_names if metric_names is None else metric_names
+    n = schema.n_knobs + len(metrics)
+    return StandardScaler(schema.knob_names, metrics, np.zeros(n), np.ones(n))

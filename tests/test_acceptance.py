@@ -95,16 +95,16 @@ def test_criterion_4_mapping_oracle():
                                n_latent=2, metrics_per_latent=2, noise_std=0.05,
                                seed=trial, freq_scale=1.0, profile_scale=2.0)
         corpus, truth = synth.generate_corpus(spec)
-        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
         pruned = cluster.PrunedMetricSet(
             metric_names=corpus.schema.metric_names)
+        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
         target = corpus.online_b[0]
-        res = mapping.map_and_augment(list(corpus.offline), target, pruned, scaler)
+        res = mapping.map_and_augment(list(corpus.offline), target, scaler)
         if res.chosen_source == truth.nearest_source_of[target.workload_id]:
             hits += 1
     # self-source distance is exactly zero
     t = corpus.offline[0]
-    scores = mapping.score_workloads(t, [t], pruned, scaler)
+    scores = mapping.score_workloads(t, [t], scaler)
     self_zero = scores[0].score == 0.0
     elapsed = time.monotonic() - start
     _verdict("criterion-4 mapping oracle",
@@ -155,10 +155,10 @@ def test_criterion_6_alpha_trend():
                            n_latent=2, metrics_per_latent=2, noise_std=0.5,
                            seed=11)
     corpus, _ = synth.generate_corpus(spec)
-    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
     pruned = cluster.PrunedMetricSet(
         metric_names=corpus.schema.metric_names)
-    feats = np.vstack([predict.build_features(t, pruned, scaler)
+    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
+    feats = np.vstack([predict.build_features(t, scaler)
                        for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])
     mapes = []

@@ -129,8 +129,8 @@ class TestExitCodes:
         (lambda d: (d / "model.json").write_text(
             (d / "model.json").read_text().replace('"chol"', '"cholx"')), "'chol'"),
         (lambda d: (d / "preprocess.json").write_text(
-            (d / "preprocess.json").read_text().replace('"n_knobs"', '"knobs"')),
-         "'n_knobs'"),
+            (d / "preprocess.json").read_text().replace('"knob_names"', '"knobs"')),
+         "'knob_names'"),
         (lambda d: (d / "model.json").write_text("{"), "not valid JSON"),
         (lambda d: (d / "model.json").write_text("[" * 100000 + "]" * 100000),
          "nests too deeply to parse"),
@@ -251,11 +251,20 @@ class TestExitContract:
         ("model.json", _set_root_feature(99), "splits on feature 99"),
         ("model.json", _set_root_feature(-2), "feature must be >= 0"),
         ("model.json", lambda d: d.update(trees=[]), "non-empty list"),
-        ("preprocess.json", lambda d: d.update(n_knobs="3"), "n_knobs must be int"),
-        ("preprocess.json", lambda d: d.update(n_knobs=99), "99 knobs"),
+        ("preprocess.json", lambda d: d.update(knob_names="3"), "knob_names must be list"),
+        ("preprocess.json", lambda d: d.update(knob_names=[3]), "list of strings"),
+        ("preprocess.json", lambda d: d.update(scaler_means=d["scaler_means"][:-1]),
+         "means and"),
+        ("preprocess.json", lambda d: d.update(scaler_stds=d["scaler_stds"] + [1.0]),
+         "stds"),
+        ("preprocess.json", lambda d: d.update(pruned_metrics=[]), "empty pruned metric set"),
+        ("preprocess.json", lambda d: d.update(pruned_metrics=d["knob_names"][:1]
+                                               + d["pruned_metrics"][1:]),
+         "named twice"),
         ("preprocess.json", lambda d: d.update(scaler_means=["a"]), "list of numbers"),
     ], ids=["feature-str", "feature-past-width", "feature-negative", "no-trees",
-            "n-knobs-str", "n-knobs-past-width", "means-str"])
+            "knob-names-str", "knob-names-not-strings", "means-short", "stds-long",
+            "pruned-empty", "name-twice", "means-str"])
     def test_malformed_model_dir_exits_2(self, file, edit, message, corpus_dir,
                                          rf_trained_dir, trained_dir, tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -434,25 +443,93 @@ class TestTrainPredictCommands:
                     "--model-dir", trained_dir, "--group", "online_c"]) == 0
         capsys.readouterr()
         corpus, _ = ingest.drop_constant_columns(ingest.load_corpus_from_manifest(corpus_dir))
-        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
-        pre = predict.Preprocessing.load(trained_dir / "preprocess.json")
-        assert pre.scaler.means.tobytes() == scaler.means.tobytes()
-        assert pre.scaler.stds.tobytes() == scaler.stds.tobytes()
-        assert pre.scaler.n_knobs == scaler.n_knobs
-        assert pre.scaler.constant_features == scaler.constant_features
-        pruned = pre.pruned
-        assert pruned.metric_names == tuple(
+        pruned = cli._read_pruned(trained_dir / "pruned_metrics.txt")
+        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
+        loaded = predict.StandardScaler.load(trained_dir / "preprocess.json")
+        assert loaded.means.tobytes() == scaler.means.tobytes()
+        assert loaded.stds.tobytes() == scaler.stds.tobytes()
+        assert loaded.knob_names == scaler.knob_names == corpus.schema.knob_names
+        assert loaded.constant_features == scaler.constant_features
+        assert loaded.metric_names == pruned.metric_names == tuple(
             (trained_dir / "pruned_metrics.txt").read_text().split())
 
-        feats = np.vstack([predict.build_features(t, pruned, scaler) for t in corpus.offline])
+        feats = np.vstack([predict.build_features(t, scaler) for t in corpus.offline])
         model = predict.gpr_fit(feats, np.concatenate([t.latency for t in corpus.offline]),
                                 1e-4)
         expected = [(t.workload_id, float(y), float(p)) for t in corpus.online_c
                     for y, p in zip(t.latency, predict.predict_with(
-                        model, predict.build_features(t, pruned, scaler)))]
+                        model, predict.build_features(t, scaler)))]
         got = evaluate.parse_predictions_csv(
             (out / "predictions_gpr.csv").read_text(), "gpr").per_point
         assert got == tuple(expected)
+
+
+def _corpus_copy(manifest, dest, constant=(), drop_knob=None):
+    """A copy of the corpus with each `constant` column set to 1.5 in every
+    file, and `drop_knob` left out of the manifest."""
+    shutil.copytree(manifest.parent, dest)
+    for path in dest.glob("*.csv"):
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        for name in constant:
+            j = rows[0].index(name)
+            for row in rows[1:]:
+                row[j] = "1.5"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    if drop_knob:
+        _edit_json(dest / "manifest.json", lambda d: d["knobs"].remove(drop_knob))
+    return dest / "manifest.json"
+
+
+class TestCrossCorpusPredict:
+    """A model trained on one corpus predicts on another: the columns are
+    picked by name, whatever the other corpus holds constant."""
+
+    PRUNED = ("metric_g01_1", "metric_g00_1")
+
+    @pytest.fixture(scope="class")
+    def model_dir(self, corpus_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cross")
+        train = _corpus_copy(corpus_dir, root / "a", constant=["metric_g00_0"])
+        (root / "pruned.txt").write_text("".join(n + "\n" for n in self.PRUNED))
+        assert run(["train", "--manifest", train, "--out", root / "model",
+                    "--pruned", root / "pruned.txt", "--alpha", "1e-4"]) == 0
+        assert (root / "model" / "dropped_columns.txt").read_text() == "metric_g00_0\n"
+        return root / "model"
+
+    @pytest.mark.parametrize("group", ["online_b", "online_c"])
+    def test_predictions_equal_those_on_the_training_corpus(self, corpus_dir, model_dir,
+                                                            group, tmp_path, capsys):
+        corpora = {
+            "train": model_dir.parent / "a" / "manifest.json",
+            "none-constant": corpus_dir,
+            "other-constant": _corpus_copy(corpus_dir, tmp_path / "c",
+                                           constant=["metric_g01_0"]),
+        }
+        predictions = {}
+        for name, manifest in corpora.items():
+            assert run(["predict", "--manifest", manifest, "--out", tmp_path / name,
+                        "--model-dir", model_dir, "--group", group]) == 0
+            predictions[name] = (tmp_path / name / "predictions_gpr.csv").read_text()
+        capsys.readouterr()
+        assert predictions["none-constant"] == predictions["train"]
+        assert predictions["other-constant"] == predictions["train"]
+
+    def test_corpus_missing_a_model_knob_exits_2(self, corpus_dir, model_dir, tmp_path,
+                                                 capsys):
+        manifest = _corpus_copy(corpus_dir, tmp_path / "d", drop_knob="knob_1")
+        assert run(["predict", "--manifest", manifest, "--out", tmp_path / "out",
+                    "--model-dir", model_dir]) == 2
+        assert capsys.readouterr().err == "error: knob 'knob_1' not in schema\n"
+
+    def test_pruned_name_twice_exits_2(self, corpus_dir, tmp_path, capsys):
+        pruned = tmp_path / "p.txt"
+        pruned.write_text("metric_g00_0\nmetric_g00_0\n")
+        assert run(["map", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                    "--pruned", pruned]) == 2
+        assert capsys.readouterr().err == (
+            "error: metric 'metric_g00_0' named twice in pruned set\n")
 
 
 class TestStageComposability:
@@ -467,14 +544,13 @@ class TestStageComposability:
         corpus = ingest.load_corpus_from_manifest(corpus_dir)
         corpus, _ = ingest.drop_constant_columns(corpus)
         pruned = cli.run_prune(config, corpus)
-        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema)
+        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
         table = min(corpus.online_b, key=lambda t: t.workload_id)
         map_part, val_part = ingest.split_map_validation(table, config.n_map)
-        res = mapping.map_and_augment(list(corpus.offline), map_part, pruned,
-                                      scaler, config.map_score)
-        feats = predict.build_features(res.augmented, pruned, scaler)
+        res = mapping.map_and_augment(list(corpus.offline), map_part, scaler, config.map_score)
+        feats = predict.build_features(res.augmented, scaler)
         model = predict.gpr_fit(feats, res.augmented.latency, config.alpha)
-        pred = predict.predict_with(model, predict.build_features(val_part, pruned, scaler))
+        pred = predict.predict_with(model, predict.build_features(val_part, scaler))
 
         wid, truth_val, pipe_pred = next(
             p for p in stage1.per_point if p[0] == table.workload_id)

@@ -97,6 +97,44 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="not found"):
             load_corpus([tmp_path / "nope.csv"], manifest)
 
+    @pytest.fixture
+    def small_corpus(self, tmp_path):
+        spec = synth.SynthSpec(n_offline=3, n_online=1, rows_per_workload=3,
+                               n_knobs=1, n_latent=1, metrics_per_latent=1,
+                               noise_std=0.1, seed=0)
+        return synth.write_corpus(synth.generate_corpus(spec)[0], tmp_path / "data")
+
+    def test_group_entry_in_subdirectory(self, small_corpus):
+        (small_corpus.parent / "sub").mkdir()
+        (small_corpus.parent / "online_b_b_000.csv").rename(
+            small_corpus.parent / "sub" / "online_b_b_000.csv")
+        doc = json.loads(small_corpus.read_text())
+        doc["groups"]["online_b"] = ["sub/online_b_b_000.csv"]
+        small_corpus.write_text(json.dumps(doc))
+        corpus = load_corpus_from_manifest(small_corpus)
+        assert [t.workload_id for t in corpus.online_b] == ["b_000"]
+        assert [t.workload_id for t in corpus.offline] == ["off_000", "off_001", "off_002"]
+
+    @pytest.mark.parametrize("second_group", ["offline", "online_b"])
+    def test_file_listed_twice_rejected(self, small_corpus, second_group):
+        doc = json.loads(small_corpus.read_text())
+        doc["groups"][second_group].append("./offline_off_001.csv")
+        small_corpus.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="'./offline_off_001.csv' listed twice, "
+                                            f"in offline and in {second_group}"):
+            load_corpus_from_manifest(small_corpus)
+
+    def test_utf8_bom_ignored(self, tmp_path):
+        manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"])
+        text = "workload_id,k0,m0,latency\nw,1,2,3\nw,on,5.5,6\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = load_corpus([plain], manifest).offline[0]
+        got = load_corpus([bom], manifest).offline[0]
+        for name in ("knobs", "metrics", "latency"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_58_offline_files(self, tmp_path):
         spec = synth.SynthSpec(n_offline=58, n_online=1, rows_per_workload=2,
                                n_knobs=1, n_latent=1, metrics_per_latent=1,

@@ -13,14 +13,9 @@ from dbtune.mapping import (
     score_workloads,
     WorkloadScore,
 )
-from dbtune.predict import fit_scaler, pruned_metric_indices
+from dbtune.predict import fit_scaler
 
 from conftest import identity_scaler, make_table
-
-
-@pytest.fixture
-def pruned(tiny_schema):
-    return PrunedMetricSet(metric_names=tiny_schema.metric_names)
 
 
 def simple_table(wid, schema, knob_rows, metric_rows, latency=None):
@@ -30,65 +25,61 @@ def simple_table(wid, schema, knob_rows, metric_rows, latency=None):
 
 
 class TestScoreWorkloads:
-    def test_self_source_scores_zero(self, tiny_schema, pruned):
+    def test_self_source_scores_zero(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
-        scores = score_workloads(t, [t], pruned, identity_scaler(tiny_schema))
+        scores = score_workloads(t, [t], identity_scaler(tiny_schema))
         assert scores[0].score == 0.0
 
     def test_hand_evaluation(self, tiny_schema):
         # single pruned metric, single row: target 3 vs paired source 0
-        p = PrunedMetricSet(metric_names=("m0",))
         target = simple_table("t", tiny_schema, [[0, 0]], [[3.0, 9]])
         source = simple_table("s", tiny_schema, [[0, 0]], [[0.0, 9]])
-        scores = score_workloads(target, [source], p, identity_scaler(tiny_schema))
+        scores = score_workloads(target, [source], identity_scaler(tiny_schema, ("m0",)))
         assert scores[0].per_metric_distance["m0"] == pytest.approx(3.0)
         assert scores[0].score == pytest.approx(3.0)
 
-    def test_copy_beats_perturbed(self, tiny_schema, pruned):
+    def test_copy_beats_perturbed(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
         copy = simple_table("copy", tiny_schema, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
         pert = simple_table("pert", tiny_schema, [[1, 2], [3, 4]], [[6, 7], [9, 8]])
-        scores = score_workloads(t, [copy, pert], pruned,
-                                 identity_scaler(tiny_schema))
+        scores = score_workloads(t, [copy, pert], identity_scaler(tiny_schema))
         by_id = {s.source_workload_id: s.score for s in scores}
         assert by_id["copy"] < by_id["pert"]
 
-    def test_score_is_mean_of_metric_distances(self, tiny_schema, pruned):
+    def test_score_is_mean_of_metric_distances(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1.0, 2.0]])
         s = simple_table("s", tiny_schema, [[0, 0]], [[4.0, 6.0]])
-        scores = score_workloads(t, [s], pruned, identity_scaler(tiny_schema))
+        scores = score_workloads(t, [s], identity_scaler(tiny_schema))
         d = scores[0].per_metric_distance
         assert scores[0].score == pytest.approx(np.mean(list(d.values())))
 
     def test_empty_pruned_rejected(self, tiny_schema):
-        t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
-        with pytest.raises(DataError):
-            score_workloads(t, [t], PrunedMetricSet(()),
-                            identity_scaler(tiny_schema))
+        # the scaler declares the features, so an empty metric set is refused there
+        with pytest.raises(DataError, match="empty pruned metric set"):
+            identity_scaler(tiny_schema, ())
 
-    def test_variants_run(self, tiny_schema, pruned):
+    def test_variants_run(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0], [1, 1]], [[1, 2], [3, 4]])
         s = simple_table("s", tiny_schema, [[0, 0], [1, 1]], [[2, 2], [3, 5]])
         for variant in ("euclid", "mse", "mape"):
-            scores = score_workloads(t, [s], pruned,
-                                     identity_scaler(tiny_schema), variant)
+            scores = score_workloads(t, [s], identity_scaler(tiny_schema), variant)
             assert scores[0].score >= 0
 
 
-def reference_scores(target, sources, pruned, scaler, variant):
+def reference_scores(target, sources, scaler, variant):
     """One source at a time, one metric column at a time: the batched scorer
     must give exactly these floats."""
-    idx = pruned_metric_indices(target.schema, pruned)
+    idx = [target.schema.metric_names.index(name) for name in scaler.metric_names]
     t_knobs = scaler.transform_knobs(target.knobs)
-    t_metrics = scaler.transform_metrics(target.metrics)[:, idx]
+    t_metrics = scaler.transform_metrics(target.metrics[:, idx])
     scores = []
     for source in sorted(sources, key=lambda s: s.workload_id):
         s_knobs = scaler.transform_knobs(source.knobs)
-        s_metrics = scaler.transform_metrics(source.metrics)[:, idx]
+        s_metrics = scaler.transform_metrics(source.metrics[:, idx])
         diff = t_knobs[:, None, :] - s_knobs[None, :, :]
         paired = s_metrics[np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)]
         per_metric = {}
-        for j, name in enumerate(pruned.metric_names):
+        for j, name in enumerate(scaler.metric_names):
             t_col, d = t_metrics[:, j], t_metrics[:, j] - paired[:, j]
             if variant == "euclid":
                 per_metric[name] = float(np.sqrt(np.sum(d ** 2)))
@@ -121,10 +112,10 @@ class TestBatchedScoringExact:
         return make_table(wid, knobs, metrics, rng.random(n), self.schema)
 
     def _check(self, target, sources):
-        scaler = fit_scaler(sources + [target], self.schema)
+        scaler = fit_scaler(sources + [target], self.schema, self.pruned)
         for variant in ("euclid", "mse", "mape"):
-            got = score_workloads(target, sources, self.pruned, scaler, variant)
-            want = reference_scores(target, sources, self.pruned, scaler, variant)
+            got = score_workloads(target, sources, scaler, variant)
+            want = reference_scores(target, sources, scaler, variant)
             assert [s.source_workload_id for s in got] == [s.source_workload_id for s in want]
             for g, w in zip(got, want):
                 assert g.per_metric_distance == w.per_metric_distance
@@ -150,26 +141,26 @@ class TestBatchedScoringExact:
                    for i in range(8)]
         self._check(self._table(rng, "t", 9, knob_levels=2), sources)
 
-    def test_tie_pairs_first_row(self, tiny_schema, pruned):
+    def test_tie_pairs_first_row(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1.0, 1.0]])
         s = simple_table("s", tiny_schema, [[1, 0], [0, 1], [5, 5]],
                          [[1.0, 1.0], [9.0, 9.0], [1.0, 1.0]])
-        score = score_workloads(t, [s], pruned, identity_scaler(tiny_schema))[0]
+        score = score_workloads(t, [s], identity_scaler(tiny_schema))[0]
         assert score.score == 0.0
 
-    def test_empty_source_list(self, tiny_schema, pruned):
+    def test_empty_source_list(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
-        assert score_workloads(t, [], pruned, identity_scaler(tiny_schema)) == []
+        assert score_workloads(t, [], identity_scaler(tiny_schema)) == []
         with pytest.raises(DataError, match="no workload scores"):
-            map_and_augment([], t, pruned, identity_scaler(tiny_schema))
+            map_and_augment([], t, identity_scaler(tiny_schema))
 
-    def test_zero_row_source_named_first_in_sorted_order(self, tiny_schema, pruned):
+    def test_zero_row_source_named_first_in_sorted_order(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
         ok = simple_table("a_ok", tiny_schema, [[0, 0]], [[1, 2]])
         empties = [make_table(w, np.zeros((0, 2)), np.zeros((0, 2)), [], tiny_schema)
                    for w in ("z_empty", "m_empty")]
         with pytest.raises(DataError, match="source m_empty has no rows"):
-            score_workloads(t, [ok, *empties], pruned, identity_scaler(tiny_schema))
+            score_workloads(t, [ok, *empties], identity_scaler(tiny_schema))
 
 
 class TestNearestWorkload:
@@ -224,35 +215,35 @@ class TestAugment:
 
 
 class TestMapAndAugment:
-    def test_single_source_forced(self, tiny_schema, pruned):
+    def test_single_source_forced(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
         s = simple_table("only", tiny_schema, [[5, 5]], [[9, 9]])
-        res = map_and_augment([s], t, pruned, identity_scaler(tiny_schema))
+        res = map_and_augment([s], t, identity_scaler(tiny_schema))
         assert res.chosen_source == "only"
 
-    def test_row_arithmetic(self, tiny_schema, pruned):
+    def test_row_arithmetic(self, tiny_schema):
         t = simple_table("t", tiny_schema,
                          [[i, i] for i in range(5)],
                          [[i, i] for i in range(5)])
         s = simple_table("s", tiny_schema,
                          [[10 + i, i] for i in range(12)],
                          [[i, i] for i in range(12)])
-        res = map_and_augment([s], t, pruned, identity_scaler(tiny_schema))
+        res = map_and_augment([s], t, identity_scaler(tiny_schema))
         assert res.augmented.n_rows == 17
         assert res.conflicts_dropped == 0
 
-    def test_source_order_invariance(self, tiny_schema, pruned):
+    def test_source_order_invariance(self, tiny_schema):
         rng = np.random.default_rng(0)
         t = simple_table("t", tiny_schema, rng.normal(size=(3, 2)),
                          rng.normal(size=(3, 2)))
         sources = [simple_table(f"s{i}", tiny_schema, rng.normal(size=(3, 2)),
                                 rng.normal(size=(3, 2))) for i in range(4)]
         scaler = identity_scaler(tiny_schema)
-        a = map_and_augment(sources, t, pruned, scaler).chosen_source
-        b = map_and_augment(sources[::-1], t, pruned, scaler).chosen_source
+        a = map_and_augment(sources, t, scaler).chosen_source
+        b = map_and_augment(sources[::-1], t, scaler).chosen_source
         assert a == b
 
-    def test_far_source_never_chosen(self, tiny_schema, pruned):
+    def test_far_source_never_chosen(self, tiny_schema):
         rng = np.random.default_rng(1)
         t = simple_table("t", tiny_schema, rng.normal(size=(3, 2)),
                          rng.normal(size=(3, 2)))
@@ -261,8 +252,8 @@ class TestMapAndAugment:
         far = simple_table("zzz_far", tiny_schema, t.knobs,
                            t.metrics + 1e6)
         scaler = identity_scaler(tiny_schema)
-        before = map_and_augment([near], t, pruned, scaler).chosen_source
-        after = map_and_augment([near, far], t, pruned, scaler).chosen_source
+        before = map_and_augment([near], t, scaler).chosen_source
+        after = map_and_augment([near, far], t, scaler).chosen_source
         assert before == after == "near"
 
     def test_planted_neighbor_recovery(self):
@@ -270,10 +261,10 @@ class TestMapAndAugment:
                                n_latent=2, metrics_per_latent=2, noise_std=0.05,
                                seed=123, freq_scale=1.0, profile_scale=2.0)
         corpus, truth = synth.generate_corpus(spec)
-        scaler = fit_scaler(list(corpus.offline), corpus.schema)
         p = PrunedMetricSet(
             metric_names=(corpus.schema.metric_names[0],
                           corpus.schema.metric_names[2]))
+        scaler = fit_scaler(list(corpus.offline), corpus.schema, p)
         for t in corpus.online_b:
-            res = map_and_augment(list(corpus.offline), t, p, scaler)
+            res = map_and_augment(list(corpus.offline), t, scaler)
             assert res.chosen_source == truth.nearest_source_of[t.workload_id]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dbtune import predict
+from dbtune.cluster import PrunedMetricSet
 from dbtune.errors import ConfigError, DataError
 from dbtune.ingest import Schema
 
@@ -20,14 +21,14 @@ class TestScaler:
     def test_two_point_case(self):
         schema = self._schema()
         t = make_table("w", [[1.0], [3.0]], [[0.0], [10.0]], [1, 2], schema)
-        scaler = predict.fit_scaler([t], schema)
+        scaler = predict.fit_scaler([t], schema, PrunedMetricSet(("m0",)))
         assert scaler.means[0] == 2.0
         assert scaler.stds[0] == 1.0  # population std of [1, 3]
 
     def test_constant_feature_flagged(self):
         schema = self._schema()
         t = make_table("w", [[5.0], [5.0]], [[0.0], [10.0]], [1, 2], schema)
-        scaler = predict.fit_scaler([t], schema)
+        scaler = predict.fit_scaler([t], schema, PrunedMetricSet(("m0",)))
         assert "k0" in scaler.constant_features
         # centered only
         assert np.allclose(scaler.transform_knobs(t.knobs), [[0.0], [0.0]])
@@ -37,7 +38,7 @@ class TestScaler:
         rng = np.random.default_rng(0)
         t = make_table("w", rng.normal(size=(50, 1)) * 3 + 7,
                        rng.normal(size=(50, 1)), rng.uniform(1, 2, 50), schema)
-        scaler = predict.fit_scaler([t], schema)
+        scaler = predict.fit_scaler([t], schema, PrunedMetricSet(("m0",)))
         z = scaler.transform_knobs(t.knobs)[:, 0]
         assert abs(z.mean()) < 1e-9
         assert abs(z.std() - 1.0) < 1e-9
@@ -46,7 +47,82 @@ class TestScaler:
         schema = self._schema()
         t = make_table("w", [[1.0]], [[2.0]], [1.0], schema)
         with pytest.raises(DataError):
-            predict.fit_scaler([t], schema)
+            predict.fit_scaler([t], schema, PrunedMetricSet(("m0",)))
+
+
+def old_build_features(tables, table, schema, pruned):
+    """The features as computed before the scaler named its columns: mean/std
+    over every knob and metric column of `tables`, then the pruned metrics'
+    scaled columns picked by position."""
+    rows = np.hstack([np.vstack([t.knobs for t in tables]),
+                      np.vstack([t.metrics for t in tables])])
+    means, stds = rows.mean(axis=0), rows.std(axis=0)
+    stds = np.where(stds < predict.CONST_STD_EPS, 1.0, stds)
+    k = schema.n_knobs
+    idx = [schema.metric_names.index(n) for n in pruned.metric_names]
+    return np.hstack([(table.knobs - means[:k]) / stds[:k],
+                      ((table.metrics - means[k:]) / stds[k:])[:, idx]])
+
+
+class TestBuildFeatures:
+    schema = Schema(knob_names=("k0", "k1", "k2"),
+                    metric_names=tuple(f"m{i}" for i in range(12)),
+                    latency_name="latency", workload_id_name="workload_id")
+    pruned = PrunedMetricSet(("m7", "m0", "m3", "m11", "m5", "m1", "m9", "m2", "m10"))
+
+    def _tables(self, seed):
+        rng = np.random.default_rng(seed)
+        tables = []
+        for i in range(6):
+            n = int(rng.integers(1, 15))
+            metrics = rng.lognormal(size=(n, 12)) * 100.0
+            metrics[:, 4] = 3.0  # a constant column
+            # F-ordered inputs, as `drop_constant_columns` leaves them
+            tables.append(make_table(f"w{i}", np.asfortranarray(rng.normal(size=(n, 3)) * 5.0),
+                                     np.asfortranarray(metrics), rng.random(n), self.schema))
+        return tables
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_old_formula_c_ordered(self, seed):
+        tables = self._tables(seed)
+        scaler = predict.fit_scaler(tables, self.schema, self.pruned)
+        for table in tables:
+            got = predict.build_features(table, scaler)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == old_build_features(tables, table, self.schema,
+                                                       self.pruned).tobytes()
+
+    def test_columns_picked_by_name(self):
+        tables = self._tables(0)
+        scaler = predict.fit_scaler(tables, self.schema, self.pruned)
+        # the same columns in another order, with one more metric
+        order = [10, 4, 0, 2, 11, 1, 3, 5, 6, 7, 8, 9]
+        other = Schema(knob_names=("k2", "k0", "k1"),
+                       metric_names=tuple(f"m{i}" for i in order) + ("extra",),
+                       latency_name="latency", workload_id_name="workload_id")
+        t = tables[0]
+        moved = make_table(t.workload_id, t.knobs[:, [2, 0, 1]],
+                           np.hstack([t.metrics[:, order], np.zeros((t.n_rows, 1))]),
+                           t.latency, other)
+        assert (predict.build_features(moved, scaler).tobytes()
+                == predict.build_features(t, scaler).tobytes())
+
+    def test_missing_column_named(self):
+        tables = self._tables(0)
+        scaler = predict.fit_scaler(tables, self.schema, self.pruned)
+        other = Schema(knob_names=("k0", "k2"), metric_names=self.schema.metric_names,
+                       latency_name="latency", workload_id_name="workload_id")
+        t = make_table("w", [[1.0, 2.0]], np.ones((1, 12)), [1.0], other)
+        with pytest.raises(DataError, match="knob 'k1' not in schema"):
+            predict.build_features(t, scaler)
+        with pytest.raises(DataError, match="metric 'm13' not in schema"):
+            predict.fit_scaler(tables, self.schema, PrunedMetricSet(("m0", "m13")))
+
+    def test_constant_features_are_model_features(self):
+        tables = self._tables(1)  # m4 is constant in every table
+        assert predict.fit_scaler(tables, self.schema, self.pruned).constant_features == ()
+        with_m4 = PrunedMetricSet(("m0", "m4"))
+        assert predict.fit_scaler(tables, self.schema, with_m4).constant_features == ("m4",)
 
 
 class TestGpr:
