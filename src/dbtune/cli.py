@@ -45,7 +45,8 @@ class PipelineConfig:
     out: str = "out"
 
     def __post_init__(self):
-        for name, allowed in (("method", ("kmeans", "gmm")), ("predictor", ("gpr", "rf", "nn")),
+        for name, allowed in (("method", ("kmeans", "gmm")),
+                              ("predictor", tuple(predict.MODEL_KINDS)),
                               ("map_score", mapping.SCORE_VARIANTS)):
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
@@ -72,13 +73,14 @@ def _workload_seed(base_seed: int, workload_id: str) -> int:
     return base_seed + zlib.crc32(workload_id.encode()) % 100000
 
 
-def _load_and_clean(config: PipelineConfig, out: Path) -> ingest.Corpus:
+def _load_and_clean(config: PipelineConfig, out: Path) -> tuple[ingest.Corpus, list[str]]:
+    """The corpus without its constant columns, and their names (dropped_columns.txt)."""
     with _stage("ingest"):
         corpus = ingest.load_corpus_from_manifest(config.manifest)
         corpus, dropped = ingest.drop_constant_columns(corpus)
     out.mkdir(parents=True, exist_ok=True)
     (out / "dropped_columns.txt").write_text("".join(n + "\n" for n in dropped))
-    return corpus
+    return corpus, dropped
 
 
 def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
@@ -86,7 +88,7 @@ def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
     """Factor the offline metrics, cluster loadings and pick representatives."""
     out = Path(config.out)
     if corpus is None:
-        corpus = _load_and_clean(config, out)
+        corpus, _ = _load_and_clean(config, out)
     with _stage("factors"):
         x = factors.build_metric_matrix(list(corpus.offline))
         model = factors.fit_factors(x)
@@ -150,7 +152,7 @@ def _map_train_predict(config, sources, targets, scaler, stage_name):
 def run_two_stage(config: PipelineConfig) -> list[evaluate.EvalReport]:
     """Two-stage latency prediction over the online-B and online-C groups."""
     out = Path(config.out)
-    corpus = _load_and_clean(config, out)
+    corpus, _ = _load_and_clean(config, out)
     pruned = run_prune(config, corpus)
     with _stage("scaler"):
         scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
@@ -263,10 +265,22 @@ def _read_pruned(path) -> cluster.PrunedMetricSet:
     return cluster.PrunedMetricSet(metric_names=tuple(names))
 
 
+def _load_with_pruned(config: PipelineConfig, path
+                      ) -> tuple[ingest.Corpus, predict.StandardScaler]:
+    """The cleaned corpus, and the scaler of its knobs and of the metrics the
+    --pruned file at `path` lists."""
+    corpus, dropped = _load_and_clean(config, Path(config.out))
+    pruned = _read_pruned(path)
+    constant = next((n for n in pruned.metric_names if n in dropped), None)
+    if constant is not None:
+        raise DataError(f"metric {constant!r} is constant in the corpus and was dropped "
+                        f"(see dropped_columns.txt)")
+    return corpus, predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
+
+
 def _cmd_map(args, config: PipelineConfig) -> int:
     out = Path(config.out)
-    corpus = _load_and_clean(config, out)
-    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, _read_pruned(args.pruned))
+    corpus, scaler = _load_with_pruned(config, args.pruned)
     results = [mapping.map_and_augment(list(corpus.offline), table, scaler, config.map_score)
                for table in list(corpus.online_b) + list(corpus.online_c)]
     text = mapping.mapping_report_csv(results)
@@ -277,8 +291,7 @@ def _cmd_map(args, config: PipelineConfig) -> int:
 
 def _cmd_train(args, config: PipelineConfig) -> int:
     out = Path(config.out)
-    corpus = _load_and_clean(config, out)
-    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, _read_pruned(args.pruned))
+    corpus, scaler = _load_with_pruned(config, args.pruned)
     feats = np.vstack([predict.build_features(t, scaler) for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])
     model = _train_predictor(config, feats, targets, config.seed)
@@ -300,12 +313,10 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
         points += [(table.workload_id, float(t), float(p)) for t, p in zip(table.latency, preds)]
     if not points:
         raise DataError(f"no rows in group {args.group!r}")
-    # named after the model that made them, by its --predictor name
-    name = "nn" if model.kind == "mlp" else model.kind
-    report = evaluate.EvalReport(name, tuple(points))
+    report = evaluate.EvalReport(model.kind, tuple(points))  # named like --predictor
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"predictions_{name}.csv"
+    path = out / f"predictions_{model.kind}.csv"
     path.write_text(report.predictions_csv())
     print(path)
     return 0

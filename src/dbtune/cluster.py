@@ -99,7 +99,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    d2 = sq_dists(points, centroids[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -107,7 +107,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq_dists(points, centroids[j:j + 1])[:, 0])
     return centroids
 
 
@@ -140,7 +140,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
                 if not np.any(assign == j):
                     far = int(d2[np.arange(n), assign].argmax())
                     centroids[j] = points[far]
-                    d2[:, j] = np.sum((points - centroids[j]) ** 2, axis=1)
+                    d2[:, j] = sq_dists(points, centroids[j:j + 1])[:, 0]
                     assign = d2.argmin(axis=1)
             counts = np.bincount(assign, minlength=k)
         # the summation order of points[assign == j].mean(axis=0): pairwise
@@ -183,7 +183,7 @@ def fit_kmeans(points: np.ndarray, k: int, seed: int) -> KMeansModel:
 
 def _point_dists(points: np.ndarray) -> np.ndarray:
     """Euclidean distance between every pair of points, (n, n)."""
-    return np.sqrt(np.maximum(sq_dists(points, points), 0.0))
+    return np.sqrt(sq_dists(points, points))
 
 
 def silhouette_score(points: np.ndarray, assignments: np.ndarray,
@@ -340,18 +340,13 @@ def select_representatives(model, loadings: FactorModel) -> PrunedMetricSet:
     points = loadings.points
     if not points.shape[0] == len(names) == len(model.assignments):
         raise DataError("metric names, loading rows and the model's fitted rows do not align")
-    centers = model.centers()
-    assign = model.assignments
-    chosen_names: list[str] = []
-    taken = set()
-    for j in range(centers.shape[0]):
-        dist = np.sqrt(np.sum((points - centers[j]) ** 2, axis=1))
-        members = [i for i in range(len(names)) if assign[i] == j and i not in taken]
-        if not members:
-            members = [i for i in range(len(names)) if i not in taken]
-            if not members:
-                raise DataError("more clusters than metrics")
-        best = min(members, key=lambda i: (dist[i], names[i]))
-        taken.add(best)
-        chosen_names.append(names[best])
-    return PrunedMetricSet(metric_names=tuple(chosen_names))
+    dists = np.sqrt(sq_dists(points, model.centers()))
+    assign = model.assignments.tolist()
+    chosen: list[int] = []
+    for j in range(dists.shape[1]):
+        free = [i for i in range(len(names)) if i not in chosen]
+        if not free:
+            raise DataError("more clusters than metrics")
+        members = [i for i in free if assign[i] == j] or free
+        chosen.append(min(members, key=lambda i: (dists[i, j], names[i])))
+    return PrunedMetricSet(metric_names=tuple(names[i] for i in chosen))

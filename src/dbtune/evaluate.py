@@ -14,19 +14,19 @@ MAPE_EPS = 1e-6
 def _check(truth, pred):
     t = np.asarray(truth, dtype=float)
     p = np.asarray(pred, dtype=float)
-    if t.shape != p.shape or t.ndim != 1:
+    if t.shape != p.shape:
         raise DataError(f"shape mismatch: {t.shape} vs {p.shape}")
     if t.size < 1:
         raise DataError("empty vectors")
     return t, p
 
 
-def mape(truth, pred) -> float:
-    """Mean absolute percentage error, in percent, with a 1e-6 denominator guard."""
+def mape(truth, pred, axis=None):
+    """Mean absolute percentage error over `axis` (every value by default), in
+    percent, with a 1e-6 denominator guard: 100/n * sum(|t - p| / max(|t|, 1e-6))."""
     t, p = _check(truth, pred)
-    if np.any(t < 0):
-        raise DataError("negative truth values")
-    return float(100.0 / t.size * np.sum(np.abs(t - p) / np.maximum(np.abs(t), MAPE_EPS)))
+    n = t.size if axis is None else t.shape[axis]
+    return 100.0 / n * np.sum(np.abs(t - p) / np.maximum(np.abs(t), MAPE_EPS), axis=axis)
 
 
 def mse(truth, pred) -> float:
@@ -56,7 +56,7 @@ class EvalReport:
 
     @property
     def mape(self) -> float:
-        return mape(self.truth, self.prediction)
+        return float(mape(self.truth, self.prediction))
 
     @property
     def mse(self) -> float:
@@ -87,6 +87,10 @@ def parse_predictions_csv(text: str, model_name: str) -> EvalReport:
             points.append((cells[wid_i], float(cells[t_i]), float(cells[p_i])))
         except ValueError:
             raise DataError(f"line {lineno}: non-numeric truth/prediction") from None
+        if not np.isfinite(points[-1][1:]).all():
+            raise DataError(f"line {lineno}: non-finite truth/prediction")
+        if points[-1][1] < 0:
+            raise DataError(f"line {lineno}: negative truth {points[-1][1]}")
     if not points:
         raise DataError("predictions file has no rows")
     return EvalReport(model_name=model_name, per_point=tuple(points))

@@ -68,7 +68,8 @@ def build_metric_matrix(offline: list[WorkloadTable]) -> MetricMatrix:
     """Stack all offline observations into a standardized metric matrix.
 
     Columns follow workload-id sorted order, then row order within each
-    workload. Standardization uses the population standard deviation.
+    workload. Standardization uses the population standard deviation. Rows
+    of equal values are dropped (a constant 0.1 has a std of ~1e-17, not 0).
     """
     if not offline:
         raise DataError("no offline workloads")
@@ -83,7 +84,7 @@ def build_metric_matrix(offline: list[WorkloadTable]) -> MetricMatrix:
     x = cols.T.astype(float)
     mean = x.mean(axis=1, keepdims=True)
     std = x.std(axis=1, keepdims=True)
-    nonconstant = std[:, 0] > 0.0
+    nonconstant = np.any(x != x[:, :1], axis=1)
     dropped = tuple(n for n, keep in zip(schema.metric_names, nonconstant) if not keep)
     x = (x[nonconstant] - mean[nonconstant]) / std[nonconstant]
     names = tuple(n for n, keep in zip(schema.metric_names, nonconstant) if keep)

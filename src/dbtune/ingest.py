@@ -269,6 +269,11 @@ def _parse_file(path: Path, schema: Schema
                 except DataError as exc:
                     faults.append((i, j, f"{path}:{linenos[i]}: column {name!r}: {exc}"))
                     break
+    nonfinite = np.argwhere(~np.isfinite(values))  # nan, inf, or a number past float's range
+    if nonfinite.size:
+        i, j = nonfinite[0]
+        faults.append((i, j, f"{path}:{linenos[i]}: column {names[j]!r}: "
+                             f"non-finite value {columns[col[names[j]]][i].strip()!r}"))
     negative = np.flatnonzero(values[:, -1] < 0)
     if negative.size:
         i = negative[0]

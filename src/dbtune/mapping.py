@@ -3,14 +3,14 @@
 Each target row is paired with the source row whose scaled knob vector is
 nearest; per pruned metric the paired value vectors are compared, and the
 per-metric distances are averaged into a workload score. The lowest-scoring
-source is the match, and its rows (minus knob-config conflicts) are appended
-to the target's rows as training data.
+source is the match (the smallest id on ties), and its rows (minus
+knob-config conflicts) are appended to the target's rows as training data.
 
 A target is scored against all sources in one batched pass: the sources are
-stacked in id order, one knob-distance array pairs every target row with its
-nearest row inside each source (first row on ties), and every per-metric
-distance and score is a reduction over a contiguous last axis. The floats are
-those of scoring one source and one metric column at a time.
+stacked, one knob-distance array pairs every target row with its nearest row
+inside each source (first row on ties), and every per-metric distance and
+score is a reduction over a contiguous last axis. The floats are those of
+scoring one source and one metric column at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .cluster import sq_dists
 from .errors import ConfigError, DataError
-from .evaluate import MAPE_EPS
+from .evaluate import mape
 from .ingest import WorkloadTable
 from .predict import StandardScaler
 
@@ -30,16 +30,10 @@ SCORE_VARIANTS = ("euclid", "mse", "mape")
 
 
 @dataclass(frozen=True)
-class WorkloadScore:
-    source_workload_id: str
-    per_metric_distance: dict[str, float]
-    score: float
-
-
-@dataclass(frozen=True)
 class MappingResult:
     target_id: str
-    scores: tuple[WorkloadScore, ...]
+    source_ids: tuple[str, ...]  # every source, in id order
+    scores: np.ndarray  # the score of each of source_ids
     chosen_source: str
     augmented: WorkloadTable
     conflicts_dropped: int
@@ -52,30 +46,29 @@ def _metric_distances(t_cols: np.ndarray, paired: np.ndarray, variant: str) -> n
     n_rows), both C-contiguous: each reduction then runs over a contiguous
     last axis, the same summation as on the 1-D column of one metric.
     """
+    if variant == "mape":
+        return mape(np.broadcast_to(t_cols, paired.shape), paired, axis=-1)
     diff = t_cols - paired
     if variant == "euclid":
         return np.sqrt(np.sum(diff ** 2, axis=-1))
-    if variant == "mse":
-        return np.mean(diff ** 2, axis=-1)
-    return 100.0 * np.mean(np.abs(diff) / np.maximum(np.abs(t_cols), MAPE_EPS), axis=-1)
+    return np.mean(diff ** 2, axis=-1)
 
 
 def score_workloads(target: WorkloadTable, sources: list[WorkloadTable],
-                    scaler: StandardScaler, variant: str = "euclid") -> list[WorkloadScore]:
-    """Score every source workload against the target on the scaler's knobs
-    and pruned metrics; lower is more similar. The sources share the target's
-    schema."""
+                    scaler: StandardScaler, variant: str = "euclid") -> np.ndarray:
+    """Score of each source workload, in the order given, against the target on
+    the scaler's knobs and pruned metrics; lower is more similar. The sources
+    share the target's schema."""
     if target.n_rows < 1:
         raise DataError(f"target {target.workload_id} has no rows")
     if variant not in SCORE_VARIANTS:
         raise ConfigError(f"unknown score variant {variant!r}")
     kidx, midx = scaler.columns(target.schema)
-    sources = sorted(sources, key=lambda s: s.workload_id)
     if not sources:
-        return []
-    empty = next((s for s in sources if s.n_rows < 1), None)
+        raise DataError(f"no source workloads to map {target.workload_id} onto")
+    empty = min((s.workload_id for s in sources if s.n_rows < 1), default=None)
     if empty is not None:
-        raise DataError(f"source {empty.workload_id} has no rows")
+        raise DataError(f"source {empty} has no rows")
 
     t_knobs = scaler.transform_knobs(target.knobs.take(kidx, axis=1))
     t_metrics = scaler.transform_metrics(target.metrics.take(midx, axis=1))
@@ -97,18 +90,7 @@ def score_workloads(target: WorkloadTable, sources: list[WorkloadTable],
     paired = np.concatenate([s.metrics for s in sources]).take(midx, axis=1)[pair.T]
     paired = np.ascontiguousarray(scaler.transform_metrics(paired).transpose(0, 2, 1))
     per_metric = _metric_distances(np.ascontiguousarray(t_metrics.T), paired, variant)
-    totals = np.mean(per_metric, axis=-1)
-    names = scaler.metric_names
-    return [WorkloadScore(s.workload_id, dict(zip(names, row)), score)
-            for s, row, score in zip(sources, per_metric.tolist(), totals.tolist())]
-
-
-def nearest_workload(scores: list[WorkloadScore]) -> str:
-    """Source id with the minimal score; ties break lexicographically."""
-    if not scores:
-        raise DataError("no workload scores")
-    best = min(scores, key=lambda s: (s.score, s.source_workload_id))
-    return best.source_workload_id
+    return np.mean(per_metric, axis=-1)
 
 
 def augment(target: WorkloadTable, source: WorkloadTable) -> tuple[WorkloadTable, int]:
@@ -136,24 +118,25 @@ def augment(target: WorkloadTable, source: WorkloadTable) -> tuple[WorkloadTable
 
 def map_and_augment(corpus_sources: list[WorkloadTable], target: WorkloadTable,
                     scaler: StandardScaler, variant: str = "euclid") -> MappingResult:
-    """Compose scoring, nearest-source selection and augmentation."""
-    scores = score_workloads(target, corpus_sources, scaler, variant)
-    chosen = nearest_workload(scores)
-    source = next(s for s in corpus_sources if s.workload_id == chosen)
+    """Score the sources, pick the lowest score and augment the target with
+    that source; on a tie the smaller source id wins."""
+    sources = sorted(corpus_sources, key=lambda s: s.workload_id)
+    scores = score_workloads(target, sources, scaler, variant)
+    source = sources[int(scores.argmin())]  # the first minimum, so the smallest id
     augmented, dropped = augment(target, source)
-    return MappingResult(target_id=target.workload_id, scores=tuple(scores),
-                         chosen_source=chosen, augmented=augmented,
+    return MappingResult(target_id=target.workload_id,
+                         source_ids=tuple(s.workload_id for s in sources), scores=scores,
+                         chosen_source=source.workload_id, augmented=augmented,
                          conflicts_dropped=dropped)
 
 
 def mapping_report_csv(results: list[MappingResult]) -> str:
     lines = ["target_id,source_id,score,chosen,conflicts_dropped"]
     for res in results:
-        for score in res.scores:
-            chosen = score.source_workload_id == res.chosen_source
+        for source_id, score in zip(res.source_ids, res.scores.tolist()):
+            chosen = source_id == res.chosen_source
             lines.append(
-                f"{res.target_id},{score.source_workload_id},"
-                f"{format(score.score, '.17g')},{int(chosen)},"
+                f"{res.target_id},{source_id},{format(score, '.17g')},{int(chosen)},"
                 f"{res.conflicts_dropped if chosen else ''}"
             )
     return "\n".join(lines) + "\n"

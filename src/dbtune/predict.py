@@ -20,7 +20,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .cluster import PrunedMetricSet, sq_dists
 from .errors import ConfigError, DataError, NumericalError
-from .evaluate import MAPE_EPS
+from .evaluate import MAPE_EPS, mape
 from .ingest import (Schema, WorkloadTable, check_fields, json_field, json_floats,
                      json_strings, read_json_object)
 
@@ -607,7 +607,7 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
-    kind: ClassVar[str] = "mlp"
+    kind: ClassVar[str] = "nn"
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -664,14 +664,14 @@ def mlp_predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 
 def mlp_loss(model: MlpModel, features: np.ndarray, targets: np.ndarray) -> float:
-    pred = mlp_predict(model, features)
-    y = np.asarray(targets, dtype=float)
-    return float(np.mean(np.abs(y - pred) / np.maximum(np.abs(y), MAPE_EPS)))
+    """MAPE of the model's predictions, in percent."""
+    return float(mape(targets, mlp_predict(model, features)))
 
 
 def mlp_gradients(model: MlpModel, features: np.ndarray,
                   targets: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic gradients of the MAPE loss w.r.t. all four parameter blocks."""
+    """Analytic gradients of the MAPE as a fraction, mlp_loss / 100, w.r.t.
+    all four parameter blocks."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
     out, pre, hid = _mlp_forward(model, x)

@@ -404,6 +404,19 @@ class TestEvalCommand:
         assert run(["eval", "--predictions-dir", tmp_path / "preds",
                     "--out", tmp_path / "out"]) == 2
 
+    @pytest.mark.parametrize("row, message", [
+        ("w,-2.5,1", "negative truth -2.5"),
+        ("w,nan,1", "non-finite truth/prediction"),
+        ("w,2,inf", "non-finite truth/prediction"),
+    ], ids=["negative-truth", "nan-truth", "inf-prediction"])
+    def test_bad_truth_or_prediction_is_data_error(self, row, message, tmp_path, capsys):
+        pdir = tmp_path / "preds"
+        pdir.mkdir()
+        (pdir / "predictions_x.csv").write_text(
+            f"workload_id,truth,prediction\nw,1,1\n{row}\n")
+        assert run(["eval", "--predictions-dir", pdir, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: [eval/predictions_x.csv] line 3: {message}\n"
+
 
 class TestTrainPredictCommands:
     def test_train_then_predict(self, corpus_dir, tmp_path, capsys):
@@ -435,6 +448,15 @@ class TestTrainPredictCommands:
                     "--model-dir", out]) == 0
         capsys.readouterr()
         assert [p.name for p in (out / "p").iterdir()] == ["predictions_nn.csv"]
+
+    def test_mlp_kind_is_unknown(self, corpus_dir, trained_dir, tmp_path, capsys):
+        # the network's kind is its --predictor name, nn
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        _edit_json(model_dir / "model.json", lambda d: d.update(kind="mlp"))
+        assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                    "--model-dir", model_dir]) == 2
+        assert capsys.readouterr().err == "error: unknown model kind 'mlp'\n"
 
     def test_reloaded_preprocessing_matches_in_process_path(self, corpus_dir, trained_dir,
                                                             tmp_path, capsys):
@@ -530,6 +552,33 @@ class TestCrossCorpusPredict:
                     "--pruned", pruned]) == 2
         assert capsys.readouterr().err == (
             "error: metric 'metric_g00_0' named twice in pruned set\n")
+
+
+class TestPrunedMetricConstantInCorpus:
+    """A --pruned metric that the corpus holds constant was dropped at ingest;
+    map and train name that cause, not a missing column."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("constant_pruned")
+        assert run(["synth", "--out", root / "c", "--seed", "3"]) == 0
+        assert run(["prune", "--manifest", root / "c" / "manifest.json",
+                    "--out", root / "p"]) == 0
+        pruned = root / "p" / "pruned_metrics.txt"
+        assert "metric_g00_1" in pruned.read_text().split()
+        return _corpus_copy(root / "c" / "manifest.json", root / "k",
+                            constant=["metric_g00_1"]), pruned
+
+    @pytest.mark.parametrize("command", ["train", "map"])
+    def test_exits_2_naming_the_cause(self, setup, command, tmp_path, capsys):
+        manifest, pruned = setup
+        capsys.readouterr()
+        assert run([command, "--manifest", manifest, "--out", tmp_path,
+                    "--pruned", pruned]) == 2
+        assert capsys.readouterr().err == (
+            "error: metric 'metric_g00_1' is constant in the corpus and was dropped "
+            "(see dropped_columns.txt)\n")
+        assert (tmp_path / "dropped_columns.txt").read_text() == "metric_g00_1\n"
 
 
 class TestStageComposability:

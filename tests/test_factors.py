@@ -10,7 +10,7 @@ from dbtune.factors import (
     fit_factors,
     retain_significant,
 )
-from dbtune.ingest import Schema
+from dbtune.ingest import Corpus, Schema, drop_constant_columns
 
 from conftest import make_table
 
@@ -55,6 +55,20 @@ class TestBuildMetricMatrix:
     def test_zero_variance_row_excluded(self):
         rows = [[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]]
         x = build_metric_matrix([table_for("w", rows, ["m0", "m1"])])
+        assert x.metric_names == ("m0",)
+        assert x.dropped_zero_variance == ("m1",)
+
+    def test_offline_constant_metric_excluded_though_it_varies_online(self):
+        # 12 offline rows of 0.1 have a population std of ~1.4e-17, not 0;
+        # the online rows keep the column in the corpus past ingest
+        names = ["m0", "m1"]
+        offline = [table_for(f"off{i}", [[1.0 + i + j, 0.1] for j in range(3)], names)
+                   for i in range(4)]
+        online = [table_for("on", [[1.0, 0.1], [2.0, 0.5]], names)]
+        corpus, dropped = drop_constant_columns(
+            Corpus(tuple(offline), tuple(online), (), offline[0].schema))
+        assert dropped == [] and np.full(12, 0.1).std() > 0.0
+        x = build_metric_matrix(list(corpus.offline))
         assert x.metric_names == ("m0",)
         assert x.dropped_zero_variance == ("m1",)
 

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dbtune import synth
 from dbtune.errors import DataError
 from dbtune.ingest import (
+    GROUP_NAMES,
     drop_constant_columns,
     encode_booleans,
     load_corpus,
@@ -222,6 +223,68 @@ class TestColumnParse:
         with pytest.raises(DataError) as info:
             load_corpus([csv], manifest)
         assert str(info.value) == message.format(path=csv)
+
+
+_ROW = st.tuples(st.sampled_from(["a", "b"]), _cell(_NUMBER), _cell(_NUMBER), _cell(_LATENCY))
+_NONFINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999",
+                              "-1e400"])
+_NO_ROWS = st.sampled_from(["", "workload_id,k0,m0,latency\n",
+                            "workload_id,k0,m0,latency\n\n , ,,\n"])
+
+
+def _load_error(tmp_path, rows) -> tuple[str, object]:
+    """The DataError message of loading one CSV of these rows (any other
+    exception fails the test), and the CSV's path."""
+    manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"])
+    csv = tmp_path / "data.csv"
+    csv.write_text("workload_id,k0,m0,latency\n" + "".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(DataError) as info:
+        load_corpus([csv], manifest)
+    return str(info.value), csv
+
+
+class TestMalformedInputProperties:
+    """Ragged rows, non-finite cells and groups without rows are DataErrors
+    that name the file, and the line where there is one."""
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_ROW, min_size=1, max_size=6), st.data())
+    def test_ragged_row(self, tmp_path, rows, data):
+        at = data.draw(st.integers(0, len(rows) - 1))
+        width = data.draw(st.integers(1, 9).filter(lambda w: w != 4))
+        rows[at] = (rows[at] * 3)[:width]
+        message, csv = _load_error(tmp_path, rows)
+        assert message == f"{csv}:{at + 2}: expected 4 cells, got {width}"
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_ROW, min_size=1, max_size=6), st.data())
+    def test_nonfinite_cell(self, tmp_path, rows, data):
+        at = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(1, 3))
+        token = data.draw(_cell(_NONFINITE))
+        rows[at] = rows[at][:j] + (token,) + rows[at][j + 1:]
+        message, csv = _load_error(tmp_path, rows)
+        column = ("k0", "m0", "latency")[j - 1]
+        assert message == (f"{csv}:{at + 2}: column {column!r}: "
+                           f"non-finite value {token.strip()!r}")
+
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.fixed_dictionaries({g: st.lists(_NO_ROWS, max_size=2) for g in GROUP_NAMES}))
+    def test_groups_without_rows(self, tmp_path, bodies):
+        groups = {g: [f"{g}_{i}.csv" for i in range(len(bodies[g]))] for g in GROUP_NAMES}
+        for g in GROUP_NAMES:
+            for name, body in zip(groups[g], bodies[g]):
+                (tmp_path / name).write_text(body)
+        manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"], groups)
+        with pytest.raises(DataError) as info:
+            load_corpus_from_manifest(manifest)
+        listed = [(tmp_path / n, b) for g in GROUP_NAMES for n, b in zip(groups[g], bodies[g])]
+        if not listed:
+            assert str(info.value) == f"manifest {manifest} names no input files"
+        else:
+            first, body = listed[0]
+            assert str(info.value) == (f"{first}: empty file, no header" if not body
+                                       else f"{first}: no observations")
 
 
 class TestDropConstantColumns:

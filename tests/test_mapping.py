@@ -6,13 +6,7 @@ from dbtune.cluster import PrunedMetricSet
 from dbtune.errors import DataError
 from dbtune.evaluate import MAPE_EPS
 from dbtune.ingest import Schema
-from dbtune.mapping import (
-    augment,
-    map_and_augment,
-    nearest_workload,
-    score_workloads,
-    WorkloadScore,
-)
+from dbtune.mapping import augment, map_and_augment, score_workloads
 from dbtune.predict import fit_scaler
 
 from conftest import identity_scaler, make_table
@@ -27,31 +21,28 @@ def simple_table(wid, schema, knob_rows, metric_rows, latency=None):
 class TestScoreWorkloads:
     def test_self_source_scores_zero(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
-        scores = score_workloads(t, [t], identity_scaler(tiny_schema))
-        assert scores[0].score == 0.0
+        assert score_workloads(t, [t], identity_scaler(tiny_schema))[0] == 0.0
 
     def test_hand_evaluation(self, tiny_schema):
         # single pruned metric, single row: target 3 vs paired source 0
         target = simple_table("t", tiny_schema, [[0, 0]], [[3.0, 9]])
         source = simple_table("s", tiny_schema, [[0, 0]], [[0.0, 9]])
         scores = score_workloads(target, [source], identity_scaler(tiny_schema, ("m0",)))
-        assert scores[0].per_metric_distance["m0"] == pytest.approx(3.0)
-        assert scores[0].score == pytest.approx(3.0)
+        assert scores.tolist() == [pytest.approx(3.0)]
 
     def test_copy_beats_perturbed(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
         copy = simple_table("copy", tiny_schema, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
         pert = simple_table("pert", tiny_schema, [[1, 2], [3, 4]], [[6, 7], [9, 8]])
-        scores = score_workloads(t, [copy, pert], identity_scaler(tiny_schema))
-        by_id = {s.source_workload_id: s.score for s in scores}
-        assert by_id["copy"] < by_id["pert"]
+        # one score per source, in the order given
+        copy_score, pert_score = score_workloads(t, [copy, pert], identity_scaler(tiny_schema))
+        assert copy_score < pert_score
 
     def test_score_is_mean_of_metric_distances(self, tiny_schema):
+        # one row each: the euclid distances of m0 and m1 are 3 and 4
         t = simple_table("t", tiny_schema, [[0, 0]], [[1.0, 2.0]])
         s = simple_table("s", tiny_schema, [[0, 0]], [[4.0, 6.0]])
-        scores = score_workloads(t, [s], identity_scaler(tiny_schema))
-        d = scores[0].per_metric_distance
-        assert scores[0].score == pytest.approx(np.mean(list(d.values())))
+        assert score_workloads(t, [s], identity_scaler(tiny_schema))[0] == 3.5
 
     def test_empty_pruned_rejected(self, tiny_schema):
         # the scaler declares the features, so an empty metric set is refused there
@@ -62,35 +53,35 @@ class TestScoreWorkloads:
         t = simple_table("t", tiny_schema, [[0, 0], [1, 1]], [[1, 2], [3, 4]])
         s = simple_table("s", tiny_schema, [[0, 0], [1, 1]], [[2, 2], [3, 5]])
         for variant in ("euclid", "mse", "mape"):
-            scores = score_workloads(t, [s], identity_scaler(tiny_schema), variant)
-            assert scores[0].score >= 0
+            assert score_workloads(t, [s], identity_scaler(tiny_schema), variant)[0] >= 0
 
 
 def reference_scores(target, sources, scaler, variant):
     """One source at a time, one metric column at a time: the batched scorer
-    must give exactly these floats."""
+    must give exactly these floats. Returns the id-sorted source ids and
+    their scores."""
     idx = [target.schema.metric_names.index(name) for name in scaler.metric_names]
     t_knobs = scaler.transform_knobs(target.knobs)
     t_metrics = scaler.transform_metrics(target.metrics[:, idx])
-    scores = []
+    ids, scores = [], []
     for source in sorted(sources, key=lambda s: s.workload_id):
         s_knobs = scaler.transform_knobs(source.knobs)
         s_metrics = scaler.transform_metrics(source.metrics[:, idx])
         diff = t_knobs[:, None, :] - s_knobs[None, :, :]
         paired = s_metrics[np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)]
-        per_metric = {}
-        for j, name in enumerate(scaler.metric_names):
+        per_metric = []
+        for j in range(len(scaler.metric_names)):
             t_col, d = t_metrics[:, j], t_metrics[:, j] - paired[:, j]
             if variant == "euclid":
-                per_metric[name] = float(np.sqrt(np.sum(d ** 2)))
+                per_metric.append(float(np.sqrt(np.sum(d ** 2))))
             elif variant == "mse":
-                per_metric[name] = float(np.mean(d ** 2))
+                per_metric.append(float(np.mean(d ** 2)))
             else:
-                per_metric[name] = float(100.0 * np.mean(
-                    np.abs(d) / np.maximum(np.abs(t_col), MAPE_EPS)))
-        score = float(np.mean(list(per_metric.values())))
-        scores.append(WorkloadScore(source.workload_id, per_metric, score))
-    return scores
+                per_metric.append(float(100.0 / len(d) * np.sum(
+                    np.abs(d) / np.maximum(np.abs(t_col), MAPE_EPS))))
+        ids.append(source.workload_id)
+        scores.append(float(np.mean(per_metric)))
+    return tuple(ids), scores
 
 
 class TestBatchedScoringExact:
@@ -114,14 +105,15 @@ class TestBatchedScoringExact:
     def _check(self, target, sources):
         scaler = fit_scaler(sources + [target], self.schema, self.pruned)
         for variant in ("euclid", "mse", "mape"):
+            want_ids, want_scores = reference_scores(target, sources, scaler, variant)
+            res = map_and_augment(sources, target, scaler, variant)
+            assert res.source_ids == want_ids
+            assert res.scores.tolist() == want_scores
+            assert res.chosen_source == min(zip(want_scores, want_ids))[1]
+            # scored directly, the sources keep the order they are given in
             got = score_workloads(target, sources, scaler, variant)
-            want = reference_scores(target, sources, scaler, variant)
-            assert [s.source_workload_id for s in got] == [s.source_workload_id for s in want]
-            for g, w in zip(got, want):
-                assert g.per_metric_distance == w.per_metric_distance
-                assert list(g.per_metric_distance) == list(w.per_metric_distance)
-                assert g.score == w.score
-            assert nearest_workload(got) == nearest_workload(want)
+            assert dict(zip([s.workload_id for s in sources], got.tolist())) == dict(
+                zip(want_ids, want_scores))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n_target", [1, 5, 11])
@@ -145,13 +137,11 @@ class TestBatchedScoringExact:
         t = simple_table("t", tiny_schema, [[0, 0]], [[1.0, 1.0]])
         s = simple_table("s", tiny_schema, [[1, 0], [0, 1], [5, 5]],
                          [[1.0, 1.0], [9.0, 9.0], [1.0, 1.0]])
-        score = score_workloads(t, [s], identity_scaler(tiny_schema))[0]
-        assert score.score == 0.0
+        assert score_workloads(t, [s], identity_scaler(tiny_schema))[0] == 0.0
 
     def test_empty_source_list(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
-        assert score_workloads(t, [], identity_scaler(tiny_schema)) == []
-        with pytest.raises(DataError, match="no workload scores"):
+        with pytest.raises(DataError, match="no source workloads to map t onto"):
             map_and_augment([], t, identity_scaler(tiny_schema))
 
     def test_zero_row_source_named_first_in_sorted_order(self, tiny_schema):
@@ -161,20 +151,6 @@ class TestBatchedScoringExact:
                    for w in ("z_empty", "m_empty")]
         with pytest.raises(DataError, match="source m_empty has no rows"):
             score_workloads(t, [ok, *empties], identity_scaler(tiny_schema))
-
-
-class TestNearestWorkload:
-    def test_argmin(self):
-        scores = [WorkloadScore("A", {}, 2.0), WorkloadScore("B", {}, 1.0)]
-        assert nearest_workload(scores) == "B"
-
-    def test_tie_breaks_lexicographic(self):
-        scores = [WorkloadScore("B", {}, 1.0), WorkloadScore("A", {}, 1.0)]
-        assert nearest_workload(scores) == "A"
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            nearest_workload([])
 
 
 class TestAugment:
@@ -220,6 +196,23 @@ class TestMapAndAugment:
         s = simple_table("only", tiny_schema, [[5, 5]], [[9, 9]])
         res = map_and_augment([s], t, identity_scaler(tiny_schema))
         assert res.chosen_source == "only"
+
+    def test_lowest_score_chosen(self, tiny_schema):
+        t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
+        far = simple_table("A", tiny_schema, [[1, 0]], [[5, 9]])
+        near = simple_table("B", tiny_schema, [[1, 0]], [[1, 3]])
+        res = map_and_augment([near, far], t, identity_scaler(tiny_schema))
+        assert res.source_ids == ("A", "B")
+        assert res.scores[1] < res.scores[0]
+        assert res.chosen_source == "B"
+        assert res.augmented.metrics.tolist() == [[1, 2], [1, 3]]
+
+    def test_tie_breaks_lexicographic(self, tiny_schema):
+        t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
+        b, a = (simple_table(w, tiny_schema, [[1, 1]], [[3, 4]], [7.0]) for w in "BA")
+        res = map_and_augment([b, a], t, identity_scaler(tiny_schema))
+        assert res.scores[0] == res.scores[1]
+        assert res.chosen_source == "A"
 
     def test_row_arithmetic(self, tiny_schema):
         t = simple_table("t", tiny_schema,

