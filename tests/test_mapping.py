@@ -142,7 +142,7 @@ class TestBatchedScoringExact:
     def test_empty_source_list(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
         with pytest.raises(DataError, match="no source workloads to map t onto"):
-            map_and_augment([], t, identity_scaler(tiny_schema))
+            score_workloads(t, [], identity_scaler(tiny_schema))
 
     def test_zero_row_source_named_first_in_sorted_order(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
@@ -206,6 +206,11 @@ class TestMapAndAugment:
         assert res.scores[1] < res.scores[0]
         assert res.chosen_source == "B"
         assert res.augmented.metrics.tolist() == [[1, 2], [1, 3]]
+
+    def test_empty_sources_rejected(self, tiny_schema):
+        t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
+        with pytest.raises(DataError, match="no source workloads to map t onto"):
+            map_and_augment([], t, identity_scaler(tiny_schema))
 
     def test_tie_breaks_lexicographic(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
