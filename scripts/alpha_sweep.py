@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from dbtune import cluster, evaluate, predict, synth
+from dbtune import evaluate, predict, synth
 
 
 def main() -> int:
@@ -23,8 +23,7 @@ def main() -> int:
                            n_latent=2, metrics_per_latent=2,
                            noise_std=args.noise_std, seed=args.seed)
     corpus, _ = synth.generate_corpus(spec)
-    pruned = cluster.PrunedMetricSet(metric_names=corpus.schema.metric_names)
-    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
+    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, corpus.schema.metric_names)
     feats = np.vstack([predict.build_features(t, scaler) for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 import zlib
@@ -52,6 +53,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.k_min < 2 or self.k_max < self.k_min:
             raise ConfigError(f"bad k range [{self.k_min}, {self.k_max}]")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.trees < 1 or self.depth < 0:
             raise ConfigError(f"trees must be >= 1 and depth >= 0, "
                               f"got {self.trees} and {self.depth}")
@@ -84,8 +87,9 @@ def _load_and_clean(config: PipelineConfig, out: Path) -> tuple[ingest.Corpus, l
 
 
 def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
-              ) -> cluster.PrunedMetricSet:
-    """Factor the offline metrics, cluster loadings and pick representatives."""
+              ) -> tuple[str, ...]:
+    """Factor the offline metrics, cluster loadings and pick representatives;
+    returns their names."""
     out = Path(config.out)
     if corpus is None:
         corpus, _ = _load_and_clean(config, out)
@@ -99,7 +103,7 @@ def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
     n_metrics = len(model.metric_names)
     if n_metrics < 2:
         warnings.warn("only one metric available; cluster sweep skipped", stacklevel=2)
-        pruned = cluster.PrunedMetricSet(metric_names=model.metric_names)
+        pruned = model.metric_names
     else:
         k_max = min(config.k_max, n_metrics)
         ks = tuple(range(config.k_min, k_max + 1))
@@ -112,8 +116,7 @@ def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
             warnings.warn(f"chosen k={sel.chosen_k} is the largest candidate, so a larger k "
                           f"may score higher; raise --k-max to sweep further", stacklevel=2)
         (out / "cluster_report.csv").write_text(sel.report_csv())
-    (out / "pruned_metrics.txt").write_text(
-        "".join(n + "\n" for n in pruned.metric_names))
+    (out / "pruned_metrics.txt").write_text("".join(n + "\n" for n in pruned))
     return pruned
 
 
@@ -123,8 +126,7 @@ def _train_predictor(config: PipelineConfig, features: np.ndarray,
         return predict.gpr_fit(features, targets, config.alpha)
     if config.predictor == "rf":
         return predict.rf_fit(features, targets, config.trees, config.depth, seed)
-    return predict.mlp_fit(features, targets, predict.MlpConfig(
-        hidden_units=config.hidden, epochs=config.epochs, seed=seed))
+    return predict.mlp_fit(features, targets, config.hidden, config.epochs, seed)
 
 
 def _map_train_predict(config, sources, targets, scaler, stage_name):
@@ -247,22 +249,22 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_prune(args, config: PipelineConfig) -> int:
-    for name in run_prune(config).metric_names:
+    for name in run_prune(config):
         print(name)
     return 0
 
 
-def _read_pruned(path) -> cluster.PrunedMetricSet:
+def _read_pruned(path) -> tuple[str, ...]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    names = [line.strip() for line in text.splitlines() if line.strip()]
+    names = tuple(line.strip() for line in text.splitlines() if line.strip())
     if not names:
         raise DataError(f"pruned metric file {path} is empty")
-    return cluster.PrunedMetricSet(metric_names=tuple(names))
+    return names
 
 
 def _load_with_pruned(config: PipelineConfig, path
@@ -271,7 +273,7 @@ def _load_with_pruned(config: PipelineConfig, path
     --pruned file at `path` lists."""
     corpus, dropped = _load_and_clean(config, Path(config.out))
     pruned = _read_pruned(path)
-    constant = next((n for n in pruned.metric_names if n in dropped), None)
+    constant = next((n for n in pruned if n in dropped), None)
     if constant is not None:
         raise DataError(f"metric {constant!r} is constant in the corpus and was dropped "
                         f"(see dropped_columns.txt)")

@@ -79,16 +79,6 @@ class ClusterSelection:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class PrunedMetricSet:
-    metric_names: tuple[str, ...]
-
-    def __post_init__(self):
-        twice = next((n for n in self.metric_names if self.metric_names.count(n) > 1), None)
-        if twice is not None:
-            raise DataError(f"metric {twice!r} named twice in pruned set")
-
-
 def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance of every point to every center, (n, k)."""
     diff = points[:, None, :] - centers[None, :, :]
@@ -329,8 +319,9 @@ def sweep_k(points: np.ndarray, method: str, ks, seed: int = 0) -> ClusterSelect
                             chosen_k=chosen, model=models[chosen])
 
 
-def select_representatives(model, loadings: FactorModel) -> PrunedMetricSet:
-    """Pick per cluster the metric whose loading row is nearest the center.
+def select_representatives(model, loadings: FactorModel) -> tuple[str, ...]:
+    """Names of the metrics picked, one per cluster: the one whose loading row
+    is nearest the cluster's center.
 
     Ties break toward the lexicographically smaller metric name. A cluster
     left empty by hard GMM assignment falls back to the nearest not-yet-chosen
@@ -349,4 +340,4 @@ def select_representatives(model, loadings: FactorModel) -> PrunedMetricSet:
             raise DataError("more clusters than metrics")
         members = [i for i in free if assign[i] == j] or free
         chosen.append(min(members, key=lambda i: (dists[i, j], names[i])))
-    return PrunedMetricSet(metric_names=tuple(names[i] for i in chosen))
+    return tuple(names[i] for i in chosen)

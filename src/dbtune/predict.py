@@ -18,11 +18,11 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .cluster import PrunedMetricSet, sq_dists
+from .cluster import sq_dists
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import MAPE_EPS, mape
-from .ingest import (Schema, WorkloadTable, check_fields, json_field, json_floats,
-                     json_strings, read_json_object)
+from .ingest import (Schema, WorkloadTable, json_field, json_floats, json_strings,
+                     read_json_object)
 
 MODEL_FORMAT_VERSION = 1
 CONST_STD_EPS = 1e-12
@@ -102,7 +102,7 @@ def _positions(kind: str, names: tuple[str, ...], columns: tuple[str, ...]) -> n
 
 
 def fit_scaler(tables: list[WorkloadTable], schema: Schema,
-               pruned: PrunedMetricSet) -> StandardScaler:
+               metric_names: tuple[str, ...]) -> StandardScaler:
     """Fit the features' mean and population std over all rows of all tables.
 
     The statistics are reduced over every knob and metric column, then the
@@ -113,7 +113,7 @@ def fit_scaler(tables: list[WorkloadTable], schema: Schema,
                       np.vstack([t.metrics for t in tables])])
     if rows.shape[0] < 2:
         raise DataError(f"scaler needs >= 2 rows, has {rows.shape[0]}")
-    metrics = tuple(pruned.metric_names)
+    metrics = tuple(metric_names)
     idx = np.concatenate([np.arange(schema.n_knobs),
                           schema.n_knobs + _positions("metric", metrics, schema.metric_names)])
     means, stds = rows.mean(axis=0)[idx], rows.std(axis=0)[idx]
@@ -147,30 +147,28 @@ class GprModel:
     signal_variance: float
     x_train: np.ndarray
     y_mean: float
-    y_centered: np.ndarray
     chol: np.ndarray = field(repr=False)
-    dual_coef: np.ndarray = field(repr=False)  # (K + alpha I)^-1 y_centered
+    dual_coef: np.ndarray = field(repr=False)  # (K + alpha I)^-1 (y - y_mean)
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha, "length_scale": self.length_scale,
                 "signal_variance": self.signal_variance,
                 "x_train": _arr(self.x_train), "y_mean": self.y_mean,
-                "y_centered": _arr(self.y_centered),
                 "chol": _arr(self.chol), "dual_coef": _arr(self.dual_coef)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "GprModel":
         x_train, chol = json_floats(doc, "x_train", 2), json_floats(doc, "chol", 2)
-        y_centered, dual_coef = json_floats(doc, "y_centered"), json_floats(doc, "dual_coef")
+        dual_coef = json_floats(doc, "dual_coef")
         n = len(x_train)
-        if chol.shape != (n, n) or y_centered.shape != (n,) or dual_coef.shape != (n,):
+        if chol.shape != (n, n) or dual_coef.shape != (n,):
             raise ValueError(f"arrays do not fit {n} training rows")
         number = (int, float)
         return cls(alpha=json_field(doc, "alpha", number),
                    length_scale=json_field(doc, "length_scale", number),
                    signal_variance=json_field(doc, "signal_variance", number),
                    x_train=x_train, y_mean=json_field(doc, "y_mean", number),
-                   y_centered=y_centered, chol=chol, dual_coef=dual_coef)
+                   chol=chol, dual_coef=dual_coef)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return gpr_predict(self, features)[0]
@@ -209,8 +207,8 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
     if x.shape[0] != y.shape[0] or y.shape[0] < 1:
         raise DataError("features/targets length mismatch or empty")
     y_mean = float(y.mean())
@@ -246,8 +244,7 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
 
     _, ell, sig, chol, dual, eff = best
     return GprModel(alpha=eff, length_scale=ell, signal_variance=sig,
-                    x_train=x, y_mean=y_mean, y_centered=yc,
-                    chol=chol, dual_coef=dual)
+                    x_train=x, y_mean=y_mean, chol=chol, dual_coef=dual)
 
 
 def gpr_posterior(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,13 +293,12 @@ class _FlatForest(NamedTuple):
 @dataclass(frozen=True)
 class RfModel:
     kind: ClassVar[str] = "rf"
-    n_trees: int
     max_depth: int
     trees: tuple[_TreeNode, ...]
     seed: int
 
     def to_json(self) -> dict:
-        return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed,
+        return {"n_trees": len(self.trees), "max_depth": self.max_depth, "seed": self.seed,
                 "trees": [_tree_to_dict(t) for t in self.trees]}
 
     @classmethod
@@ -310,8 +306,10 @@ class RfModel:
         trees = doc["trees"]
         if not isinstance(trees, list) or not trees:
             raise TypeError("trees must be a non-empty list")
-        return cls(n_trees=json_field(doc, "n_trees", int),
-                   max_depth=json_field(doc, "max_depth", int), seed=json_field(doc, "seed", int),
+        n_trees = json_field(doc, "n_trees", int)
+        if n_trees != len(trees):
+            raise ValueError(f"n_trees is {n_trees}, but {len(trees)} trees are given")
+        return cls(max_depth=json_field(doc, "max_depth", int), seed=json_field(doc, "seed", int),
                    trees=tuple(_tree_from_dict(t) for t in trees))
 
     @cached_property
@@ -561,8 +559,7 @@ def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int = 200,
         stack[:, t, top] = left + 1, starts[s] + n_left[s], sizes[s] - n_left[s], depths[s] + 1
         stack[:, t, top + 1] = left, starts[s], n_left[s], depths[s] + 1
         height[t] += 2
-    return RfModel(n_trees=n_trees, max_depth=max_depth, trees=tuple(nodes[:n_trees]),
-                   seed=seed)
+    return RfModel(max_depth=max_depth, trees=tuple(nodes[:n_trees]), seed=seed)
 
 
 def rf_predict(model: RfModel, features: np.ndarray) -> np.ndarray:
@@ -593,16 +590,11 @@ def rf_predict(model: RfModel, features: np.ndarray) -> np.ndarray:
 # Neural network (1 hidden layer, Adam, MAPE loss)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MlpConfig:
-    hidden_units: int = 64
-    epochs: int = 500
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 0
+# mini-batch size and Adam's step size, moment decays and epsilon
+BATCH_SIZE = 32
+LEARNING_RATE = 1e-3
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -612,13 +604,13 @@ class MlpModel:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    config: MlpConfig
+    seed: int  # of the initial weights; seed + 1 shuffles each epoch
     loss_trace: tuple[float, ...] = ()
 
     def to_json(self) -> dict:
         return {"w1": _arr(self.w1), "b1": _arr(self.b1),
                 "w2": _arr(self.w2), "b2": _arr(self.b2),
-                "config": self.config.__dict__, "loss_trace": list(self.loss_trace)}
+                "seed": self.seed, "loss_trace": list(self.loss_trace)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "MlpModel":
@@ -626,17 +618,16 @@ class MlpModel:
         w2, b2 = json_floats(doc, "w2", 2), json_floats(doc, "b2")
         if b1.shape != (w1.shape[1],) or w2.shape != (len(b1), 1) or b2.shape != (1,):
             raise ValueError(f"layer shapes {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
-        config = check_fields(MlpConfig, json_field(doc, "config", dict), "config", TypeError)
-        return cls(w1=w1, b1=b1, w2=w2, b2=b2, config=MlpConfig(**config),
+        return cls(w1=w1, b1=b1, w2=w2, b2=b2, seed=json_field(doc, "seed", int),
                    loss_trace=tuple(json_floats(doc, "loss_trace").tolist()))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return mlp_predict(self, features)
 
 
-def _mlp_init(n_features: int, config: MlpConfig) -> MlpModel:
-    rng = np.random.default_rng(config.seed)
-    h = config.hidden_units
+def _mlp_init(n_features: int, hidden_units: int, seed: int) -> MlpModel:
+    rng = np.random.default_rng(seed)
+    h = hidden_units
 
     def glorot(fan_in, fan_out, shape):
         lim = math.sqrt(6.0 / (fan_in + fan_out))
@@ -647,7 +638,7 @@ def _mlp_init(n_features: int, config: MlpConfig) -> MlpModel:
         b1=np.zeros(h),
         w2=glorot(h, 1, (h, 1)),
         b2=np.zeros(1),
-        config=config,
+        seed=seed,
     )
 
 
@@ -660,6 +651,9 @@ def _mlp_forward(model: MlpModel, x: np.ndarray):
 
 def mlp_predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(features, dtype=float))
+    if x.shape[1] != model.w1.shape[0]:
+        raise DataError(f"network takes {model.w1.shape[0]} features, "
+                        f"rows have {x.shape[1]}")
     return _mlp_forward(model, x)[0]
 
 
@@ -686,35 +680,36 @@ def mlp_gradients(model: MlpModel, features: np.ndarray,
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 
-def mlp_fit(features: np.ndarray, targets: np.ndarray,
-            config: MlpConfig = MlpConfig()) -> MlpModel:
-    """Train with Adam on mini-batches; shuffling is seeded per epoch."""
+def mlp_fit(features: np.ndarray, targets: np.ndarray, hidden_units: int = 64,
+            epochs: int = 500, seed: int = 0) -> MlpModel:
+    """Train with Adam on mini-batches of BATCH_SIZE rows; shuffling is
+    seeded per epoch."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
     if x.shape[0] < 1:
         raise DataError("empty training set")
-    model = _mlp_init(x.shape[1], config)
+    model = _mlp_init(x.shape[1], hidden_units, seed)
     params = ["w1", "b1", "w2", "b2"]
     m = {p: np.zeros_like(getattr(model, p)) for p in params}
     v = {p: np.zeros_like(getattr(model, p)) for p in params}
-    rng = np.random.default_rng(config.seed + 1)
+    rng = np.random.default_rng(seed + 1)
     step = 0
     trace = []
     n = x.shape[0]
-    bs = min(config.batch_size, n)
-    for epoch in range(config.epochs):
+    bs = min(BATCH_SIZE, n)
+    for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, bs):
             batch = order[start:start + bs]
             grads = mlp_gradients(model, x[batch], y[batch])
             step += 1
             for p in params:
-                m[p] = config.beta1 * m[p] + (1 - config.beta1) * grads[p]
-                v[p] = config.beta2 * v[p] + (1 - config.beta2) * grads[p] ** 2
-                m_hat = m[p] / (1 - config.beta1 ** step)
-                v_hat = v[p] / (1 - config.beta2 ** step)
+                m[p] = ADAM_BETA1 * m[p] + (1 - ADAM_BETA1) * grads[p]
+                v[p] = ADAM_BETA2 * v[p] + (1 - ADAM_BETA2) * grads[p] ** 2
+                m_hat = m[p] / (1 - ADAM_BETA1 ** step)
+                v_hat = v[p] / (1 - ADAM_BETA2 ** step)
                 setattr(model, p, getattr(model, p)
-                        - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps))
+                        - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         loss = mlp_loss(model, x, y)
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite training loss at epoch {epoch}")

@@ -56,7 +56,7 @@ def test_criterion_2_cluster_recovery():
         hits += 1
         pruned = cluster.select_representatives(sel.model, model)
         name_to_latent = dict(zip(mm.metric_names, truth.latent_of_metric))
-        groups = [name_to_latent[n] for n in pruned.metric_names]
+        groups = [name_to_latent[n] for n in pruned]
         if sorted(groups) != list(range(8)):
             reps_ok = False
     elapsed = time.monotonic() - start
@@ -95,9 +95,8 @@ def test_criterion_4_mapping_oracle():
                                n_latent=2, metrics_per_latent=2, noise_std=0.05,
                                seed=trial, freq_scale=1.0, profile_scale=2.0)
         corpus, truth = synth.generate_corpus(spec)
-        pruned = cluster.PrunedMetricSet(
-            metric_names=corpus.schema.metric_names)
-        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
+        scaler = predict.fit_scaler(list(corpus.offline), corpus.schema,
+                                    corpus.schema.metric_names)
         target = corpus.online_b[0]
         res = mapping.map_and_augment(list(corpus.offline), target, scaler)
         if res.chosen_source == truth.nearest_source_of[target.workload_id]:
@@ -154,9 +153,7 @@ def test_criterion_6_alpha_trend():
                            n_latent=2, metrics_per_latent=2, noise_std=0.5,
                            seed=11)
     corpus, _ = synth.generate_corpus(spec)
-    pruned = cluster.PrunedMetricSet(
-        metric_names=corpus.schema.metric_names)
-    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
+    scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, corpus.schema.metric_names)
     feats = np.vstack([predict.build_features(t, scaler)
                        for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])
@@ -183,8 +180,7 @@ def test_criterion_7_predictor_contract():
     bounded = bool(np.all(preds >= y.min()) and np.all(preds <= y.max()))
 
     # analytic MLP gradients vs central finite differences
-    cfg = predict.MlpConfig(hidden_units=5, epochs=0, seed=1)
-    model = predict.mlp_fit(x[:8], y[:8], cfg)
+    model = predict.mlp_fit(x[:8], y[:8], hidden_units=5, epochs=0, seed=1)
     grads = predict.mlp_gradients(model, x[:8], y[:8])
     eps, worst = 1e-6, 0.0
     for name in ("w1", "b1", "w2", "b2"):
@@ -207,8 +203,7 @@ def test_criterion_7_predictor_contract():
                 lambda: predict.rf_predict(
                     predict.rf_fit(x, y, n_trees=10, max_depth=6, seed=4), q),
                 lambda: predict.mlp_predict(
-                    predict.mlp_fit(x, y, predict.MlpConfig(
-                        hidden_units=8, epochs=20, seed=4)), q)):
+                    predict.mlp_fit(x, y, hidden_units=8, epochs=20, seed=4), q)):
         if not np.array_equal(fit(), fit()):
             deterministic = False
     _verdict("criterion-7 predictor contract",

@@ -110,8 +110,13 @@ class TestExitCodes:
         (None, ["--predictor", "xx"], "predictor must be one of"),
         (None, ["--k-min", "a"], "invalid int value"),
         ("[" * 100000 + "]" * 100000, [], "nests too deeply to parse"),
+        (None, ["--alpha", "nan"], "alpha must be finite and > 0, got nan"),
+        (None, ["--alpha", "inf"], "alpha must be finite and > 0, got inf"),
+        (None, ["--alpha", "0"], "alpha must be finite and > 0, got 0.0"),
+        (None, ["--alpha", "-1"], "alpha must be finite and > 0, got -1.0"),
     ], ids=["bad-json", "str-for-int", "bool-for-float", "not-an-object",
-            "unknown-predictor", "flag-not-int", "too-deep"])
+            "unknown-predictor", "flag-not-int", "too-deep", "alpha-nan", "alpha-inf",
+            "alpha-zero", "alpha-negative"])
     def test_bad_config_exits_1(self, config_text, flags, message, corpus_dir,
                                 tmp_path, capsys):
         argv = ["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out", *flags]
@@ -251,6 +256,7 @@ class TestExitContract:
         ("model.json", _set_root_feature(99), "splits on feature 99"),
         ("model.json", _set_root_feature(-2), "feature must be >= 0"),
         ("model.json", lambda d: d.update(trees=[]), "non-empty list"),
+        ("model.json", lambda d: d.update(n_trees=2), "n_trees is 2, but 3 trees are given"),
         ("preprocess.json", lambda d: d.update(knob_names="3"), "knob_names must be list"),
         ("preprocess.json", lambda d: d.update(knob_names=[3]), "list of strings"),
         ("preprocess.json", lambda d: d.update(scaler_means=d["scaler_means"][:-1]),
@@ -263,8 +269,8 @@ class TestExitContract:
          "named twice"),
         ("preprocess.json", lambda d: d.update(scaler_means=["a"]), "list of numbers"),
     ], ids=["feature-str", "feature-past-width", "feature-negative", "no-trees",
-            "knob-names-str", "knob-names-not-strings", "means-short", "stds-long",
-            "pruned-empty", "name-twice", "means-str"])
+            "n-trees-not-tree-count", "knob-names-str", "knob-names-not-strings",
+            "means-short", "stds-long", "pruned-empty", "name-twice", "means-str"])
     def test_malformed_model_dir_exits_2(self, file, edit, message, corpus_dir,
                                          rf_trained_dir, trained_dir, tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -275,6 +281,26 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("gpr", [], "query feature dimension mismatch"),
+        ("rf", ["--trees", "20"], "rows have 4 features"),
+        ("nn", ["--epochs", "3"], "network takes 6 features, rows have 4"),
+    ], ids=["gpr", "rf", "nn"])
+    def test_preprocess_of_another_train_exits_2(self, kind, flags, message, corpus_dir,
+                                                 tmp_path, capsys):
+        # a model trained on 4 metrics beside the preprocess.json of a 2-metric
+        # train: its rows are 2 features short
+        metrics = ["metric_g00_0", "metric_g00_1", "metric_g01_0", "metric_g01_1"]
+        for name, n in (("wide", 4), ("narrow", 2)):
+            (tmp_path / f"{name}.txt").write_text("".join(m + "\n" for m in metrics[:n]))
+            assert run(["train", "--manifest", corpus_dir, "--out", tmp_path / name,
+                        "--predictor", kind, *flags, "--pruned", tmp_path / f"{name}.txt"]) == 0
+        shutil.copy(tmp_path / "narrow" / "preprocess.json", tmp_path / "wide")
+        capsys.readouterr()
+        assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                    "--model-dir", tmp_path / "wide"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("case, flags, message", [
         ("k-min-past-metrics", ["--k-min", "5", "--k-max", "9"],
@@ -472,7 +498,7 @@ class TestTrainPredictCommands:
         assert loaded.stds.tobytes() == scaler.stds.tobytes()
         assert loaded.knob_names == scaler.knob_names == corpus.schema.knob_names
         assert loaded.constant_features == scaler.constant_features
-        assert loaded.metric_names == pruned.metric_names == tuple(
+        assert loaded.metric_names == pruned == tuple(
             (trained_dir / "pruned_metrics.txt").read_text().split())
 
         feats = np.vstack([predict.build_features(t, scaler) for t in corpus.offline])
@@ -550,8 +576,7 @@ class TestCrossCorpusPredict:
         pruned.write_text("metric_g00_0\nmetric_g00_0\n")
         assert run(["map", "--manifest", corpus_dir, "--out", tmp_path / "out",
                     "--pruned", pruned]) == 2
-        assert capsys.readouterr().err == (
-            "error: metric 'metric_g00_0' named twice in pruned set\n")
+        assert capsys.readouterr().err == "error: feature 'metric_g00_0' named twice\n"
 
 
 class TestPrunedMetricConstantInCorpus:

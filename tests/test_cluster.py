@@ -283,8 +283,8 @@ class TestSelectRepresentatives:
         fm = factor_model_for(pts, ["a", "b", "c"])
         model = cluster.fit_kmeans(pts, 2, seed=0)
         pruned = cluster.select_representatives(model, fm)
-        assert "a" in pruned.metric_names
-        assert len(pruned.metric_names) == 2
+        assert "a" in pruned
+        assert len(pruned) == 2
 
     def test_closest_wins(self):
         pts = np.array([[0.1, 0.0], [0.2, 0.0], [5.0, 5.0]])
@@ -293,7 +293,7 @@ class TestSelectRepresentatives:
             k=2, centroids=np.array([[0.0, 0.0], [5.0, 5.0]]),
             assignments=np.array([0, 0, 1]), inertia=0.0, seed=0)
         pruned = cluster.select_representatives(model, fm)
-        assert pruned.metric_names == ("A", "C")
+        assert pruned == ("A", "C")
 
     def test_equidistant_tie_breaks_lexicographic(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]])
@@ -302,7 +302,7 @@ class TestSelectRepresentatives:
             k=2, centroids=np.array([[0.0, 0.0], [5.0, 5.0]]),
             assignments=np.array([0, 0, 1]), inertia=0.0, seed=0)
         pruned = cluster.select_representatives(model, fm)
-        assert pruned.metric_names == ("alpha", "far")
+        assert pruned == ("alpha", "far")
 
     def test_one_per_cluster_distinct(self):
         pts = blobs([[0.0, 0], [10, 0], [0, 10]], per_blob=4, spread=0.1, seed=3)
@@ -310,7 +310,7 @@ class TestSelectRepresentatives:
         fm = factor_model_for(pts, names)
         model = cluster.fit_kmeans(pts, 3, seed=0)
         pruned = cluster.select_representatives(model, fm)
-        assert len(set(pruned.metric_names)) == 3
+        assert len(set(pruned)) == 3
 
 
 def _reference_silhouette(points, assignments):

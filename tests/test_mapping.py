@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dbtune import synth
-from dbtune.cluster import PrunedMetricSet
 from dbtune.errors import DataError
 from dbtune.evaluate import MAPE_EPS
 from dbtune.ingest import Schema
@@ -92,8 +91,7 @@ class TestBatchedScoringExact:
                     latency_name="latency", workload_id_name="workload_id")
     # 9 pruned metrics and up to 11 target rows: both means run over >= 8
     # values, where numpy's pairwise summation differs from a plain loop
-    pruned = PrunedMetricSet(metric_names=("m7", "m0", "m3", "m11", "m5", "m1",
-                                           "m9", "m2", "m10"))
+    pruned = ("m7", "m0", "m3", "m11", "m5", "m1", "m9", "m2", "m10")
 
     def _table(self, rng, wid, n, knob_levels=None):
         knobs = (rng.integers(0, knob_levels, size=(n, 3)).astype(float)
@@ -259,9 +257,7 @@ class TestMapAndAugment:
                                n_latent=2, metrics_per_latent=2, noise_std=0.05,
                                seed=123, freq_scale=1.0, profile_scale=2.0)
         corpus, truth = synth.generate_corpus(spec)
-        p = PrunedMetricSet(
-            metric_names=(corpus.schema.metric_names[0],
-                          corpus.schema.metric_names[2]))
+        p = (corpus.schema.metric_names[0], corpus.schema.metric_names[2])
         scaler = fit_scaler(list(corpus.offline), corpus.schema, p)
         for t in corpus.online_b:
             res = map_and_augment(list(corpus.offline), t, scaler)

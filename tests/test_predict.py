@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dbtune import predict
-from dbtune.cluster import PrunedMetricSet
 from dbtune.errors import ConfigError, DataError
 from dbtune.ingest import Schema
 
@@ -21,14 +20,14 @@ class TestScaler:
     def test_two_point_case(self):
         schema = self._schema()
         t = make_table("w", [[1.0], [3.0]], [[0.0], [10.0]], [1, 2], schema)
-        scaler = predict.fit_scaler([t], schema, PrunedMetricSet(("m0",)))
+        scaler = predict.fit_scaler([t], schema, ("m0",))
         assert scaler.means[0] == 2.0
         assert scaler.stds[0] == 1.0  # population std of [1, 3]
 
     def test_constant_feature_flagged(self):
         schema = self._schema()
         t = make_table("w", [[5.0], [5.0]], [[0.0], [10.0]], [1, 2], schema)
-        scaler = predict.fit_scaler([t], schema, PrunedMetricSet(("m0",)))
+        scaler = predict.fit_scaler([t], schema, ("m0",))
         assert "k0" in scaler.constant_features
         # centered only
         assert np.allclose(scaler.transform_knobs(t.knobs), [[0.0], [0.0]])
@@ -38,7 +37,7 @@ class TestScaler:
         rng = np.random.default_rng(0)
         t = make_table("w", rng.normal(size=(50, 1)) * 3 + 7,
                        rng.normal(size=(50, 1)), rng.uniform(1, 2, 50), schema)
-        scaler = predict.fit_scaler([t], schema, PrunedMetricSet(("m0",)))
+        scaler = predict.fit_scaler([t], schema, ("m0",))
         z = scaler.transform_knobs(t.knobs)[:, 0]
         assert abs(z.mean()) < 1e-9
         assert abs(z.std() - 1.0) < 1e-9
@@ -47,7 +46,7 @@ class TestScaler:
         schema = self._schema()
         t = make_table("w", [[1.0]], [[2.0]], [1.0], schema)
         with pytest.raises(DataError):
-            predict.fit_scaler([t], schema, PrunedMetricSet(("m0",)))
+            predict.fit_scaler([t], schema, ("m0",))
 
 
 def old_build_features(tables, table, schema, pruned):
@@ -59,7 +58,7 @@ def old_build_features(tables, table, schema, pruned):
     means, stds = rows.mean(axis=0), rows.std(axis=0)
     stds = np.where(stds < predict.CONST_STD_EPS, 1.0, stds)
     k = schema.n_knobs
-    idx = [schema.metric_names.index(n) for n in pruned.metric_names]
+    idx = [schema.metric_names.index(n) for n in pruned]
     return np.hstack([(table.knobs - means[:k]) / stds[:k],
                       ((table.metrics - means[k:]) / stds[k:])[:, idx]])
 
@@ -68,7 +67,7 @@ class TestBuildFeatures:
     schema = Schema(knob_names=("k0", "k1", "k2"),
                     metric_names=tuple(f"m{i}" for i in range(12)),
                     latency_name="latency", workload_id_name="workload_id")
-    pruned = PrunedMetricSet(("m7", "m0", "m3", "m11", "m5", "m1", "m9", "m2", "m10"))
+    pruned = ("m7", "m0", "m3", "m11", "m5", "m1", "m9", "m2", "m10")
 
     def _tables(self, seed):
         rng = np.random.default_rng(seed)
@@ -116,12 +115,12 @@ class TestBuildFeatures:
         with pytest.raises(DataError, match="knob 'k1' not in schema"):
             predict.build_features(t, scaler)
         with pytest.raises(DataError, match="metric 'm13' not in schema"):
-            predict.fit_scaler(tables, self.schema, PrunedMetricSet(("m0", "m13")))
+            predict.fit_scaler(tables, self.schema, ("m0", "m13"))
 
     def test_constant_features_are_model_features(self):
         tables = self._tables(1)  # m4 is constant in every table
         assert predict.fit_scaler(tables, self.schema, self.pruned).constant_features == ()
-        with_m4 = PrunedMetricSet(("m0", "m4"))
+        with_m4 = ("m0", "m4")
         assert predict.fit_scaler(tables, self.schema, with_m4).constant_features == ("m4",)
 
 
@@ -204,8 +203,9 @@ class TestGpr:
                 assert chosen >= lml - 1e-9
 
     def test_bad_alpha_rejected(self):
-        with pytest.raises(ConfigError):
-            predict.gpr_fit(np.zeros((2, 1)), np.zeros(2), alpha=0.0)
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="alpha must be finite and > 0"):
+                predict.gpr_fit(np.zeros((2, 1)), np.zeros(2), alpha=alpha)
 
     def test_dimension_mismatch(self):
         m = predict.gpr_fit(np.zeros((3, 2)), np.arange(3.0), alpha=1e-2)
@@ -434,14 +434,14 @@ class TestMlp:
         rng = np.random.default_rng(0)
         x = rng.uniform(size=(10, 2))
         y = rng.uniform(1, 2, size=10)
-        m = predict.mlp_fit(x, y, predict.MlpConfig(epochs=0, seed=1))
+        m = predict.mlp_fit(x, y, epochs=0, seed=1)
         p = predict.mlp_predict(m, x)
         assert np.all(np.isfinite(p))
 
     def test_gradient_check_against_finite_differences(self):
         x = np.array([[0.1], [0.5], [0.9]])
         y = np.array([1.0, 2.0, 3.0])
-        model = predict._mlp_init(1, predict.MlpConfig(hidden_units=8, seed=2))
+        model = predict._mlp_init(1, hidden_units=8, seed=2)
         grads = predict.mlp_gradients(model, x, y)
         h = 1e-5
         for p in ("w1", "b1", "w2", "b2"):
@@ -463,16 +463,15 @@ class TestMlp:
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(16, 2))
         y = rng.uniform(1, 2, size=16)
-        cfg = predict.MlpConfig(epochs=20, seed=4)
-        a = predict.mlp_predict(predict.mlp_fit(x, y, cfg), x)
-        b = predict.mlp_predict(predict.mlp_fit(x, y, cfg), x)
+        a = predict.mlp_predict(predict.mlp_fit(x, y, epochs=20, seed=4), x)
+        b = predict.mlp_predict(predict.mlp_fit(x, y, epochs=20, seed=4), x)
         assert np.array_equal(a, b)
 
     def test_loss_trace_recorded(self):
         rng = np.random.default_rng(3)
-        x = rng.uniform(size=(12, 1))
+        x = rng.uniform(size=(100, 1))  # four batches of up to BATCH_SIZE rows an epoch
         y = 2 * x[:, 0] + 1
-        m = predict.mlp_fit(x, y, predict.MlpConfig(epochs=30, batch_size=4, seed=0))
+        m = predict.mlp_fit(x, y, epochs=30, seed=0)
         assert len(m.loss_trace) == 30
         assert m.loss_trace[-1] < m.loss_trace[0]
 
@@ -502,17 +501,22 @@ class TestPersistence:
         rng = np.random.default_rng(2)
         x = rng.uniform(size=(10, 2))
         y = rng.uniform(1, 5, size=10)
-        m = predict.mlp_fit(x, y, predict.MlpConfig(epochs=5, seed=0))
-        self._roundtrip(m, x, tmp_path)
+        m = predict.mlp_fit(x, y, hidden_units=6, epochs=5, seed=3)
+        path = tmp_path / "model.json"
+        predict.save_model(m, path)
+        back = predict.load_model(path)
+        assert back.seed == 3 and back.w1.shape == (2, 6)
+        assert back.loss_trace == m.loss_trace
+        assert predict.predict_with(back, x).tobytes() == predict.predict_with(m, x).tobytes()
 
     @pytest.mark.parametrize("fit, edit, message", [
         (lambda x, y: predict.gpr_fit(x, y, 1e-2),
          lambda d: d.update(chol=d["chol"][:-1]), "do not fit 6 training rows"),
-        (lambda x, y: predict.mlp_fit(x, y, predict.MlpConfig(epochs=1)),
+        (lambda x, y: predict.mlp_fit(x, y, epochs=1),
          lambda d: d.update(w2=[[1.0]]), "layer shapes"),
-        (lambda x, y: predict.mlp_fit(x, y, predict.MlpConfig(epochs=1)),
-         lambda d: d["config"].update(hidden_units="3"), "'hidden_units' must be int"),
-    ], ids=["gpr-chol-shape", "mlp-layer-shape", "mlp-config-str"])
+        (lambda x, y: predict.mlp_fit(x, y, epochs=1),
+         lambda d: d.update(seed="3"), "seed must be int"),
+    ], ids=["gpr-chol-shape", "mlp-layer-shape", "mlp-seed-str"])
     def test_malformed_model_rejected(self, fit, edit, message, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "model.json"
