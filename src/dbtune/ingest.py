@@ -148,10 +148,16 @@ def json_floats(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
     """doc[key] as a float array: a list of numbers, or for ndim 2 a list of
     equally long such lists."""
     cells = np.array(json_field(doc, key, list), dtype=object)
-    if cells.ndim != ndim or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in cells.flat):
+    if cells.ndim != ndim or not set(map(type, cells.ravel().tolist())) <= {int, float}:
         raise TypeError(f"{key} must be {'a list' if ndim == 1 else 'lists'} of numbers")
     return cells.astype(float)
+
+
+def json_ints(doc: dict, key: str) -> np.ndarray:
+    values = json_field(doc, key, list)
+    if not set(map(type, values)) <= {int}:  # a bool's type is bool
+        raise TypeError(f"{key} must be a list of ints")
+    return np.array(values, dtype=int)
 
 
 def json_strings(doc: dict, key: str) -> tuple[str, ...]:

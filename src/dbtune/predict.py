@@ -21,10 +21,9 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from .cluster import sq_dists
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import MAPE_EPS, mape
-from .ingest import (Schema, WorkloadTable, json_field, json_floats, json_strings,
+from .ingest import (Schema, WorkloadTable, json_field, json_floats, json_ints, json_strings,
                      read_json_object)
 
-MODEL_FORMAT_VERSION = 1
 CONST_STD_EPS = 1e-12
 
 
@@ -142,6 +141,7 @@ def build_features(table: WorkloadTable, scaler: StandardScaler) -> np.ndarray:
 @dataclass(frozen=True)
 class GprModel:
     kind: ClassVar[str] = "gpr"
+    format_version: ClassVar[int] = 1
     alpha: float  # effective diagonal noise actually used
     length_scale: float
     signal_variance: float
@@ -272,16 +272,14 @@ def gpr_predict(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np.n
 
 @dataclass(slots=True)
 class _TreeNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
+    feature: int  # -1 marks a leaf
     left: "_TreeNode | None" = None
     right: "_TreeNode | None" = None
-    value: float = 0.0
 
 
 class _FlatForest(NamedTuple):
-    """All nodes of a forest in arrays, breadth first; tree t's root is
-    node t. A leaf has feature -1 and is its own left and right child."""
+    """A forest's nodes in arrays: tree t's root is node t, a split's children
+    come after it, and a leaf (feature -1) is its own left and right child."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -290,67 +288,68 @@ class _FlatForest(NamedTuple):
     value: np.ndarray
 
 
+def _leaves(lo: int, hi: int) -> _FlatForest:
+    """Nodes lo..hi-1 as leaves of value 0."""
+    ids = np.arange(lo, hi)
+    return _FlatForest(np.full_like(ids, -1), ids * 0.0, ids, ids.copy(), ids * 0.0)
+
+
 @dataclass(frozen=True)
 class RfModel:
     kind: ClassVar[str] = "rf"
+    format_version: ClassVar[int] = 2
     max_depth: int
-    trees: tuple[_TreeNode, ...]
     seed: int
+    n_trees: int
+    n_features: int
+    flat: _FlatForest = field(repr=False)
 
     def to_json(self) -> dict:
-        return {"n_trees": len(self.trees), "max_depth": self.max_depth, "seed": self.seed,
-                "trees": [_tree_to_dict(t) for t in self.trees]}
+        return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed,
+                "n_features": self.n_features,
+                **{name: a.tolist() for name, a in self.flat._asdict().items()}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "RfModel":
-        trees = doc["trees"]
-        if not isinstance(trees, list) or not trees:
-            raise TypeError("trees must be a non-empty list")
-        n_trees = json_field(doc, "n_trees", int)
-        if n_trees != len(trees):
-            raise ValueError(f"n_trees is {n_trees}, but {len(trees)} trees are given")
+        feature, left, right = (json_ints(doc, k) for k in ("feature", "left", "right"))
+        forest = _FlatForest(feature, json_floats(doc, "threshold"), left, right,
+                             json_floats(doc, "value"))
+        n_trees, n_features = json_field(doc, "n_trees", int), json_field(doc, "n_features", int)
+        ids, split = np.arange(len(feature)), feature >= 0
+        if any(len(a) != len(ids) for a in forest):
+            raise ValueError(f"node arrays of lengths {[len(a) for a in forest]}")
+        if not 1 <= n_trees <= len(ids):
+            raise ValueError(f"n_trees is {n_trees}, but the forest has {len(ids)} nodes")
+        if not -1 <= feature.min() <= feature.max() < n_features:
+            raise ValueError(f"forest splits on features {feature.min()}..{feature.max()}, "
+                             f"has {n_features} features, and -1 marks a leaf")
+        # a split node's children come after it, a leaf is its own child and
+        # every node but the roots has one parent: n_trees trees, which route
+        # each row to a leaf
+        linked = np.where(split, (ids < left) & (left < len(ids)) & (ids < right)
+                          & (right < len(ids)), (left == ids) & (right == ids))
+        if not linked.all():
+            raise ValueError(f"node {np.argmin(linked)}: a split's children must come "
+                             f"after it, and a leaf must be its own child")
+        parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=len(ids))
+        if (wrong := np.flatnonzero(parents != (ids >= n_trees))).size:
+            raise ValueError(f"node {wrong[0]} has {parents[wrong[0]]} parents")
         return cls(max_depth=json_field(doc, "max_depth", int), seed=json_field(doc, "seed", int),
-                   trees=tuple(_tree_from_dict(t) for t in trees))
+                   n_trees=n_trees, n_features=n_features, flat=forest)
 
     @cached_property
-    def flat(self) -> _FlatForest:
-        nodes = list(self.trees)
-        for node in nodes:  # the list grows while it is read
-            if node.feature >= 0:
-                nodes += (node.left, node.right)
-        feature = np.array([node.feature for node in nodes])
-        internal = np.nonzero(feature >= 0)[0]
-        left, right = np.arange(len(nodes)), np.arange(len(nodes))
-        left[internal] = len(self.trees) + 2 * np.arange(len(internal))
-        right[internal] = left[internal] + 1
-        return _FlatForest(feature, np.array([node.threshold for node in nodes], dtype=float),
-                           left, right, np.array([node.value for node in nodes], dtype=float))
+    def trees(self) -> tuple[_TreeNode, ...]:
+        """The root of each tree, its nodes linked as objects that hold no
+        threshold or value, built on first use. Only the benchmark's node
+        count (bench/layers.py) reads them; they go when it counts model.flat
+        (ROADMAP item 4)."""
+        nodes = [_TreeNode(f) for f in self.flat.feature.tolist()]
+        for i in np.flatnonzero(self.flat.feature >= 0).tolist():
+            nodes[i].left, nodes[i].right = nodes[self.flat.left[i]], nodes[self.flat.right[i]]
+        return tuple(nodes[:self.n_trees])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return rf_predict(self, features)
-
-
-def _tree_to_dict(node: _TreeNode) -> dict:
-    if node.feature < 0:
-        return {"value": node.value}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "value": node.value,
-            "left": _tree_to_dict(node.left), "right": _tree_to_dict(node.right)}
-
-
-def _tree_from_dict(doc: dict) -> _TreeNode:
-    if not isinstance(doc, dict):
-        raise TypeError(f"tree node must be an object, got {type(doc).__name__}")
-    value = json_field(doc, "value", (int, float))
-    if "feature" not in doc:
-        return _TreeNode(value=value)
-    feature = json_field(doc, "feature", int)
-    if feature < 0:
-        raise ValueError(f"feature must be >= 0, got {feature}")
-    return _TreeNode(feature=feature, threshold=json_field(doc, "threshold", (int, float)),
-                     value=value,
-                     left=_tree_from_dict(doc["left"]),
-                     right=_tree_from_dict(doc["right"]))
 
 
 # cap on the cells of one batched array in rf_fit and rf_predict
@@ -525,8 +524,8 @@ def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int = 200,
     n_cand = max(1, int(round(math.sqrt(d))))
 
     # per tree, a stack of pending nodes (id, start, size, depth), popped in
-    # preorder; a node's id is its index in `nodes`
-    nodes = [_TreeNode() for _ in range(n_trees)]
+    # preorder; a node's id is its index in the forest's growing arrays
+    forest, count = _leaves(0, 8 * n_trees), n_trees
     stack = np.zeros((4, n_trees, 8), dtype=int)
     stack[0, :, 0], stack[2, :, 0] = np.arange(n_trees), n
     height = np.ones(n_trees, dtype=int)
@@ -543,15 +542,15 @@ def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int = 200,
             feature[split], threshold[split], n_left[split] = _split(
                 xpad, ypad, rows, trees[split], starts[split], sizes[split], feats)
 
-        for i, value in zip(ids.tolist(), means.tolist()):
-            nodes[i].value = value
         s = np.nonzero(feature >= 0)[0]
-        left = len(nodes) + 2 * np.arange(len(s))
-        for i, f, thr in zip(ids[s].tolist(), feature[s].tolist(), threshold[s].tolist()):
-            node = nodes[i]
-            node.feature, node.threshold = f, thr
-            node.left, node.right = _TreeNode(), _TreeNode()
-            nodes += (node.left, node.right)
+        left = count + 2 * np.arange(len(s))
+        count += 2 * len(s)
+        if count > len(forest.value):
+            forest = _FlatForest(*map(np.concatenate,
+                                      zip(forest, _leaves(len(forest.value), 2 * count))))
+        forest.value[ids] = means
+        forest.feature[ids[s]], forest.threshold[ids[s]] = feature[s], threshold[s]
+        forest.left[ids[s]], forest.right[ids[s]] = left, left + 1
         t, top = trees[s], height[trees[s]]
         if len(s) and top.max() + 2 > stack.shape[2]:
             stack = np.concatenate([stack, np.zeros_like(stack)], axis=2)
@@ -559,21 +558,21 @@ def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int = 200,
         stack[:, t, top] = left + 1, starts[s] + n_left[s], sizes[s] - n_left[s], depths[s] + 1
         stack[:, t, top + 1] = left, starts[s], n_left[s], depths[s] + 1
         height[t] += 2
-    return RfModel(max_depth=max_depth, trees=tuple(nodes[:n_trees]), seed=seed)
+    return RfModel(max_depth=max_depth, seed=seed, n_trees=n_trees, n_features=d,
+                   flat=_FlatForest(*(a[:count].copy() for a in forest)))
 
 
 def rf_predict(model: RfModel, features: np.ndarray) -> np.ndarray:
     """Mean leaf value over the trees. A chunk of trees routes all rows one
-    level per step until every row is at a leaf; leaf values are then added
-    one tree at a time, in tree order."""
+    level per step until every row is at a leaf; the chunk's leaf values are
+    then added to the running sum one tree at a time, in tree order."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
+    if x.shape[1] != model.n_features:
+        raise DataError(f"forest was fit on {model.n_features} features, "
+                        f"rows have {x.shape[1]} features")
     forest = model.flat
-    top = int(forest.feature.max())
-    if top >= x.shape[1]:
-        raise DataError(f"forest splits on feature {top}, rows have {x.shape[1]} features")
-    n, n_trees = x.shape[0], len(model.trees)
-    rows = np.arange(n)
-    out = np.zeros(n)
+    n, n_trees = x.shape[0], model.n_trees
+    rows, out = np.arange(n), np.zeros(n)
     per_chunk = max(1, _CHUNK_CELLS // max(n, 1))
     for lo in range(0, n_trees, per_chunk):
         node = np.repeat(np.arange(lo, min(lo + per_chunk, n_trees))[:, None], n, axis=1)
@@ -581,8 +580,7 @@ def rf_predict(model: RfModel, features: np.ndarray) -> np.ndarray:
         while ((f := forest.feature[node]) >= 0).any():
             node = np.where(x[rows, f] <= forest.threshold[node],
                             forest.left[node], forest.right[node])
-        for leaf_values in forest.value[node]:
-            out += leaf_values
+        out = np.add.accumulate(np.vstack([out, forest.value[node]]), axis=0)[-1]
     return out / n_trees
 
 
@@ -600,6 +598,7 @@ ADAM_EPS = 1e-8
 @dataclass
 class MlpModel:
     kind: ClassVar[str] = "nn"
+    format_version: ClassVar[int] = 1
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -730,22 +729,22 @@ MODEL_KINDS = {cls.kind: cls for cls in (GprModel, RfModel, MlpModel)}
 
 
 def save_model(model, path) -> None:
-    """Serialize a fitted predictor to a versioned JSON container."""
-    doc = {"kind": model.kind, **model.to_json(), "format_version": MODEL_FORMAT_VERSION}
+    """Serialize a fitted predictor to JSON, tagged with its kind and format version."""
+    doc = {"kind": model.kind, **model.to_json(), "format_version": model.format_version}
     Path(path).write_text(json.dumps(doc))
 
 
 def load_model(path):
     doc = read_json_object(path)
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {version!r}")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise DataError(f"unknown model kind {kind!r}")
+    version = doc.get("format_version")
+    if version != MODEL_KINDS[kind].format_version:
+        raise DataError(f"unsupported model format version {version!r}")
     try:
         return MODEL_KINDS[kind].from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed {kind} model: {exc!r}") from None
 
 

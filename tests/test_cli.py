@@ -186,9 +186,27 @@ def _edit_json(path, edit):
 
 def _set_root_feature(value):
     def edit(doc):
-        assert "feature" in doc["trees"][0]
-        doc["trees"][0]["feature"] = value
+        assert doc["feature"][0] >= 0
+        doc["feature"][0] = value
     return edit
+
+
+def _relink(last, left, right):
+    """Edit the children of the first split node (tree 0's root) or, if
+    `last`, of the last one: left and right map the old (left, right) pair
+    to the new left and right child."""
+    def edit(doc):
+        node = max(i for i, f in enumerate(doc["feature"]) if f >= 0) if last else 0
+        assert doc["feature"][node] >= 0
+        children = doc["left"][node], doc["right"][node]
+        doc["left"][node], doc["right"][node] = left(*children), right(*children)
+    return edit
+
+
+# a forest in format 1, nested objects per tree
+FORMAT_1_FOREST = {"kind": "rf", "n_trees": 1, "max_depth": 1, "seed": 0, "format_version": 1,
+                   "trees": [{"feature": 0, "threshold": 0.5, "value": 2.0,
+                              "left": {"value": 1.0}, "right": {"value": 3.0}}]}
 
 
 class TestExitContract:
@@ -252,11 +270,24 @@ class TestExitContract:
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("file, edit, message", [
-        ("model.json", _set_root_feature("3"), "feature must be int"),
-        ("model.json", _set_root_feature(99), "splits on feature 99"),
-        ("model.json", _set_root_feature(-2), "feature must be >= 0"),
-        ("model.json", lambda d: d.update(trees=[]), "non-empty list"),
-        ("model.json", lambda d: d.update(n_trees=2), "n_trees is 2, but 3 trees are given"),
+        ("model.json", _set_root_feature("3"), "feature must be a list of ints"),
+        ("model.json", _set_root_feature(99), "splits on features -1..99, has 4 features"),
+        ("model.json", _set_root_feature(-2), "splits on features -2.."),
+        ("model.json", lambda d: d.update({k: [] for k in ("feature", "threshold", "left",
+                                                           "right", "value")}),
+         "n_trees is 3, but the forest has 0 nodes"),
+        ("model.json", lambda d: d.update(n_trees=2), "node 2 has 0 parents"),
+        ("model.json", lambda d: d.update(n_trees=len(d["feature"]) + 1),
+         "but the forest has"),
+        ("model.json", _relink(False, lambda l, r: 0, lambda l, r: r),
+         "node 0: a split's children must come after it"),
+        ("model.json", _relink(True, lambda l, r: l, lambda l, r: 0),
+         "a split's children must come after it"),
+        ("model.json", _relink(False, lambda l, r: l, lambda l, r: l), "has 2 parents"),
+        ("model.json", lambda d: d.update(value=d["value"][:-1]), "node arrays of lengths"),
+        ("model.json", lambda d: d["left"].__setitem__(0, True), "left must be a list of ints"),
+        ("model.json", lambda d: (d.clear(), d.update(FORMAT_1_FOREST)),
+         "unsupported model format version 1"),
         ("preprocess.json", lambda d: d.update(knob_names="3"), "knob_names must be list"),
         ("preprocess.json", lambda d: d.update(knob_names=[3]), "list of strings"),
         ("preprocess.json", lambda d: d.update(scaler_means=d["scaler_means"][:-1]),
@@ -269,8 +300,10 @@ class TestExitContract:
          "named twice"),
         ("preprocess.json", lambda d: d.update(scaler_means=["a"]), "list of numbers"),
     ], ids=["feature-str", "feature-past-width", "feature-negative", "no-trees",
-            "n-trees-not-tree-count", "knob-names-str", "knob-names-not-strings",
-            "means-short", "stds-long", "pruned-empty", "name-twice", "means-str"])
+            "n-trees-not-tree-count", "n-trees-past-nodes", "child-to-itself",
+            "child-backward", "two-parents", "unequal-lengths", "left-bool", "format-1",
+            "knob-names-str", "knob-names-not-strings", "means-short", "stds-long",
+            "pruned-empty", "name-twice", "means-str"])
     def test_malformed_model_dir_exits_2(self, file, edit, message, corpus_dir,
                                          rf_trained_dir, trained_dir, tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -281,26 +314,30 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("kind, flags, message", [
-        ("gpr", [], "query feature dimension mismatch"),
-        ("rf", ["--trees", "20"], "rows have 4 features"),
-        ("nn", ["--epochs", "3"], "network takes 6 features, rows have 4"),
+    @pytest.mark.parametrize("kind, flags, short, wide", [
+        ("gpr", [], "query feature dimension mismatch", "query feature dimension mismatch"),
+        ("rf", ["--trees", "20"], "rows have 4 features", "rows have 6 features"),
+        ("nn", ["--epochs", "3"], "network takes 6 features, rows have 4",
+         "network takes 4 features, rows have 6"),
     ], ids=["gpr", "rf", "nn"])
-    def test_preprocess_of_another_train_exits_2(self, kind, flags, message, corpus_dir,
+    def test_preprocess_of_another_train_exits_2(self, kind, flags, short, wide, corpus_dir,
                                                  tmp_path, capsys):
         # a model trained on 4 metrics beside the preprocess.json of a 2-metric
-        # train: its rows are 2 features short
+        # train, whose rows are 2 features short, and the other way round
         metrics = ["metric_g00_0", "metric_g00_1", "metric_g01_0", "metric_g01_1"]
         for name, n in (("wide", 4), ("narrow", 2)):
             (tmp_path / f"{name}.txt").write_text("".join(m + "\n" for m in metrics[:n]))
             assert run(["train", "--manifest", corpus_dir, "--out", tmp_path / name,
                         "--predictor", kind, *flags, "--pruned", tmp_path / f"{name}.txt"]) == 0
-        shutil.copy(tmp_path / "narrow" / "preprocess.json", tmp_path / "wide")
-        capsys.readouterr()
-        assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
-                    "--model-dir", tmp_path / "wide"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        for model, other, message in (("wide", "narrow", short), ("narrow", "wide", wide)):
+            model_dir = tmp_path / f"{model}_model"
+            shutil.copytree(tmp_path / model, model_dir)
+            shutil.copy(tmp_path / other / "preprocess.json", model_dir)
+            capsys.readouterr()
+            assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                        "--model-dir", model_dir]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("case, flags, message", [
         ("k-min-past-metrics", ["--k-min", "5", "--k-max", "9"],

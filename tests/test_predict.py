@@ -319,27 +319,38 @@ def _reference_tree(x, y, depth, max_depth, rng, log):
             "right": _reference_tree(x[~mask], y[~mask], depth + 1, max_depth, rng, log)}
 
 
-def _reference_model_json(x, y, n_trees, max_depth, seed, log):
+def _reference_trees(x, y, n_trees, max_depth, seed, log):
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(seed + t)
         idx = rng.integers(len(y), size=len(y))
         trees.append(_reference_tree(x[idx], y[idx], 0, max_depth, rng, log))
-    return json.dumps({"kind": "rf", "n_trees": n_trees, "max_depth": max_depth,
-                       "seed": seed, "trees": trees, "format_version": 1})
+    return trees
+
+
+def _nested_tree(doc, i):
+    """Node i of a model.json's node arrays and the nodes below it, nested as
+    the reference tree is."""
+    if doc["feature"][i] < 0:
+        return {"value": doc["value"][i]}
+    return {"feature": doc["feature"][i], "threshold": doc["threshold"][i],
+            "value": doc["value"][i], "left": _nested_tree(doc, doc["left"][i]),
+            "right": _nested_tree(doc, doc["right"][i])}
 
 
 def _reference_predict(model, x):
+    forest = model.flat
     out = np.zeros(len(x))
-    for tree in model.trees:
+    for t in range(model.n_trees):
         values = []
         for row in x:
-            node = tree
-            while node.feature >= 0:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            values.append(node.value)
+            node = t
+            while forest.feature[node] >= 0:
+                go_left = row[forest.feature[node]] <= forest.threshold[node]
+                node = forest.left[node] if go_left else forest.right[node]
+            values.append(forest.value[node])
         out += np.array(values)
-    return out / len(model.trees)
+    return out / model.n_trees
 
 
 def _forest_case(i):
@@ -385,8 +396,15 @@ class TestForestExact:
             x, y, n_trees, max_depth, seed = _forest_case(i)
             model = predict.rf_fit(x, y, n_trees, max_depth, seed)
             predict.save_model(model, tmp_path / "model.json")
-            assert ((tmp_path / "model.json").read_text()
-                    == _reference_model_json(x, y, n_trees, max_depth, seed, log)), i
+            doc = json.loads((tmp_path / "model.json").read_text())
+            assert {k: doc[k] for k in ("kind", "n_trees", "max_depth", "seed", "n_features",
+                                        "format_version")} == {
+                "kind": "rf", "n_trees": n_trees, "max_depth": max_depth, "seed": seed,
+                "n_features": x.shape[1], "format_version": 2}, i
+            # JSON text holds each threshold and value exactly, NaN included
+            reference = _reference_trees(x, y, n_trees, max_depth, seed, log)
+            assert [json.dumps(_nested_tree(doc, t)) for t in range(n_trees)] == [
+                json.dumps(tree) for tree in reference], i
             query = np.vstack([x, np.random.default_rng(i).normal(size=(20, x.shape[1]))])
             assert np.array_equal(predict.rf_predict(model, query),
                                   _reference_predict(model, query), equal_nan=True), i
@@ -413,9 +431,28 @@ class TestForestExact:
         assert np.array_equal(back.predict(x), _reference_predict(back, x))
         assert np.array_equal(back.predict(x), model.predict(x))
 
-    def test_nodes_are_slotted(self):
-        model = predict.rf_fit(np.arange(6.0)[:, None], np.arange(6.0), 2, 3, seed=0)
-        assert all(isinstance(t, predict._TreeNode) for t in model.trees)
+    def test_node_arrays_form_the_trees(self):
+        x, y, n_trees, max_depth, seed = _forest_case(10)
+        model = predict.rf_fit(x, y, n_trees, max_depth, seed)
+        f = model.flat
+        ids, split = np.arange(len(f.feature)), f.feature >= 0
+        assert len({len(a) for a in f}) == 1 and split.any()
+        # a split node's children come after it, a leaf is its own child, and
+        # every node but the roots 0..n_trees-1 has one parent
+        assert np.all((f.left[split] > ids[split]) & (f.right[split] > ids[split]))
+        assert np.array_equal(f.left[~split], ids[~split])
+        assert np.array_equal(f.right[~split], ids[~split])
+        parents = np.bincount(np.concatenate([f.left[split], f.right[split]]),
+                              minlength=len(ids))
+        assert np.array_equal(parents, ids >= n_trees)
+        # the node objects of model.trees, walked as the benchmark counts nodes
+        count, stack = 0, list(model.trees)
+        while stack:
+            node = stack.pop()
+            count += 1
+            if node.feature >= 0:
+                stack += [node.left, node.right]
+        assert count == len(f.feature)
         assert not hasattr(model.trees[0], "__dict__")
 
     @pytest.mark.parametrize("n_trees, max_depth", [(0, 5), (3, -1)])
@@ -427,6 +464,11 @@ class TestForestExact:
         model = predict.rf_fit(np.arange(12.0).reshape(6, 2), np.arange(6.0), 2, 3, seed=0)
         with pytest.raises(DataError, match="feature"):
             predict.rf_predict(model, np.zeros((3, 1)))
+
+    def test_rows_wider_than_the_fit_rejected(self):
+        model = predict.rf_fit(np.arange(12.0).reshape(6, 2), np.arange(6.0), 2, 3, seed=0)
+        with pytest.raises(DataError, match="fit on 2 features, rows have 3 features"):
+            predict.rf_predict(model, np.zeros((3, 3)))
 
 
 class TestMlp:
