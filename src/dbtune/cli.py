@@ -307,8 +307,9 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
     model_dir = Path(args.model_dir)
     model = predict.load_model(model_dir / "model.json")
     scaler = predict.StandardScaler.load(model_dir / "preprocess.json")
-    # the model's columns are picked by name, so none of this corpus is dropped
-    corpus = ingest.load_corpus_from_manifest(config.manifest)
+    # the model's columns are picked by name, so none of this corpus is dropped;
+    # predictions for one group read nothing of the others
+    corpus = ingest.load_corpus_from_manifest(config.manifest, (args.group,))
     points = []
     for table in corpus.group(args.group):
         preds = predict.predict_with(model, predict.build_features(table, scaler))

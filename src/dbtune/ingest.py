@@ -311,12 +311,15 @@ def load_corpus(paths, manifest) -> Corpus:
     return _load_files(schema, [(Path(p), group_of.get(Path(p), "offline")) for p in paths])
 
 
-def load_corpus_from_manifest(manifest) -> Corpus:
-    """Load every file named in the manifest's `groups`, resolved relative to it."""
+def load_corpus_from_manifest(manifest, groups=GROUP_NAMES) -> Corpus:
+    """Load the files that the manifest's `groups` assign to one of `groups`,
+    resolved relative to it. The whole manifest is read and checked; every
+    other group comes back empty, so a workload id shared with one of them
+    is not seen."""
     schema, group_of = read_manifest(manifest)
     if not group_of:
         raise DataError(f"manifest {manifest} names no input files")
-    return _load_files(schema, group_of.items())
+    return _load_files(schema, [(p, g) for p, g in group_of.items() if g in groups])
 
 
 def _load_files(schema: Schema, files) -> Corpus:

@@ -58,6 +58,10 @@ class StandardScaler:
         if self.means.shape != (len(names),) or self.stds.shape != (len(names),):
             raise DataError(f"{len(names)} features, {len(self.means)} means "
                             f"and {len(self.stds)} stds")
+        if not np.isfinite(self.means).all():
+            raise DataError("every mean must be finite")
+        if not (np.isfinite(self.stds) & (self.stds > 0)).all():
+            raise DataError("every std must be finite and > 0")
 
     def columns(self, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the knob and metric features among a schema's columns."""
@@ -563,24 +567,32 @@ def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int = 200,
 
 
 def rf_predict(model: RfModel, features: np.ndarray) -> np.ndarray:
-    """Mean leaf value over the trees. A chunk of trees routes all rows one
-    level per step until every row is at a leaf; the chunk's leaf values are
-    then added to the running sum one tree at a time, in tree order."""
+    """Mean leaf value over the trees. A chunk of trees routes its (tree, row)
+    cells one level per step, each step moving only the cells still at a
+    split node; the chunk's leaf values are then added to the running sum one
+    tree at a time, in tree order."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    if x.shape[1] != model.n_features:
+    n, d = x.shape
+    if d != model.n_features:
         raise DataError(f"forest was fit on {model.n_features} features, "
-                        f"rows have {x.shape[1]} features")
-    forest = model.flat
-    n, n_trees = x.shape[0], model.n_trees
-    rows, out = np.arange(n), np.zeros(n)
+                        f"rows have {d} features")
+    forest, n_trees = model.flat, model.n_trees
+    x_flat, out = x.ravel(), np.zeros(n)
     per_chunk = max(1, _CHUNK_CELLS // max(n, 1))
     for lo in range(0, n_trees, per_chunk):
-        node = np.repeat(np.arange(lo, min(lo + per_chunk, n_trees))[:, None], n, axis=1)
-        # a leaf's feature -1 reads the last column; it routes to itself
-        while ((f := forest.feature[node]) >= 0).any():
-            node = np.where(x[rows, f] <= forest.threshold[node],
-                            forest.left[node], forest.right[node])
-        out = np.add.accumulate(np.vstack([out, forest.value[node]]), axis=0)[-1]
+        hi = min(lo + per_chunk, n_trees)
+        node = np.repeat(np.arange(lo, hi), n)  # cell i is tree lo + i // n, row i % n
+        row_start = np.tile(np.arange(0, n * d, d), hi - lo)  # of cell i's row in x_flat
+        live = np.flatnonzero(forest.feature.take(node) >= 0)
+        while live.size:
+            at = node.take(live)
+            go_left = (x_flat.take(row_start.take(live) + forest.feature.take(at))
+                       <= forest.threshold.take(at))
+            at = np.where(go_left, forest.left.take(at), forest.right.take(at))
+            node[live] = at
+            live = live[forest.feature.take(at) >= 0]
+        leaves = forest.value.take(node).reshape(hi - lo, n)
+        out = np.add.accumulate(np.vstack([out, leaves]), axis=0)[-1]
     return out / n_trees
 
 

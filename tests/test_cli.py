@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 import warnings
 import zlib
@@ -141,8 +142,12 @@ class TestExitCodes:
          "nests too deeply to parse"),
         (lambda d: _edit_json(d / "model.json", lambda m: m.update(length_scale="a")),
          "length_scale must be a number"),
+        # a std of 0 makes features inf or nan, which scipy refuses with a ValueError
+        (lambda d: _edit_json(d / "preprocess.json",
+                              lambda p: p["scaler_stds"].__setitem__(0, 0.0)),
+         "every std must be finite and > 0"),
     ], ids=["no-model", "no-preprocess", "model-key", "preprocess-key", "model-bad-json",
-            "model-too-deep", "length-scale-str"])
+            "model-too-deep", "length-scale-str", "std-zero"])
     def test_bad_model_dir_exits_2(self, damage, message, corpus_dir, trained_dir,
                                    tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -151,7 +156,7 @@ class TestExitCodes:
         assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
                     "--model-dir", model_dir]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
 
     def test_workload_id_in_two_groups_is_data_error(self, corpus_dir, tmp_path, capsys):
         # an online-B table that reuses an offline id: stage 2 would score two
@@ -166,6 +171,26 @@ class TestExitCodes:
                     "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert "workload id 'off_000' appears in groups offline and online_b" in err
+
+    def test_predict_parses_only_its_group(self, corpus_dir, rf_trained_dir, tmp_path, capsys):
+        # a nan latency on line 3 of one online_c file, which predictions for
+        # online_b never read
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir.parent, data)
+        c_file = data / "online_c_c_000.csv"
+        lines = c_file.read_text().split("\n")
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+        c_file.write_text("\n".join(lines))
+        for manifest, out in ((corpus_dir, "intact"), (data / "manifest.json", "copy")):
+            assert run(["predict", "--manifest", manifest, "--out", tmp_path / out,
+                        "--model-dir", rf_trained_dir, "--group", "online_b"]) == 0
+        assert ((tmp_path / "copy" / "predictions_rf.csv").read_bytes()
+                == (tmp_path / "intact" / "predictions_rf.csv").read_bytes())
+        capsys.readouterr()
+        assert run(["predict", "--manifest", data / "manifest.json", "--out", tmp_path / "c",
+                    "--model-dir", rf_trained_dir, "--group", "online_c"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {c_file}:3: column 'latency': non-finite value 'nan'\n")
 
 
 @pytest.fixture(scope="module")
@@ -299,11 +324,20 @@ class TestExitContract:
                                                + d["pruned_metrics"][1:]),
          "named twice"),
         ("preprocess.json", lambda d: d.update(scaler_means=["a"]), "list of numbers"),
+        ("preprocess.json", lambda d: d["scaler_stds"].__setitem__(0, 0.0),
+         "every std must be finite and > 0"),
+        ("preprocess.json", lambda d: d["scaler_stds"].__setitem__(0, -1.0),
+         "every std must be finite and > 0"),
+        ("preprocess.json", lambda d: d["scaler_stds"].__setitem__(0, math.nan),
+         "every std must be finite and > 0"),
+        ("preprocess.json", lambda d: d["scaler_means"].__setitem__(0, math.inf),
+         "every mean must be finite"),
     ], ids=["feature-str", "feature-past-width", "feature-negative", "no-trees",
             "n-trees-not-tree-count", "n-trees-past-nodes", "child-to-itself",
             "child-backward", "two-parents", "unequal-lengths", "left-bool", "format-1",
             "knob-names-str", "knob-names-not-strings", "means-short", "stds-long",
-            "pruned-empty", "name-twice", "means-str"])
+            "pruned-empty", "name-twice", "means-str", "std-zero", "std-negative",
+            "std-nan", "mean-inf"])
     def test_malformed_model_dir_exits_2(self, file, edit, message, corpus_dir,
                                          rf_trained_dir, trained_dir, tmp_path, capsys):
         model_dir = tmp_path / "model"

@@ -116,6 +116,15 @@ class TestLoadCorpus:
         assert [t.workload_id for t in corpus.online_b] == ["b_000"]
         assert [t.workload_id for t in corpus.offline] == ["off_000", "off_001", "off_002"]
 
+    def test_one_group_loaded(self, small_corpus):
+        full = load_corpus_from_manifest(small_corpus)
+        one = load_corpus_from_manifest(small_corpus, ("online_b",))
+        assert one.offline == () and one.online_c == () and one.schema == full.schema
+        assert [t.workload_id for t in one.online_b] == [t.workload_id for t in full.online_b]
+        for got, want in zip(one.online_b, full.online_b):
+            for name in ("knobs", "metrics", "latency"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     @pytest.mark.parametrize("second_group", ["offline", "online_b"])
     def test_file_listed_twice_rejected(self, small_corpus, second_group):
         doc = json.loads(small_corpus.read_text())

@@ -470,6 +470,39 @@ class TestForestExact:
         with pytest.raises(DataError, match="fit on 2 features, rows have 3 features"):
             predict.rf_predict(model, np.zeros((3, 3)))
 
+    @staticmethod
+    def _deep_forest(n_trees):
+        rng = np.random.default_rng(n_trees)
+        return predict.rf_fit(rng.normal(size=(60, 4)), rng.uniform(1, 100, size=60),
+                              n_trees, 50, seed=1)
+
+    # a chunk holds _CHUNK_CELLS // rows trees (2048 cells): one chunk of 12 or
+    # of 200 trees; 6 trees a chunk for 300 rows, five full and a last one of 2;
+    # one tree a chunk for 2100 rows; and no rows
+    @pytest.mark.parametrize("n_rows, n_trees", [(1, 12), (10, 200), (300, 32), (2100, 3),
+                                                 (0, 5)])
+    def test_routing_equals_reference_across_chunk_shapes(self, n_rows, n_trees):
+        model = self._deep_forest(n_trees)
+        query = np.random.default_rng(n_rows).normal(size=(n_rows, 4))
+        got = predict.rf_predict(model, query)
+        assert got.shape == (n_rows,)
+        assert np.array_equal(got, _reference_predict(model, query), equal_nan=True)
+
+    def test_non_finite_queries_route_as_reference(self):
+        model = self._deep_forest(20)
+        query = np.random.default_rng(2).normal(size=(30, 4))
+        query[::3, 0], query[1::3, 1], query[2::3, 2] = np.nan, np.inf, -np.inf
+        query[0] = np.nan
+        assert np.array_equal(predict.rf_predict(model, query),
+                              _reference_predict(model, query), equal_nan=True)
+
+    def test_per_table_calls_equal_one_call_on_the_stacked_rows(self):
+        model = self._deep_forest(40)
+        rng = np.random.default_rng(3)
+        tables = [rng.normal(size=(n, 4)) for n in (1, 10, 7, 300, 2)]
+        per_table = np.concatenate([predict.rf_predict(model, t) for t in tables])
+        assert per_table.tobytes() == predict.rf_predict(model, np.vstack(tables)).tobytes()
+
 
 class TestMlp:
     def test_zero_epoch_fit_is_finite(self):
