@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("predict", _cmd_predict, "predict latency with a saved model",
              {"--model-dir": dict(required=True),
               "--group": dict(default="online_b", choices=list(ingest.GROUP_NAMES))}),
-            ("eval", _cmd_eval, "recompute metrics from prediction CSVs",
+            ("eval", _cmd_eval, "recompute summary.csv from prediction CSVs",
              {"--predictions-dir": dict(required=True)}),
             ("pipeline", _cmd_pipeline, "run the full two-stage pipeline", {})):
         p = sub.add_parser(name, help=help_text)

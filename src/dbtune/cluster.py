@@ -18,6 +18,7 @@ from scipy.special import logsumexp
 
 from .errors import DataError, NumericalError
 from .factors import FactorModel
+from .ingest import csv_text
 
 N_RESTARTS = 10
 MAX_LLOYD_ITER = 300
@@ -71,12 +72,9 @@ class ClusterSelection:
     model: "KMeansModel | GmmModel" = field(compare=False)
 
     def report_csv(self) -> str:
-        lines = ["k,silhouette,bic,chosen"]
-        for k in self.candidate_ks:
-            bic = format(self.bic_by_k[k], ".17g") if k in self.bic_by_k else ""
-            chosen = "1" if k == self.chosen_k else "0"
-            lines.append(f"{k},{format(self.silhouette_by_k[k], '.17g')},{bic},{chosen}")
-        return "\n".join(lines) + "\n"
+        return csv_text(["k", "silhouette", "bic", "chosen"],
+                        [(k, self.silhouette_by_k[k], self.bic_by_k.get(k),
+                          int(k == self.chosen_k)) for k in self.candidate_ks])
 
 
 def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

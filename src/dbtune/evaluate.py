@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .ingest import csv_text
 
 MAPE_EPS = 1e-6
 
@@ -63,10 +64,7 @@ class EvalReport:
         return mse(self.truth, self.prediction)
 
     def predictions_csv(self) -> str:
-        lines = ["workload_id,truth,prediction"]
-        for wid, t, p in self.per_point:
-            lines.append(f"{wid},{format(t, '.17g')},{format(p, '.17g')}")
-        return "\n".join(lines) + "\n"
+        return csv_text(["workload_id", "truth", "prediction"], self.per_point)
 
 
 def parse_predictions_csv(text: str, model_name: str) -> EvalReport:
@@ -101,13 +99,11 @@ def compare_models(reports: list[EvalReport]) -> tuple[str, str]:
     if not reports:
         raise DataError("no reports to compare")
     ordered = sorted(reports, key=lambda r: (r.mape, r.model_name))
-    csv_lines = ["model,mape,mse,n"]
-    rows = [("model", "mape", "mse", "n")]
-    for r in ordered:
-        csv_lines.append(f"{r.model_name},{format(r.mape, '.17g')},"
-                         f"{format(r.mse, '.17g')},{r.n}")
-        rows.append((r.model_name, f"{r.mape:.4f}", f"{r.mse:.4f}", str(r.n)))
+    header = ("model", "mape", "mse", "n")
+    rows = [header] + [(r.model_name, f"{r.mape:.4f}", f"{r.mse:.4f}", str(r.n))
+                       for r in ordered]
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     text_lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                   for row in rows]
-    return "\n".join(csv_lines) + "\n", "\n".join(text_lines) + "\n"
+    csv = csv_text(header, [(r.model_name, r.mape, r.mse, r.n) for r in ordered])
+    return csv, "\n".join(text_lines) + "\n"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ingest import WorkloadTable
+from .ingest import WorkloadTable, csv_text
 
 DEFAULT_FACTOR_CAP = 30
 
@@ -141,15 +141,10 @@ def retain_significant(model: FactorModel, cap: int = DEFAULT_FACTOR_CAP) -> Fac
 
 def export_loadings_csv(model: FactorModel) -> str:
     """Loadings as CSV text: metric name plus one column per retained factor."""
-    lines = ["metric," + ",".join(f"factor_{j}" for j in range(model.retained))]
-    for name, row in zip(model.metric_names, model.points):
-        lines.append(name + "," + ",".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text(["metric"] + [f"factor_{j}" for j in range(model.retained)],
+                    [[name, *row] for name, row in zip(model.metric_names, model.points.tolist())])
 
 
 def export_eigenvalues_csv(model: FactorModel) -> str:
     """Eigenvalues as CSV text, one row per extracted factor."""
-    lines = ["factor,eigenvalue"]
-    for j, ev in enumerate(model.eigenvalues):
-        lines.append(f"{j},{format(ev, '.17g')}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["factor", "eigenvalue"], enumerate(model.eigenvalues.tolist()))

@@ -119,6 +119,25 @@ def encode_booleans(raw_cell: str) -> float:
         raise DataError(f"unrecognized cell value {raw_cell!r}") from None
 
 
+# what an unquoted CSV cell cannot hold; ingest refuses ids and column names with any
+_SEPARATORS = frozenset(',"\r\n')
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: the header line, then one line per row of the iterable
+    `rows`, each line ended by a newline.
+
+    A float cell (numpy float64 included) is written as format(v, ".17g"),
+    which reads back through float() as the same double; None is an empty
+    cell and any other cell is written with str(). No cell is quoted. Rows of
+    Python floats (`ndarray.tolist()`) format faster than numpy scalars.
+    """
+    lines = [",".join(header)]
+    lines += [",".join([f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
+                        for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def read_json_object(path, error: type[DbtuneError] = DataError) -> dict:
     """Parse a JSON object file; an unreadable file, invalid JSON, JSON
     nested too deeply to parse or another JSON value raises `error`."""
@@ -202,6 +221,9 @@ def read_manifest(manifest_path) -> tuple[Schema, dict[Path, str]]:
         raise DataError(f"{path}: malformed manifest: {exc}") from None
     if not knobs or not metrics:
         raise DataError("manifest knob and metric lists must be non-empty")
+    for name in (*knobs, *metrics, latency, workload_id):
+        if not _SEPARATORS.isdisjoint(name):
+            raise DataError(f"{path}: column name {name!r} holds a comma, quote or line break")
     group_of: dict[Path, str] = {}
     for name, group in entries:
         file = path.parent / name
@@ -280,6 +302,12 @@ def _parse_file(path: Path, schema: Schema
         i, j = nonfinite[0]
         faults.append((i, j, f"{path}:{linenos[i]}: column {names[j]!r}: "
                              f"non-finite value {columns[col[names[j]]][i].strip()!r}"))
+    ids = [wid.strip() for wid in columns[col[schema.workload_id_name]]] if rows else []
+    unwritable = {wid for wid in set(ids) if not _SEPARATORS.isdisjoint(wid)}
+    if unwritable:
+        i = next(i for i, wid in enumerate(ids) if wid in unwritable)
+        faults.append((i, -1, f"{path}:{linenos[i]}: workload id {ids[i]!r} "
+                              f"holds a comma, quote or line break"))
     negative = np.flatnonzero(values[:, -1] < 0)
     if negative.size:
         i = negative[0]
@@ -293,8 +321,8 @@ def _parse_file(path: Path, schema: Schema
         raise DataError(f"{path}: no observations")
 
     rows_of: dict[str, list[int]] = {}
-    for i, wid in enumerate(columns[col[schema.workload_id_name]]):
-        rows_of.setdefault(wid.strip(), []).append(i)
+    for i, wid in enumerate(ids):
+        rows_of.setdefault(wid, []).append(i)
     k, m = schema.n_knobs, schema.n_metrics
     return {wid: (values[idx, :k], values[idx, k:k + m], values[idx, -1])
             for wid, idx in rows_of.items()}

@@ -22,7 +22,7 @@ import numpy as np
 from .cluster import sq_dists
 from .errors import ConfigError, DataError
 from .evaluate import mape
-from .ingest import WorkloadTable
+from .ingest import WorkloadTable, csv_text
 from .predict import StandardScaler
 
 KNOB_CONFLICT_TOL = 1e-9
@@ -131,12 +131,8 @@ def map_and_augment(corpus_sources: list[WorkloadTable], target: WorkloadTable,
 
 
 def mapping_report_csv(results: list[MappingResult]) -> str:
-    lines = ["target_id,source_id,score,chosen,conflicts_dropped"]
-    for res in results:
-        for source_id, score in zip(res.source_ids, res.scores.tolist()):
-            chosen = source_id == res.chosen_source
-            lines.append(
-                f"{res.target_id},{source_id},{format(score, '.17g')},{int(chosen)},"
-                f"{res.conflicts_dropped if chosen else ''}"
-            )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["target_id", "source_id", "score", "chosen", "conflicts_dropped"],
+        ((res.target_id, source_id, score, int(source_id == res.chosen_source),
+          res.conflicts_dropped if source_id == res.chosen_source else None)
+         for res in results for source_id, score in zip(res.source_ids, res.scores.tolist())))

@@ -338,6 +338,10 @@ class RfModel:
         parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=len(ids))
         if (wrong := np.flatnonzero(parents != (ids >= n_trees))).size:
             raise ValueError(f"node {wrong[0]} has {parents[wrong[0]]} parents")
+        if (wrong := np.flatnonzero(np.isnan(forest.threshold) | ~np.isfinite(forest.value))).size:
+            raise ValueError(f"node {wrong[0]} has threshold {forest.threshold[wrong[0]]} and "
+                             f"value {forest.value[wrong[0]]}: a threshold may not be nan "
+                             f"and a value must be finite")
         return cls(max_depth=json_field(doc, "max_depth", int), seed=json_field(doc, "seed", int),
                    n_trees=n_trees, n_features=n_features, flat=forest)
 
@@ -498,8 +502,8 @@ def _split(xpad, ypad, rows, trees, starts, sizes, feats):
     return feature, threshold, n_left
 
 
-def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int = 200,
-           max_depth: int = 50, seed: int = 0) -> RfModel:
+def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int, max_depth: int,
+           seed: int) -> RfModel:
     """Bagged forest of variance-splitting regression trees; tree t draws
     its bootstrap and, at each node, its sqrt(d) candidate features from rng
     seed + t.
@@ -691,8 +695,8 @@ def mlp_gradients(model: MlpModel, features: np.ndarray,
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 
-def mlp_fit(features: np.ndarray, targets: np.ndarray, hidden_units: int = 64,
-            epochs: int = 500, seed: int = 0) -> MlpModel:
+def mlp_fit(features: np.ndarray, targets: np.ndarray, hidden_units: int, epochs: int,
+            seed: int) -> MlpModel:
     """Train with Adam on mini-batches of BATCH_SIZE rows; shuffling is
     seeded per epoch."""
     x = np.atleast_2d(np.asarray(features, dtype=float))

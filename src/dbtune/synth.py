@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import Corpus, Schema, WorkloadTable, check_fields, read_json_object
+from .ingest import Corpus, Schema, WorkloadTable, check_fields, csv_text, read_json_object
 
 ONLINE_PERTURB = 0.05
 LATENCY_NOISE_GAIN = 10.0
@@ -170,10 +170,6 @@ def generate_corpus(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
     return corpus, truth
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_corpus(corpus: Corpus, out_dir) -> Path:
     """Write one CSV per workload plus the ingest manifest; returns its path."""
     out = Path(out_dir)
@@ -190,15 +186,10 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
         for table in corpus.group(group):
             name = f"{group}_{table.workload_id}.csv"
             groups[group].append(name)
-            lines = [",".join(header)]
-            for i in range(table.n_rows):
-                cells = ([table.workload_id]
-                         + [_fmt(v) for v in table.knobs[i]]
-                         + [_fmt(v) for v in table.metrics[i]]
-                         + [_fmt(table.latency[i])])
-                lines.append(",".join(cells))
+            rows = [[table.workload_id, *k, *m, y] for k, m, y in zip(
+                table.knobs.tolist(), table.metrics.tolist(), table.latency.tolist())]
             try:
-                (out / name).write_text("\n".join(lines) + "\n")
+                (out / name).write_text(csv_text(header, rows))
             except OSError as exc:
                 raise DataError(f"cannot write {out / name}: {exc}") from exc
     manifest = {

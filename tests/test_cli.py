@@ -313,6 +313,10 @@ class TestExitContract:
         ("model.json", lambda d: d["left"].__setitem__(0, True), "left must be a list of ints"),
         ("model.json", lambda d: (d.clear(), d.update(FORMAT_1_FOREST)),
          "unsupported model format version 1"),
+        ("model.json", lambda d: d["threshold"].__setitem__(0, math.nan),
+         "node 0 has threshold nan and value"),
+        ("model.json", lambda d: d["value"].__setitem__(-1, math.nan), "and value nan: a"),
+        ("model.json", lambda d: d["value"].__setitem__(-1, math.inf), "and value inf: a"),
         ("preprocess.json", lambda d: d.update(knob_names="3"), "knob_names must be list"),
         ("preprocess.json", lambda d: d.update(knob_names=[3]), "list of strings"),
         ("preprocess.json", lambda d: d.update(scaler_means=d["scaler_means"][:-1]),
@@ -335,6 +339,7 @@ class TestExitContract:
     ], ids=["feature-str", "feature-past-width", "feature-negative", "no-trees",
             "n-trees-not-tree-count", "n-trees-past-nodes", "child-to-itself",
             "child-backward", "two-parents", "unequal-lengths", "left-bool", "format-1",
+            "threshold-nan", "value-nan", "value-inf",
             "knob-names-str", "knob-names-not-strings", "means-short", "stds-long",
             "pruned-empty", "name-twice", "means-str", "std-zero", "std-negative",
             "std-nan", "mean-inf"])
@@ -372,6 +377,28 @@ class TestExitContract:
                         "--model-dir", model_dir]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case, message", [
+        ("id", "online_b_b_000.csv:2: workload id 'b,000' holds a comma, quote or line break"),
+        ("name", "column name 'knob,0' holds a comma, quote or line break"),
+    ], ids=["id", "name"])
+    def test_unwritable_id_or_name_exits_2(self, case, message, corpus_dir, tmp_path, capsys):
+        # a quoted cell parses, but no table the pipeline writes could hold it
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir.parent, data)
+        if case == "id":
+            path = data / "online_b_b_000.csv"
+            path.write_text(path.read_text().replace("\nb_000,", '\n"b,000",'))
+        else:
+            for path in data.glob("*.csv"):
+                path.write_text(path.read_text().replace("knob_0", '"knob,0"', 1))
+            manifest = data / "manifest.json"
+            manifest.write_text(manifest.read_text().replace('"knob_0"', '"knob,0"'))
+        out = tmp_path / "out"
+        assert run(["pipeline", "--manifest", data / "manifest.json", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (out / "map_report.csv").exists()
 
     @pytest.mark.parametrize("case, flags, message", [
         ("k-min-past-metrics", ["--k-min", "5", "--k-max", "9"],
@@ -476,6 +503,18 @@ class TestPipelineCommand:
             name = f.stem.removeprefix("predictions_")
             report = evaluate.parse_predictions_csv(f.read_text(), name)
             assert summary[name] == pytest.approx(report.mape, rel=1e-6)
+
+    @pytest.mark.parametrize("flags", [[], ["--predictor", "rf", "--trees", "10"],
+                                       ["--predictor", "nn", "--epochs", "30"]],
+                             ids=["gpr", "rf", "nn"])
+    def test_eval_rewrites_summary(self, flags, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        self._run(corpus_dir, out, flags)
+        printed = capsys.readouterr().out
+        assert run(["eval", "--predictions-dir", out, "--out", tmp_path / "e"]) == 0
+        assert capsys.readouterr().out == printed
+        for name in ("summary.csv", "summary.txt"):
+            assert (tmp_path / "e" / name).read_bytes() == (out / name).read_bytes()
 
     def test_rf_and_nn_predictors_run(self, corpus_dir, tmp_path, capsys):
         for predictor, extra in (("rf", ["--trees", "10", "--depth", "6"]),

@@ -1,13 +1,16 @@
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dbtune import synth
 from dbtune.errors import DataError
 from dbtune.ingest import (
     GROUP_NAMES,
+    csv_text,
     drop_constant_columns,
     encode_booleans,
     load_corpus,
@@ -170,6 +173,34 @@ class TestRoundTrip:
             assert np.array_equal(orig.latency, back.latency)
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestCsvText:
+    @given(st.lists(st.floats(), min_size=1, max_size=6))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+    @example([1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf])
+    def test_floats_read_back_bit_equal(self, values):
+        header = [f"c{j}" for j in range(len(values))]
+        text = csv_text(header, [values])
+        first, line, end = text.split("\n")
+        assert (first, end) == (",".join(header), "")
+        back = [float(cell) for cell in line.split(",")]
+        for x, y in zip(values, back):
+            assert math.isnan(y) if math.isnan(x) else _bits(x) == _bits(y)
+        # a numpy float64 is a float, written alike
+        assert csv_text(header, [list(map(np.float64, values))]) == text
+
+    @given(st.lists(st.lists(st.one_of(
+        st.none(), st.integers(), st.text(st.characters(blacklist_characters=',"\r\n'))),
+        min_size=1, max_size=4), max_size=4))
+    def test_none_empty_ints_and_strings_pass_through(self, rows):
+        text = csv_text(["h"], rows)
+        assert text.split("\n") == ["h", *(",".join("" if v is None else str(v) for v in row)
+                                            for row in rows), ""]
+
+
 _PAD = st.sampled_from(["", " ", "  ", "\t", " \t"])
 _BOOL = st.sampled_from(["true", "FALSE", "On", "off", "YES", "no", "True", "oFF"])
 _NUMBER = st.one_of(
@@ -218,6 +249,11 @@ class TestColumnParse:
         ("w,1,2,z\nw,q,2,3\n", "{path}:2: column 'latency': unrecognized cell value 'z'"),
         ("w,q,2,3\nw,1,2\n", "{path}:2: column 'k0': unrecognized cell value 'q'"),
         ("w,1,2\nw,q,2,3\n", "{path}:2: expected 4 cells, got 3"),
+        # an id csv_text cannot write as one cell, before the row's other faults
+        ('w,1,2,3\n"a\nb",q,2,-1\n',
+         "{path}:3: workload id 'a\\nb' holds a comma, quote or line break"),
+        ('w,1,2,3\n" x""y",1,2,3\n',
+         "{path}:3: workload id 'x\"y' holds a comma, quote or line break"),
         # a field the csv reader refuses ends the rows like a ragged one
         pytest.param("w,1,2,3\nw,1," + "9" * 131073 + ",3\n",
                      "{path}:3: field larger than field limit (131072)", id="huge-field"),

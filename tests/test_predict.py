@@ -269,7 +269,7 @@ class TestRandomForest:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            predict.rf_fit(np.zeros((1, 2)), np.zeros(1))
+            predict.rf_fit(np.zeros((1, 2)), np.zeros(1), 200, 50, seed=0)
 
 
 # The forest as grown before lock-step growth: one tree at a time,
@@ -458,7 +458,7 @@ class TestForestExact:
     @pytest.mark.parametrize("n_trees, max_depth", [(0, 5), (3, -1)])
     def test_bad_config_rejected(self, n_trees, max_depth):
         with pytest.raises(ConfigError):
-            predict.rf_fit(np.zeros((4, 2)), np.arange(4.0), n_trees, max_depth)
+            predict.rf_fit(np.zeros((4, 2)), np.arange(4.0), n_trees, max_depth, seed=0)
 
     def test_feature_past_row_width_rejected(self):
         model = predict.rf_fit(np.arange(12.0).reshape(6, 2), np.arange(6.0), 2, 3, seed=0)
@@ -509,7 +509,7 @@ class TestMlp:
         rng = np.random.default_rng(0)
         x = rng.uniform(size=(10, 2))
         y = rng.uniform(1, 2, size=10)
-        m = predict.mlp_fit(x, y, epochs=0, seed=1)
+        m = predict.mlp_fit(x, y, hidden_units=64, epochs=0, seed=1)
         p = predict.mlp_predict(m, x)
         assert np.all(np.isfinite(p))
 
@@ -538,15 +538,15 @@ class TestMlp:
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(16, 2))
         y = rng.uniform(1, 2, size=16)
-        a = predict.mlp_predict(predict.mlp_fit(x, y, epochs=20, seed=4), x)
-        b = predict.mlp_predict(predict.mlp_fit(x, y, epochs=20, seed=4), x)
+        a = predict.mlp_predict(predict.mlp_fit(x, y, hidden_units=64, epochs=20, seed=4), x)
+        b = predict.mlp_predict(predict.mlp_fit(x, y, hidden_units=64, epochs=20, seed=4), x)
         assert np.array_equal(a, b)
 
     def test_loss_trace_recorded(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(size=(100, 1))  # four batches of up to BATCH_SIZE rows an epoch
         y = 2 * x[:, 0] + 1
-        m = predict.mlp_fit(x, y, epochs=30, seed=0)
+        m = predict.mlp_fit(x, y, hidden_units=64, epochs=30, seed=0)
         assert len(m.loss_trace) == 30
         assert m.loss_trace[-1] < m.loss_trace[0]
 
@@ -587,9 +587,9 @@ class TestPersistence:
     @pytest.mark.parametrize("fit, edit, message", [
         (lambda x, y: predict.gpr_fit(x, y, 1e-2),
          lambda d: d.update(chol=d["chol"][:-1]), "do not fit 6 training rows"),
-        (lambda x, y: predict.mlp_fit(x, y, epochs=1),
+        (lambda x, y: predict.mlp_fit(x, y, hidden_units=64, epochs=1, seed=0),
          lambda d: d.update(w2=[[1.0]]), "layer shapes"),
-        (lambda x, y: predict.mlp_fit(x, y, epochs=1),
+        (lambda x, y: predict.mlp_fit(x, y, hidden_units=64, epochs=1, seed=0),
          lambda d: d.update(seed="3"), "seed must be int"),
     ], ids=["gpr-chol-shape", "mlp-layer-shape", "mlp-seed-str"])
     def test_malformed_model_rejected(self, fit, edit, message, tmp_path):
