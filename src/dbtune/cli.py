@@ -10,6 +10,7 @@ with the mapped B rows.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -201,7 +202,9 @@ def run_eval(config: PipelineConfig, predictions_dir) -> str:
     for f in files:
         name = f.stem.removeprefix("predictions_")
         with _stage(f"eval/{f.name}"):
-            reports.append(evaluate.parse_predictions_csv(f.read_text(), name))
+            if not ingest.SEPARATORS.isdisjoint(name):  # it is a cell of summary.csv
+                raise DataError(f"model name {name!r} holds a comma, quote or line break")
+            reports.append(evaluate.parse_predictions_csv(ingest.read_text(f), name))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     return _write_summary(reports, out)
@@ -255,13 +258,8 @@ def _cmd_prune(args, config: PipelineConfig) -> int:
 
 
 def _read_pruned(path) -> tuple[str, ...]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    names = tuple(line.strip() for line in text.splitlines() if line.strip())
+    lines = io.StringIO(ingest.read_text(path), newline="")  # split as the csv reader splits
+    names = tuple(line.strip() for line in lines if line.strip())
     if not names:
         raise DataError(f"pruned metric file {path} is empty")
     return names

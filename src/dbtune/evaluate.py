@@ -7,9 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ingest import csv_text
+from .ingest import Schema, csv_text, parse_csv
 
 MAPE_EPS = 1e-6
+# a predictions CSV as ingest reads it: values are (prediction, truth)
+_PREDICTIONS = Schema((), ("prediction",), "truth", "workload_id")
 
 
 def _check(truth, pred):
@@ -68,30 +70,10 @@ class EvalReport:
 
 
 def parse_predictions_csv(text: str, model_name: str) -> EvalReport:
-    lines = text.strip().splitlines()
-    if not lines:
-        raise DataError("empty predictions file")
-    header = lines[0].split(",")
-    for col in ("workload_id", "truth", "prediction"):
-        if col not in header:
-            raise DataError(f"predictions header missing column {col!r}")
-    wid_i, t_i, p_i = (header.index(c) for c in ("workload_id", "truth", "prediction"))
-    points = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DataError(f"line {lineno}: expected {len(header)} cells")
-        try:
-            points.append((cells[wid_i], float(cells[t_i]), float(cells[p_i])))
-        except ValueError:
-            raise DataError(f"line {lineno}: non-numeric truth/prediction") from None
-        if not np.isfinite(points[-1][1:]).all():
-            raise DataError(f"line {lineno}: non-finite truth/prediction")
-        if points[-1][1] < 0:
-            raise DataError(f"line {lineno}: negative truth {points[-1][1]}")
-    if not points:
-        raise DataError("predictions file has no rows")
-    return EvalReport(model_name=model_name, per_point=tuple(points))
+    """Read `predictions_csv` text back with the corpus reader's rules; errors
+    are named `<model_name>:<line>`."""
+    ids, values = parse_csv(text, _PREDICTIONS, model_name)
+    return EvalReport(model_name, tuple(zip(ids, values[:, 1].tolist(), values[:, 0].tolist())))
 
 
 def compare_models(reports: list[EvalReport]) -> tuple[str, str]:

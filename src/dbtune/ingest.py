@@ -9,6 +9,7 @@ across the whole corpus are dropped.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -120,7 +121,7 @@ def encode_booleans(raw_cell: str) -> float:
 
 
 # what an unquoted CSV cell cannot hold; ingest refuses ids and column names with any
-_SEPARATORS = frozenset(',"\r\n')
+SEPARATORS = frozenset(',"\r\n')
 
 
 def csv_text(header, rows) -> str:
@@ -138,13 +139,25 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path, error: type[DbtuneError] = DataError) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark (Excel
+    writes one) and with its line ends as written; a file that cannot be
+    read (such as a directory) or decoded raises `error`."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot decode {path}: {exc.reason}") from None
+
+
 def read_json_object(path, error: type[DbtuneError] = DataError) -> dict:
     """Parse a JSON object file; an unreadable file, invalid JSON, JSON
     nested too deeply to parse or another JSON value raises `error`."""
+    text = read_text(path, error)
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror}") from None
+        doc = json.loads(text)
     except ValueError as exc:
         raise error(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
@@ -222,7 +235,7 @@ def read_manifest(manifest_path) -> tuple[Schema, dict[Path, str]]:
     if not knobs or not metrics:
         raise DataError("manifest knob and metric lists must be non-empty")
     for name in (*knobs, *metrics, latency, workload_id):
-        if not _SEPARATORS.isdisjoint(name):
+        if not SEPARATORS.isdisjoint(name):
             raise DataError(f"{path}: column name {name!r} holds a comma, quote or line break")
     group_of: dict[Path, str] = {}
     for name, group in entries:
@@ -235,57 +248,50 @@ def read_manifest(manifest_path) -> tuple[Schema, dict[Path, str]]:
                   workload_id_name=workload_id), group_of
 
 
-def _parse_file(path: Path, schema: Schema
-                ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Parse one CSV into workload-id -> (knobs, metrics, latency), in file order.
+def parse_csv(text: str, schema: Schema, where: str) -> tuple[list[str], np.ndarray]:
+    """Parse CSV text into its rows' workload ids and values, both in text order.
 
-    Each needed column is converted with float() in one pass; only a column
-    where that fails is parsed cell by cell with `encode_booleans`. The error
-    raised is that of the first fault in file order, as a row-by-row parse
-    would find it.
+    `values` is (n, n_knobs + n_metrics + 1): the knob, metric and latency
+    columns. Blank lines are skipped. Each needed column is converted with
+    float() in one pass; only a column where that fails is parsed cell by
+    cell with `encode_booleans`. The error raised is that of the first fault
+    in text order, as a row-by-row parse would find it; its message starts
+    with `where` and the line.
     """
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file, no header") from None
-            except csv.Error as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-            header = [h.strip() for h in header]
-            if len(set(header)) != len(header):
-                raise DataError(f"{path}: duplicate column names in header")
-            col = {name: i for i, name in enumerate(header)}
-            names = list(schema.knob_names) + list(schema.metric_names) + [schema.latency_name]
-            for name in names + [schema.workload_id_name]:
-                if name not in col:
-                    raise DataError(f"{path}: missing column {name!r}")
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{where}: empty file, no header") from None
+    except csv.Error as exc:
+        raise DataError(f"{where}:{reader.line_num}: {exc}") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        raise DataError(f"{where}: duplicate column names in header")
+    col = {name: i for i, name in enumerate(header)}
+    names = list(schema.knob_names) + list(schema.metric_names) + [schema.latency_name]
+    for name in names + [schema.workload_id_name]:
+        if name not in col:
+            raise DataError(f"{where}: missing column {name!r}")
 
-            # the first row the reader cannot take ends the rows, as a fault
-            # raised after those of the rows before it
-            rows, linenos, stop = [], [], None
-            try:
-                for lineno, row in enumerate(reader, start=2):
-                    if not row or all(not c.strip() for c in row):
-                        continue
-                    if len(row) != len(header):
-                        stop = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                        break
-                    rows.append(row)
-                    linenos.append(lineno)
-            except csv.Error as exc:  # such as a field over csv.field_size_limit()
-                stop = f"{path}:{reader.line_num}: {exc}"
-    except OSError as exc:  # such as a directory
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot decode {path}: {exc.reason}") from None
+    # the first row the reader cannot take ends the rows, as a fault
+    # raised after those of the rows before it
+    rows, linenos, stop = [], [], None
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                stop = f"{where}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                break
+            rows.append(row)
+            linenos.append(lineno)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        stop = f"{where}:{reader.line_num}: {exc}"
 
     columns = list(zip(*rows))
     values = np.zeros((len(rows), len(names)))
-    faults = []  # (row, column position, message); the least is the first in file order
+    faults = []  # (row, column position, message); the least is the first in text order
     for j, name in enumerate(names):
         cells = columns[col[name]] if rows else ()
         try:
@@ -295,37 +301,31 @@ def _parse_file(path: Path, schema: Schema
                 try:
                     values[i, j] = encode_booleans(raw)
                 except DataError as exc:
-                    faults.append((i, j, f"{path}:{linenos[i]}: column {name!r}: {exc}"))
+                    faults.append((i, j, f"{where}:{linenos[i]}: column {name!r}: {exc}"))
                     break
     nonfinite = np.argwhere(~np.isfinite(values))  # nan, inf, or a number past float's range
     if nonfinite.size:
         i, j = nonfinite[0]
-        faults.append((i, j, f"{path}:{linenos[i]}: column {names[j]!r}: "
+        faults.append((i, j, f"{where}:{linenos[i]}: column {names[j]!r}: "
                              f"non-finite value {columns[col[names[j]]][i].strip()!r}"))
     ids = [wid.strip() for wid in columns[col[schema.workload_id_name]]] if rows else []
-    unwritable = {wid for wid in set(ids) if not _SEPARATORS.isdisjoint(wid)}
+    unwritable = {wid for wid in set(ids) if not SEPARATORS.isdisjoint(wid)}
     if unwritable:
         i = next(i for i, wid in enumerate(ids) if wid in unwritable)
-        faults.append((i, -1, f"{path}:{linenos[i]}: workload id {ids[i]!r} "
+        faults.append((i, -1, f"{where}:{linenos[i]}: workload id {ids[i]!r} "
                               f"holds a comma, quote or line break"))
     negative = np.flatnonzero(values[:, -1] < 0)
     if negative.size:
         i = negative[0]
-        faults.append((i, len(names),
-                       f"{path}:{linenos[i]}: negative latency {float(values[i, -1])}"))
+        faults.append((i, len(names), f"{where}:{linenos[i]}: negative "
+                                      f"{schema.latency_name} {float(values[i, -1])}"))
     if faults:
         raise DataError(min(faults)[2])
     if stop:
         raise DataError(stop)
     if not rows:
-        raise DataError(f"{path}: no observations")
-
-    rows_of: dict[str, list[int]] = {}
-    for i, wid in enumerate(ids):
-        rows_of.setdefault(wid, []).append(i)
-    k, m = schema.n_knobs, schema.n_metrics
-    return {wid: (values[idx, :k], values[idx, k:k + m], values[idx, -1])
-            for wid, idx in rows_of.items()}
+        raise DataError(f"{where}: no observations")
+    return ids, values
 
 
 def load_corpus(paths, manifest) -> Corpus:
@@ -352,12 +352,21 @@ def load_corpus_from_manifest(manifest, groups=GROUP_NAMES) -> Corpus:
 
 def _load_files(schema: Schema, files) -> Corpus:
     """Parse each (path, group) file. Rows of one workload id in several files
-    of a group are concatenated; one id in two groups is a DataError."""
+    of a group are concatenated in file order; one id in two groups is a
+    DataError."""
+    k, m = schema.n_knobs, schema.n_metrics
     blocks_by_group: dict[str, dict[str, list]] = {g: {} for g in GROUP_NAMES}
     for path, group in files:
+        if not path.exists():
+            raise DataError(f"input file not found: {path}")
+        ids, values = parse_csv(read_text(path), schema, str(path))
+        rows_of: dict[str, list[int]] = {}
+        for i, wid in enumerate(ids):
+            rows_of.setdefault(wid, []).append(i)
         dest = blocks_by_group[group]
-        for wid, block in _parse_file(path, schema).items():
-            dest.setdefault(wid, []).append(block)
+        for wid, idx in rows_of.items():
+            dest.setdefault(wid, []).append((values[idx, :k], values[idx, k:k + m],
+                                             values[idx, -1]))
 
     group_of_id: dict[str, str] = {}
     for group in GROUP_NAMES:

@@ -258,6 +258,8 @@ class TestExitContract:
         ("train-missing-pruned", "cannot read"),
         ("prune-csv-is-directory", "offline_off_000.csv: Is a directory"),
         ("prune-csv-not-utf8", "cannot decode"),
+        ("eval-csv-is-directory", "predictions_x.csv: Is a directory"),
+        ("eval-csv-not-utf8", "cannot decode"),
         ("prune-csv-huge-field", "offline_off_000.csv:8: field larger than field limit"),
         ("prune-manifest-knobs-int", "knobs must be list, got 3"),
         ("synth-spec-str-count", "'n_offline' must be int"),
@@ -281,12 +283,21 @@ class TestExitContract:
         if command in csv_damage:
             shutil.copytree(corpus_dir.parent, data)
             csv_damage[command](data / "offline_off_000.csv")
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        if command == "eval-csv-is-directory":
+            (preds / "predictions_x.csv").mkdir()
+        if command == "eval-csv-not-utf8":
+            (preds / "predictions_x.csv").write_bytes(
+                b"workload_id,truth,prediction\n\xff,1,1\n")
         argv = {
             "prune-bad-manifest": ["prune", "--manifest", bad],
             "synth-bad-spec": ["synth", "--spec", bad],
             "map-missing-pruned": ["map", "--manifest", corpus_dir, "--pruned", missing],
             "train-missing-pruned": ["train", "--manifest", corpus_dir, "--pruned", missing],
             **{name: ["prune", "--manifest", data / "manifest.json"] for name in csv_damage},
+            **{name: ["eval", "--predictions-dir", preds]
+               for name in ("eval-csv-is-directory", "eval-csv-not-utf8")},
             "prune-manifest-knobs-int": ["prune", "--manifest", knobs_int],
             "synth-spec-str-count": ["synth", "--spec", spec],
         }[command]
@@ -542,8 +553,8 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("row, message", [
         ("w,-2.5,1", "negative truth -2.5"),
-        ("w,nan,1", "non-finite truth/prediction"),
-        ("w,2,inf", "non-finite truth/prediction"),
+        ("w,nan,1", "column 'truth': non-finite value 'nan'"),
+        ("w,2,inf", "column 'prediction': non-finite value 'inf'"),
     ], ids=["negative-truth", "nan-truth", "inf-prediction"])
     def test_bad_truth_or_prediction_is_data_error(self, row, message, tmp_path, capsys):
         pdir = tmp_path / "preds"
@@ -551,7 +562,18 @@ class TestEvalCommand:
         (pdir / "predictions_x.csv").write_text(
             f"workload_id,truth,prediction\nw,1,1\n{row}\n")
         assert run(["eval", "--predictions-dir", pdir, "--out", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err == f"error: [eval/predictions_x.csv] line 3: {message}\n"
+        assert capsys.readouterr().err == f"error: [eval/predictions_x.csv] x:3: {message}\n"
+
+    def test_unwritable_model_name_is_data_error(self, tmp_path, capsys):
+        # the name from predictions_<name>.csv is a cell of summary.csv
+        pdir = tmp_path / "preds"
+        pdir.mkdir()
+        (pdir / "predictions_a,b.csv").write_text(
+            evaluate.EvalReport("a,b", (("w", 100.0, 110.0),)).predictions_csv())
+        assert run(["eval", "--predictions-dir", pdir, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == ("error: [eval/predictions_a,b.csv] model name "
+                                           "'a,b' holds a comma, quote or line break\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainPredictCommands:
@@ -687,6 +709,12 @@ class TestCrossCorpusPredict:
         assert run(["map", "--manifest", corpus_dir, "--out", tmp_path / "out",
                     "--pruned", pruned]) == 2
         assert capsys.readouterr().err == "error: feature 'metric_g00_0' named twice\n"
+
+    def test_pruned_lines_end_as_csv_lines(self, tmp_path):
+        # only \r, \n and \r\n end a line; str.splitlines would also split at \x1c
+        pruned = tmp_path / "p.txt"
+        pruned.write_bytes("a\x1cb\r\nc\rd\n\n".encode())
+        assert cli._read_pruned(pruned) == ("a\x1cb", "c", "d")
 
 
 class TestPrunedMetricConstantInCorpus:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dbtune.errors import DataError
 from dbtune.evaluate import (
@@ -12,6 +12,13 @@ from dbtune.evaluate import (
 )
 
 finite = st.floats(min_value=0.1, max_value=1e6)
+# any id csv_text writes as one cell and ingest keeps as it is: no separator, no
+# surrounding whitespace; \x1c, \x85 and \u2028 break lines for str.splitlines.
+# No NUL: the csv module refuses it before Python 3.11.
+ids = (st.text(min_size=1) | st.sampled_from(["a\x1cb", "a\x85b", "a\u2028b", "a\x0bb\x0cc"]))
+ids = ids.filter(lambda s: s == s.strip() and not set(s) & set(',"\r\n\x00'))
+points = st.lists(st.tuples(ids, st.floats(0, 1e300), st.floats(-1e300, 1e300)),
+                  min_size=1, max_size=6)
 
 
 class TestMape:
@@ -74,13 +81,21 @@ class TestEvalReport:
         back = parse_predictions_csv(report.predictions_csv(), "m")
         assert back == report
 
+    @settings(max_examples=200)
+    @given(points)
+    @example([("b", 1.0, 2.0), ("a", 3.0, 4.0), ("b", 5.0, 6.0), ("a\x1cb", 7.0, 8.0)])
+    def test_csv_roundtrip_any_id(self, per_point):
+        # rows come back in file order, which mape_pct depends on
+        report = EvalReport("m", tuple(per_point))
+        assert parse_predictions_csv(report.predictions_csv(), "m") == report
+
     def test_parse_missing_column(self):
         with pytest.raises(DataError, match="prediction"):
             parse_predictions_csv("workload_id,truth\na,1\n", "m")
 
     def test_parse_bad_row(self):
         text = "workload_id,truth,prediction\na,1,2\nb,1\n"
-        with pytest.raises(DataError, match="line 3"):
+        with pytest.raises(DataError, match="^m:3: expected 3 cells, got 2$"):
             parse_predictions_csv(text, "m")
 
 
