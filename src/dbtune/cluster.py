@@ -72,9 +72,11 @@ class ClusterSelection:
     model: "KMeansModel | GmmModel" = field(compare=False)
 
     def report_csv(self) -> str:
+        ks = self.candidate_ks
         return csv_text(["k", "silhouette", "bic", "chosen"],
-                        [(k, self.silhouette_by_k[k], self.bic_by_k.get(k),
-                          int(k == self.chosen_k)) for k in self.candidate_ks])
+                        [ks, [self.silhouette_by_k[k] for k in ks],
+                         [self.bic_by_k.get(k) for k in ks],
+                         [int(k == self.chosen_k) for k in ks]])
 
 
 def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -66,7 +66,8 @@ class EvalReport:
         return mse(self.truth, self.prediction)
 
     def predictions_csv(self) -> str:
-        return csv_text(["workload_id", "truth", "prediction"], self.per_point)
+        return csv_text(["workload_id", "truth", "prediction"],
+                        [[p[i] for p in self.per_point] for i in range(3)])
 
 
 def parse_predictions_csv(text: str, model_name: str) -> EvalReport:
@@ -87,5 +88,6 @@ def compare_models(reports: list[EvalReport]) -> tuple[str, str]:
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     text_lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                   for row in rows]
-    csv = csv_text(header, [(r.model_name, r.mape, r.mse, r.n) for r in ordered])
+    csv = csv_text(header, [[getattr(r, name) for r in ordered]
+                            for name in ("model_name", "mape", "mse", "n")])
     return csv, "\n".join(text_lines) + "\n"

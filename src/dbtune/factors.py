@@ -142,9 +142,10 @@ def retain_significant(model: FactorModel, cap: int = DEFAULT_FACTOR_CAP) -> Fac
 def export_loadings_csv(model: FactorModel) -> str:
     """Loadings as CSV text: metric name plus one column per retained factor."""
     return csv_text(["metric"] + [f"factor_{j}" for j in range(model.retained)],
-                    [[name, *row] for name, row in zip(model.metric_names, model.points.tolist())])
+                    [model.metric_names, *model.points.T.tolist()])
 
 
 def export_eigenvalues_csv(model: FactorModel) -> str:
     """Eigenvalues as CSV text, one row per extracted factor."""
-    return csv_text(["factor", "eigenvalue"], enumerate(model.eigenvalues.tolist()))
+    return csv_text(["factor", "eigenvalue"],
+                    [range(len(model.eigenvalues)), model.eigenvalues.tolist()])

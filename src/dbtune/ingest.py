@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -122,21 +123,40 @@ def encode_booleans(raw_cell: str) -> float:
 
 # what an unquoted CSV cell cannot hold; ingest refuses ids and column names with any
 SEPARATORS = frozenset(',"\r\n')
+# what parse_csv strips around ids and column names: ASCII blanks only, as
+# str.strip() would also take \xa0, \x1c-\x1f and \x85, and merge ids that differ there
+_BLANKS = " \t"
 
 
-def csv_text(header, rows) -> str:
-    """CSV text: the header line, then one line per row of the iterable
-    `rows`, each line ended by a newline.
+def csv_text(header, columns) -> str:
+    """CSV text: the header line, then one line per row, each line ended by a
+    newline. `columns` holds one sequence of cells per header name, all of
+    one length (ValueError otherwise).
 
     A float cell (numpy float64 included) is written as format(v, ".17g"),
     which reads back through float() as the same double; None is an empty
-    cell and any other cell is written with str(). No cell is quoted. Rows of
-    Python floats (`ndarray.tolist()`) format faster than numpy scalars.
+    cell and any other cell is written with str(). No cell is quoted. The
+    types in each column are looked up once, so a column that holds only
+    floats, or neither floats nor None, takes no per-cell type test: one
+    %-format writes each line.
     """
-    lines = [",".join(header)]
-    lines += [",".join([f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
-                        for v in row]) for row in rows]
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"{len(header)} header names and columns of lengths "
+                         f"{[len(c) for c in columns]}")
+    formats, columns = zip(*map(_field, columns))
+    lines = [",".join(header), *map(",".join(formats).__mod__, zip(*columns))]
     return "\n".join(lines) + "\n"
+
+
+def _field(column) -> tuple[str, Sequence]:
+    """A column's %-format field and the cells it formats."""
+    types = set(map(type, column))
+    if types <= {float, np.float64}:
+        return "%.17g", column  # "%.17g" % v == format(v, ".17g")
+    if not any(issubclass(t, float) or t is type(None) for t in types):
+        return "%s", column  # "%s" % v == str(v)
+    return "%s", [f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
+                  for v in column]
 
 
 def read_text(path, error: type[DbtuneError] = DataError) -> str:
@@ -265,7 +285,7 @@ def parse_csv(text: str, schema: Schema, where: str) -> tuple[list[str], np.ndar
         raise DataError(f"{where}: empty file, no header") from None
     except csv.Error as exc:
         raise DataError(f"{where}:{reader.line_num}: {exc}") from None
-    header = [h.strip() for h in header]
+    header = [h.strip(_BLANKS) for h in header]
     if len(set(header)) != len(header):
         raise DataError(f"{where}: duplicate column names in header")
     col = {name: i for i, name in enumerate(header)}
@@ -279,7 +299,7 @@ def parse_csv(text: str, schema: Schema, where: str) -> tuple[list[str], np.ndar
     rows, linenos, stop = [], [], None
     try:
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not row or all(not c.strip(_BLANKS) for c in row):
                 continue
             if len(row) != len(header):
                 stop = f"{where}:{lineno}: expected {len(header)} cells, got {len(row)}"
@@ -308,7 +328,7 @@ def parse_csv(text: str, schema: Schema, where: str) -> tuple[list[str], np.ndar
         i, j = nonfinite[0]
         faults.append((i, j, f"{where}:{linenos[i]}: column {names[j]!r}: "
                              f"non-finite value {columns[col[names[j]]][i].strip()!r}"))
-    ids = [wid.strip() for wid in columns[col[schema.workload_id_name]]] if rows else []
+    ids = [wid.strip(_BLANKS) for wid in columns[col[schema.workload_id_name]]] if rows else []
     unwritable = {wid for wid in set(ids) if not SEPARATORS.isdisjoint(wid)}
     if unwritable:
         i = next(i for i, wid in enumerate(ids) if wid in unwritable)

@@ -133,6 +133,9 @@ def map_and_augment(corpus_sources: list[WorkloadTable], target: WorkloadTable,
 def mapping_report_csv(results: list[MappingResult]) -> str:
     return csv_text(
         ["target_id", "source_id", "score", "chosen", "conflicts_dropped"],
-        ((res.target_id, source_id, score, int(source_id == res.chosen_source),
-          res.conflicts_dropped if source_id == res.chosen_source else None)
-         for res in results for source_id, score in zip(res.source_ids, res.scores.tolist())))
+        [[res.target_id for res in results for _ in res.source_ids],
+         [s for res in results for s in res.source_ids],
+         [v for res in results for v in res.scores.tolist()],
+         [int(s == res.chosen_source) for res in results for s in res.source_ids],
+         [res.conflicts_dropped if s == res.chosen_source else None
+          for res in results for s in res.source_ids]])

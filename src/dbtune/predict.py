@@ -362,6 +362,8 @@ class RfModel:
 
 # cap on the cells of one batched array in rf_fit and rf_predict
 _CHUNK_CELLS = 1 << 11
+# candidate feature sets a tree draws at a time in rf_fit
+_CAND_BLOCK = 32
 
 
 def _square(a: np.ndarray) -> np.ndarray:
@@ -470,6 +472,12 @@ def _partition(rows, xpad, seg, trees, starts, sizes, feature, threshold) -> np.
     return goes_left.sum(axis=1)
 
 
+def _candidates(rng: np.random.Generator, d: int, n_cand: int) -> np.ndarray:
+    """_CAND_BLOCK independent uniform n_cand-subsets of range(d), one per
+    row, each sorted: the first n_cand entries of a random permutation."""
+    return np.sort(np.argsort(rng.random((_CAND_BLOCK, d)), axis=1)[:, :n_cand], axis=1)
+
+
 def _split(xpad, ypad, rows, trees, starts, sizes, feats):
     """Split each node: (feature, threshold, left size), feature -1 where no
     feature separates two rows. Nodes go in size order into chunks, each
@@ -505,14 +513,18 @@ def _split(xpad, ypad, rows, trees, starts, sizes, feats):
 def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int, max_depth: int,
            seed: int) -> RfModel:
     """Bagged forest of variance-splitting regression trees; tree t draws
-    its bootstrap and, at each node, its sqrt(d) candidate features from rng
+    its bootstrap and then its nodes' sqrt(d) candidate features from rng
     seed + t.
 
-    The trees grow in lock-step: each step takes the next node, in
-    preorder, of every tree that has one, and scores the splits of all
-    these nodes in batched passes (`_split`). Each tree still makes its
-    draws in its own preorder, so the forest equals the one grown tree by
-    tree, node by node.
+    Candidate sets come in blocks of _CAND_BLOCK rows (`_candidates`):
+    tree t's j-th attempted node in preorder (depth below max_depth, >= 2
+    rows, targets not all equal) takes row j, and the tree draws its next
+    block when it has used up its rows. So block b is the b-th draw of
+    rng seed + t after the bootstrap, and a tree does not depend on
+    n_trees. The trees grow in lock-step: each step takes the next node,
+    in preorder, of every tree that has one, and scores the splits of all
+    these nodes in batched passes (`_split`), so the forest equals the one
+    grown tree by tree, node by node.
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -530,6 +542,9 @@ def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int, max_depth: i
     xpad = np.vstack([x, np.full((1, d), np.nan)])
     ypad = np.append(y, -0.0)
     n_cand = max(1, int(round(math.sqrt(d))))
+    # each tree's current block of candidate sets, and its attempted nodes so far
+    pool = np.zeros((n_trees, _CAND_BLOCK, n_cand), dtype=np.min_scalar_type(d - 1))
+    attempted = np.zeros(n_trees, dtype=int)
 
     # per tree, a stack of pending nodes (id, start, size, depth), popped in
     # preorder; a node's id is its index in the forest's growing arrays
@@ -545,8 +560,12 @@ def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int, max_depth: i
         n_left = np.zeros(len(trees), dtype=int)
         split = np.nonzero((depths < max_depth) & (sizes >= 2) & (spread != 0.0))[0]
         if len(split):
-            feats = np.sort([rngs[t].choice(d, size=n_cand, replace=False)
-                             for t in trees[split].tolist()], axis=1)
+            tr = trees[split]
+            j = attempted[tr] % _CAND_BLOCK
+            for t in tr[j == 0].tolist():
+                pool[t] = _candidates(rngs[t], d, n_cand)
+            attempted[tr] += 1
+            feats = pool[tr, j]
             feature[split], threshold[split], n_left[split] = _split(
                 xpad, ypad, rows, trees[split], starts[split], sizes[split], feats)
 

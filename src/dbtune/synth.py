@@ -186,10 +186,10 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
         for table in corpus.group(group):
             name = f"{group}_{table.workload_id}.csv"
             groups[group].append(name)
-            rows = [[table.workload_id, *k, *m, y] for k, m, y in zip(
-                table.knobs.tolist(), table.metrics.tolist(), table.latency.tolist())]
+            columns = [[table.workload_id] * table.n_rows, *table.knobs.T.tolist(),
+                       *table.metrics.T.tolist(), table.latency.tolist()]
             try:
-                (out / name).write_text(csv_text(header, rows))
+                (out / name).write_text(csv_text(header, columns))
             except OSError as exc:
                 raise DataError(f"cannot write {out / name}: {exc}") from exc
     manifest = {

@@ -256,3 +256,29 @@ def test_criterion_9_metric_formulas():
              mape_err < 1e-12 and mse_err < 1e-12 and invariant,
              f"mape err {mape_err:.1e}, mse err {mse_err:.1e}, "
              f"scale-invariant: {invariant}")
+
+
+def test_criterion_10_forest_beats_constant(tmp_path):
+    """On corpora of strong workload identity (the fit-rf benchmark's spec),
+    seeds 1-3: in both stages the forest's held-out MAPE is below that of
+    predicting each target's mean latency over its n_map mapping rows. Both
+    are scored against the held-out latencies of the generated corpus."""
+    n_map, detail, ok = 5, [], True
+    for seed in (1, 2, 3):
+        spec = synth.SynthSpec(n_online=16, freq_scale=1.0, profile_scale=2.0, seed=seed)
+        corpus, _ = synth.generate_corpus(spec)
+        manifest = synth.write_corpus(corpus, tmp_path / f"corpus{seed}")
+        out = tmp_path / f"run{seed}"
+        assert cli.main(["pipeline", "--manifest", str(manifest), "--out", str(out),
+                         "--predictor", "rf", "--trees", "200", "--depth", "50",
+                         "--n-map", str(n_map)]) == 0
+        for stage, targets in (("stage1", corpus.online_b), ("stage2", corpus.online_c)):
+            lines = (out / f"predictions_rf_{stage}.csv").read_text().splitlines()[1:]
+            pred = {line.split(",")[0]: float(line.split(",")[2]) for line in lines}
+            truth = np.array([t.latency[n_map] for t in targets])
+            rf = np.array([pred[t.workload_id] for t in targets])
+            const = np.array([t.latency[:n_map].mean() for t in targets])
+            rf_mape, const_mape = (100 * np.mean(np.abs(p - truth) / truth) for p in (rf, const))
+            ok &= bool(rf_mape < const_mape)
+            detail.append(f"seed {seed} {stage}: rf {rf_mape:.1f}% vs constant {const_mape:.1f}%")
+    _verdict("criterion-10 forest beats the constant", ok, "; ".join(detail))

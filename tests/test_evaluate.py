@@ -13,10 +13,11 @@ from dbtune.evaluate import (
 
 finite = st.floats(min_value=0.1, max_value=1e6)
 # any id csv_text writes as one cell and ingest keeps as it is: no separator, no
-# surrounding whitespace; \x1c, \x85 and \u2028 break lines for str.splitlines.
+# surrounding space or tab; \x1c, \x85 and \u2028 break lines for str.splitlines.
 # No NUL: the csv module refuses it before Python 3.11.
-ids = (st.text(min_size=1) | st.sampled_from(["a\x1cb", "a\x85b", "a\u2028b", "a\x0bb\x0cc"]))
-ids = ids.filter(lambda s: s == s.strip() and not set(s) & set(',"\r\n\x00'))
+ids = (st.text(min_size=1) | st.sampled_from(["a\x1cb", "a\x85b", "a\u2028b", "a\x0bb\x0cc",
+                                             "\xa0a\x1f"]))
+ids = ids.filter(lambda s: s == s.strip(" \t") and not set(s) & set(',"\r\n\x00'))
 points = st.lists(st.tuples(ids, st.floats(0, 1e300), st.floats(-1e300, 1e300)),
                   min_size=1, max_size=6)
 

@@ -137,6 +137,17 @@ class TestLoadCorpus:
                                             f"in offline and in {second_group}"):
             load_corpus_from_manifest(small_corpus)
 
+    def test_ids_differing_in_unicode_blanks_stay_distinct(self, tmp_path):
+        # only spaces and tabs are stripped around an id; \xa0, \x1c and \x85,
+        # which str.strip() also removes, are part of it
+        manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"])
+        csv = tmp_path / "data.csv"
+        csv.write_text("workload_id,k0,m0,latency\nb,1,2,3\nb\xa0,1,2,3\n b\t,4,5,6\n"
+                       "b\x1c,1,2,3\n\x85b,1,2,3\n", encoding="utf-8")
+        tables = {t.workload_id: t for t in load_corpus([csv], manifest).offline}
+        assert sorted(tables) == ["b", "b\x1c", "b\xa0", "\x85b"]
+        assert tables["b"].n_rows == 2
+
     def test_utf8_bom_ignored(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"])
         text = "workload_id,k0,m0,latency\nw,1,2,3\nw,on,5.5,6\n"
@@ -183,22 +194,31 @@ class TestCsvText:
     @example([1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf])
     def test_floats_read_back_bit_equal(self, values):
         header = [f"c{j}" for j in range(len(values))]
-        text = csv_text(header, [values])
+        text = csv_text(header, [[v] for v in values])
         first, line, end = text.split("\n")
         assert (first, end) == (",".join(header), "")
+        assert line.split(",") == [format(v, ".17g") for v in values]
         back = [float(cell) for cell in line.split(",")]
         for x, y in zip(values, back):
             assert math.isnan(y) if math.isnan(x) else _bits(x) == _bits(y)
         # a numpy float64 is a float, written alike
-        assert csv_text(header, [list(map(np.float64, values))]) == text
+        assert csv_text(header, [[np.float64(v)] for v in values]) == text
 
-    @given(st.lists(st.lists(st.one_of(
-        st.none(), st.integers(), st.text(st.characters(blacklist_characters=',"\r\n'))),
-        min_size=1, max_size=4), max_size=4))
-    def test_none_empty_ints_and_strings_pass_through(self, rows):
-        text = csv_text(["h"], rows)
-        assert text.split("\n") == ["h", *(",".join("" if v is None else str(v) for v in row)
-                                            for row in rows), ""]
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(st.lists(st.one_of(
+        st.none(), st.integers(), st.floats(),
+        st.text(st.characters(blacklist_characters=',"\r\n'))), min_size=n, max_size=n),
+        min_size=1, max_size=4)))
+    def test_none_empty_ints_and_strings_pass_through(self, columns):
+        header = [f"h{j}" for j in range(len(columns))]
+        rows = [",".join(f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
+                         for v in row) for row in zip(*columns)]
+        assert csv_text(header, columns).split("\n") == [",".join(header), *rows, ""]
+
+    def test_columns_of_unequal_length_refused(self):
+        with pytest.raises(ValueError):
+            csv_text(["a", "b"], [[1, 2], [3]])
+        with pytest.raises(ValueError):
+            csv_text(["a", "b"], [[1]])
 
 
 _PAD = st.sampled_from(["", " ", "  ", "\t", " \t"])

@@ -300,13 +300,28 @@ def _reference_split(x, y, feats, log):
     return None if best is None else best[1:]
 
 
-def _reference_tree(x, y, depth, max_depth, rng, log):
+class _CandidateRows:
+    """A tree's candidate feature sets as rf_fit documents them: after the
+    bootstrap, the tree's generator draws blocks of predict._CAND_BLOCK rows,
+    each row the first round(sqrt(d)) entries of a uniform random
+    permutation, sorted; the tree's j-th attempted node takes row j."""
+
+    def __init__(self, rng, d):
+        self.rng, self.d, self.rows = rng, d, []
+
+    def next(self):
+        if not self.rows:
+            perms = np.argsort(self.rng.random((predict._CAND_BLOCK, self.d)), axis=1)
+            self.rows = [sorted(p[:max(1, round(math.sqrt(self.d)))].tolist()) for p in perms]
+        return self.rows.pop(0)
+
+
+def _reference_tree(x, y, depth, max_depth, cands, log):
     value = float(y.mean())
     if depth >= max_depth or len(y) < 2 or float(np.ptp(y)) == 0.0:
         return {"value": value}
     d = x.shape[1]
-    feats = sorted(rng.choice(d, size=max(1, round(math.sqrt(d))), replace=False).tolist())
-    split = _reference_split(x, y, feats, log)
+    split = _reference_split(x, y, cands.next(), log)
     if split is None:
         log["retries"] += 1
         split = _reference_split(x, y, range(d), log)
@@ -315,8 +330,8 @@ def _reference_tree(x, y, depth, max_depth, rng, log):
     f, thr = split
     mask = x[:, f] <= thr
     return {"feature": f, "threshold": thr, "value": value,
-            "left": _reference_tree(x[mask], y[mask], depth + 1, max_depth, rng, log),
-            "right": _reference_tree(x[~mask], y[~mask], depth + 1, max_depth, rng, log)}
+            "left": _reference_tree(x[mask], y[mask], depth + 1, max_depth, cands, log),
+            "right": _reference_tree(x[~mask], y[~mask], depth + 1, max_depth, cands, log)}
 
 
 def _reference_trees(x, y, n_trees, max_depth, seed, log):
@@ -324,7 +339,8 @@ def _reference_trees(x, y, n_trees, max_depth, seed, log):
     for t in range(n_trees):
         rng = np.random.default_rng(seed + t)
         idx = rng.integers(len(y), size=len(y))
-        trees.append(_reference_tree(x[idx], y[idx], 0, max_depth, rng, log))
+        trees.append(_reference_tree(x[idx], y[idx], 0, max_depth,
+                                     _CandidateRows(rng, x.shape[1]), log))
     return trees
 
 
@@ -409,6 +425,29 @@ class TestForestExact:
             assert np.array_equal(predict.rf_predict(model, query),
                                   _reference_predict(model, query), equal_nan=True), i
         assert log["retries"] > 0
+
+    def test_tree_does_not_depend_on_forest_size(self):
+        # 130 rows: each tree attempts more nodes than one block holds
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(130, 6)), rng.uniform(1, 100, size=130)
+        small, large = (predict.rf_fit(x, y, n, 50, 11).to_json() for n in (3, 8))
+        assert [_nested_tree(small, t) for t in range(3)] == [
+            _nested_tree(large, t) for t in range(3)]
+
+    def test_candidate_rows_are_uniform_subsets(self):
+        rng = np.random.default_rng(6)
+        for d in (1, 2, 7, 20):
+            n_cand = max(1, round(math.sqrt(d)))
+            rows = np.vstack([predict._candidates(rng, d, n_cand)
+                              for _ in range(20000 // predict._CAND_BLOCK)])
+            assert rows.shape[1] == n_cand
+            assert ((rows >= 0) & (rows < d)).all()
+            assert (np.diff(rows, axis=1) > 0).all()  # sorted, so distinct
+            # each feature is in each row with probability n_cand / d, so its
+            # count is binomial; 5 standard deviations is a bound it keeps
+            p, n = n_cand / d, len(rows)
+            counts = np.bincount(rows.ravel(), minlength=d)
+            assert (np.abs(counts - n * p) <= 5 * math.sqrt(n * p * (1 - p))).all(), (d, counts)
 
     def test_square_is_libm_pow(self):
         rng = np.random.default_rng(0)
