@@ -59,7 +59,7 @@ class PipelineConfig:
         if self.trees < 1 or self.depth < 0:
             raise ConfigError(f"trees must be >= 1 and depth >= 0, "
                               f"got {self.trees} and {self.depth}")
-        for name, low in (("factor_cap", 1), ("hidden", 1), ("epochs", 0), ("n_map", 1)):
+        for name, low in (("factor_cap", 1), ("hidden", 1), ("epochs", 0), ("n_map", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 

@@ -118,6 +118,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     n, d = points.shape
     k = centroids.shape[0]
     centroids = centroids.copy()
+    cols, flat = np.arange(d), points.ravel()
     prev_assign = None
     trace: list[float] = []
     for _ in range(MAX_LLOYD_ITER):
@@ -134,12 +135,13 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
                     assign = d2.argmin(axis=1)
             counts = np.bincount(assign, minlength=k)
         # the summation order of points[assign == j].mean(axis=0): pairwise
-        # down a single column, else row by row from +0.0, so -0.0 sums to +0.0
+        # down a single column, else row by row from +0.0, so -0.0 sums to +0.0;
+        # bincount adds each (cluster, column) cell's weights in row order
         if d == 1:
             sums = _label_sums(points.T, assign, k).T
         else:
-            sums = np.zeros((k, d))
-            np.add.at(sums, assign, points)
+            cells = (assign[:, None] * d + cols).ravel()
+            sums = np.bincount(cells, weights=flat, minlength=k * d).reshape(k, d)
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]
         diff = points - centroids[assign]
@@ -151,19 +153,32 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     return centroids, assign, trace[-1], trace
 
 
-def fit_kmeans(points: np.ndarray, k: int, seed: int) -> KMeansModel:
-    """Seeded k-means: k-means++ init, Lloyd iterations, best of 10 restarts."""
+def _seedings(points: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
+    """The k-means++ seeding of each restart r, drawn from `default_rng(seed + r)`."""
+    return [_kmeanspp_init(points, k, np.random.default_rng(seed + r))
+            for r in range(N_RESTARTS)]
+
+
+def fit_kmeans(points: np.ndarray, k: int, seed: int,
+               seedings: list[np.ndarray] | None = None) -> KMeansModel:
+    """Seeded k-means: k-means++ init, Lloyd iterations, best of 10 restarts.
+
+    Restart r starts from the first k rows of `seedings[r]`, by default
+    `_seedings(points, k, seed)`. k-means++ draws each center given the ones
+    before it, so the first k rows of a seeding drawn at a larger k are the
+    seeding at k, and a sweep passes one set of seedings to every k.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] < 1:
         raise DataError("points must be a 2-D matrix")
     n = points.shape[0]
     if k < 1 or k > n:
         raise DataError(f"k={k} outside [1, {n}]")
+    if seedings is None:
+        seedings = _seedings(points, k, seed)
     best = None
-    for r in range(N_RESTARTS):
-        rng = np.random.default_rng(seed + r)
-        init = _kmeanspp_init(points, k, rng)
-        centroids, assign, inertia, trace = _lloyd(points, init)
+    for init in seedings:
+        centroids, assign, inertia, trace = _lloyd(points, init[:k])
         if best is None or inertia < best[2]:
             best = (centroids, assign, inertia, trace)
     centroids, assign, inertia, trace = best
@@ -203,8 +218,8 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray,
     return float(scores.mean())
 
 
-def _init_gmm_from_kmeans(points, k, seed):
-    km = fit_kmeans(points, k, seed)
+def _init_gmm_from_kmeans(points, k, seed, seedings=None):
+    km = fit_kmeans(points, k, seed, seedings)
     n, d = points.shape
     counts = np.bincount(km.assignments, minlength=k)
     if counts.min() == 0:
@@ -236,17 +251,19 @@ def _weighted_log_prob(points, weights, means, covs):
     return out
 
 
-def fit_gmm_em(points: np.ndarray, k: int, seed: int) -> GmmModel:
+def fit_gmm_em(points: np.ndarray, k: int, seed: int,
+               seedings: list[np.ndarray] | None = None) -> GmmModel:
     """Full-covariance Gaussian mixture fit by EM, initialized from k-means.
 
-    Stops when the relative log-likelihood gain drops below 1e-6 or after 200
-    iterations; every M-step adds 1e-6 * I to each covariance.
+    `seedings` goes to `fit_kmeans`. Stops when the relative log-likelihood
+    gain drops below 1e-6 or after 200 iterations; every M-step adds 1e-6 * I
+    to each covariance.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     if k < 1 or k > n:
         raise DataError(f"k={k} outside [1, {n}]")
-    weights, means, covs = _init_gmm_from_kmeans(points, k, seed)
+    weights, means, covs = _init_gmm_from_kmeans(points, k, seed, seedings)
     trace: list[float] = []
     # the pass that breaks has evaluated the returned parameters, on convergence or past the cap
     for it in range(MAX_EM_ITER + 1):
@@ -301,14 +318,15 @@ def sweep_k(points: np.ndarray, method: str, ks, seed: int = 0) -> ClusterSelect
         raise DataError(f"unknown clustering method {method!r}")
 
     dists = _point_dists(points)
+    seedings = _seedings(points, ks[-1], seed)  # each k starts from their first k rows
     sil: dict[int, float] = {}
     bic: dict[int, float] = {}
     models = {}
     for k in ks:
         if method == "kmeans":
-            model = fit_kmeans(points, k, seed)
+            model = fit_kmeans(points, k, seed, seedings)
         else:
-            model = fit_gmm_em(points, k, seed)
+            model = fit_gmm_em(points, k, seed, seedings)
             bic[k] = bic_score(model, points)
         models[k] = model
         assign = model.assignments

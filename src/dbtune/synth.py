@@ -48,6 +48,8 @@ class SynthSpec:
             raise DataError("all synth counts must be >= 1")
         if self.noise_std < 0:
             raise DataError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_metrics(self) -> int:

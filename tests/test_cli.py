@@ -242,8 +242,9 @@ class TestExitContract:
         (["--hidden", "0"], "hidden must be >= 1, got 0"),
         (["--epochs", "-1"], "epochs must be >= 0, got -1"),
         (["--n-map", "0"], "n_map must be >= 1, got 0"),
+        (["--seed=-1"], "seed must be >= 0, got -1"),
     ], ids=["zero-trees", "negative-depth", "zero-factor-cap", "zero-hidden",
-            "negative-epochs", "zero-n-map"])
+            "negative-epochs", "zero-n-map", "negative-seed"])
     def test_bad_forest_config_exits_1(self, flags, message, corpus_dir, tmp_path, capsys):
         assert run(["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out",
                     "--predictor", "rf", *flags]) == 1
@@ -263,6 +264,7 @@ class TestExitContract:
         ("prune-csv-huge-field", "offline_off_000.csv:8: field larger than field limit"),
         ("prune-manifest-knobs-int", "knobs must be list, got 3"),
         ("synth-spec-str-count", "'n_offline' must be int"),
+        ("synth-negative-seed", "seed must be >= 0, got -1"),
     ])
     def test_unreadable_input_exits_2(self, command, message, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -300,6 +302,7 @@ class TestExitContract:
                for name in ("eval-csv-is-directory", "eval-csv-not-utf8")},
             "prune-manifest-knobs-int": ["prune", "--manifest", knobs_int],
             "synth-spec-str-count": ["synth", "--spec", spec],
+            "synth-negative-seed": ["synth", "--seed", "-1"],
         }[command]
         assert run([*argv, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err

@@ -407,6 +407,57 @@ class TestVectorisedExactness:
         assert repaired > 50
 
 
+class TestSweepSeedsOnce:
+    """A sweep draws each restart's k-means++ seeding once, at its largest k,
+    and gives every k the same fits as a fit of that k alone."""
+
+    def test_seeding_prefix_equals_seeding_at_smaller_k(self):
+        exhausted = 0
+        for rng, points in _exactness_cases(120, seed=3):
+            n = points.shape[0]
+            top = int(rng.integers(1, n + 1))
+            seed = int(rng.integers(0, 1000))
+            full = cluster._kmeanspp_init(points, top, np.random.default_rng(seed))
+            for k in range(1, top + 1):
+                alone = cluster._kmeanspp_init(points, k, np.random.default_rng(seed))
+                assert full[:k].tobytes() == alone.tobytes()
+            # fewer distinct rows than centers: the draws run out of distance
+            # and take the `total <= 0` branch
+            exhausted += int(np.unique(points, axis=0).shape[0] < top)
+        assert exhausted > 10
+
+    @pytest.mark.parametrize("method", ["kmeans", "gmm"])
+    def test_sweep_bit_equal_to_fits_of_each_k(self, method, monkeypatch):
+        fit = cluster.fit_kmeans if method == "kmeans" else cluster.fit_gmm_em
+        fields = (("centroids", "assignments", "inertia", "inertia_trace")
+                  if method == "kmeans" else
+                  ("weights", "means", "covariances", "assignments",
+                   "log_likelihood_trace", "log_likelihood"))
+        draws = []
+        draw = cluster._kmeanspp_init
+        monkeypatch.setattr(cluster, "_kmeanspp_init",
+                            lambda p, k, rng: draws.append(k) or draw(p, k, rng))
+        for seed in range(3):
+            centers = [[i * 6.0, (i % 3) * 6.0, i % 2] for i in range(5)]
+            pts = blobs(centers, per_blob=6, spread=1.5, seed=seed)
+            ks = range(2, 9)
+            draws.clear()
+            sel = cluster.sweep_k(pts, method, ks, seed=seed)
+            assert draws == [max(ks)] * cluster.N_RESTARTS
+            for k in ks:
+                model = fit(pts, k, seed)
+                sil = (cluster.silhouette_score(pts, model.assignments)
+                       if np.unique(model.assignments).size >= 2 else -1.0)
+                assert np.float64(sel.silhouette_by_k[k]).tobytes() == np.float64(sil).tobytes()
+                if method == "gmm":
+                    assert np.float64(sel.bic_by_k[k]).tobytes() == \
+                        np.float64(cluster.bic_score(model, pts)).tobytes()
+                if k == sel.chosen_k:
+                    for name in fields:
+                        got, want = getattr(sel.model, name), getattr(model, name)
+                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
 def _reference_gmm_start(points, km):
     """The member-mean loop that set the GMM's starting weights and means."""
     n, d = points.shape
