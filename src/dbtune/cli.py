@@ -82,8 +82,7 @@ def _load_and_clean(config: PipelineConfig, out: Path) -> tuple[ingest.Corpus, l
     with _stage("ingest"):
         corpus = ingest.load_corpus_from_manifest(config.manifest)
         corpus, dropped = ingest.drop_constant_columns(corpus)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "dropped_columns.txt").write_text("".join(n + "\n" for n in dropped))
+    ingest.write_text(out / "dropped_columns.txt", "".join(n + "\n" for n in dropped))
     return corpus, dropped
 
 
@@ -98,8 +97,8 @@ def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
         x = factors.build_metric_matrix(list(corpus.offline))
         model = factors.fit_factors(x)
         model = factors.retain_significant(model, config.factor_cap)
-    (out / "loadings.csv").write_text(factors.export_loadings_csv(model))
-    (out / "eigenvalues.csv").write_text(factors.export_eigenvalues_csv(model))
+    ingest.write_text(out / "loadings.csv", factors.export_loadings_csv(model))
+    ingest.write_text(out / "eigenvalues.csv", factors.export_eigenvalues_csv(model))
 
     n_metrics = len(model.metric_names)
     if n_metrics < 2:
@@ -116,8 +115,8 @@ def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
         if sel.chosen_k == ks[-1] < n_metrics:
             warnings.warn(f"chosen k={sel.chosen_k} is the largest candidate, so a larger k "
                           f"may score higher; raise --k-max to sweep further", stacklevel=2)
-        (out / "cluster_report.csv").write_text(sel.report_csv())
-    (out / "pruned_metrics.txt").write_text("".join(n + "\n" for n in pruned))
+        ingest.write_text(out / "cluster_report.csv", sel.report_csv())
+    ingest.write_text(out / "pruned_metrics.txt", "".join(n + "\n" for n in pruned))
     return pruned
 
 
@@ -175,11 +174,9 @@ def run_two_stage(config: PipelineConfig) -> list[evaluate.EvalReport]:
     stage2 = evaluate.EvalReport(f"{config.predictor}_stage2", tuple(points_c))
 
     reports = [stage1, stage2]
-    (out / "map_report.csv").write_text(
-        mapping.mapping_report_csv(results_b + results_c))
+    ingest.write_text(out / "map_report.csv", mapping.mapping_report_csv(results_b + results_c))
     for report in reports:
-        (out / f"predictions_{report.model_name}.csv").write_text(
-            report.predictions_csv())
+        ingest.write_text(out / f"predictions_{report.model_name}.csv", report.predictions_csv())
     _write_summary(reports, out)
     return reports
 
@@ -187,8 +184,8 @@ def run_two_stage(config: PipelineConfig) -> list[evaluate.EvalReport]:
 def _write_summary(reports: list[evaluate.EvalReport], out: Path) -> str:
     """Write summary.csv and summary.txt into `out`; returns the aligned text."""
     csv_text, aligned = evaluate.compare_models(reports)
-    (out / "summary.csv").write_text(csv_text)
-    (out / "summary.txt").write_text(aligned)
+    ingest.write_text(out / "summary.csv", csv_text)
+    ingest.write_text(out / "summary.txt", aligned)
     return aligned
 
 
@@ -205,9 +202,7 @@ def run_eval(config: PipelineConfig, predictions_dir) -> str:
             if not ingest.SEPARATORS.isdisjoint(name):  # it is a cell of summary.csv
                 raise DataError(f"model name {name!r} holds a comma, quote or line break")
             reports.append(evaluate.parse_predictions_csv(ingest.read_text(f), name))
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return _write_summary(reports, out)
+    return _write_summary(reports, Path(config.out))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +236,7 @@ def _cmd_synth(args) -> int:
         spec = synth.SynthSpec(**{**spec.__dict__, "seed": args.seed})
     corpus, truth = synth.generate_corpus(spec)
     manifest = synth.write_corpus(corpus, args.out)
-    (Path(args.out) / "ground_truth.json").write_text(json.dumps({
+    ingest.write_text(Path(args.out) / "ground_truth.json", json.dumps({
         "latent_of_metric": list(truth.latent_of_metric),
         "nearest_source_of": truth.nearest_source_of,
         "planted_source_of": truth.planted_source_of,
@@ -284,7 +279,7 @@ def _cmd_map(args, config: PipelineConfig) -> int:
     results = [mapping.map_and_augment(list(corpus.offline), table, scaler, config.map_score)
                for table in list(corpus.online_b) + list(corpus.online_c)]
     text = mapping.mapping_report_csv(results)
-    (out / "map_report.csv").write_text(text)
+    ingest.write_text(out / "map_report.csv", text)
     print(text, end="")
     return 0
 
@@ -315,10 +310,8 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
     if not points:
         raise DataError(f"no rows in group {args.group!r}")
     report = evaluate.EvalReport(model.kind, tuple(points))  # named like --predictor
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"predictions_{model.kind}.csv"
-    path.write_text(report.predictions_csv())
+    path = Path(config.out) / f"predictions_{model.kind}.csv"
+    ingest.write_text(path, report.predictions_csv())
     print(path)
     return 0
 
@@ -330,7 +323,7 @@ def _cmd_eval(args, config: PipelineConfig) -> int:
 
 def _cmd_pipeline(args, config: PipelineConfig) -> int:
     run_two_stage(config)
-    print((Path(config.out) / "summary.txt").read_text(), end="")
+    print(ingest.read_text(Path(config.out) / "summary.txt"), end="")
     return 0
 
 
@@ -376,6 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a notice prints as its message alone, not the source line that raised it
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = build_parser().parse_args(argv)
         if args.command == "synth":
@@ -387,6 +383,8 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

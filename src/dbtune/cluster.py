@@ -33,7 +33,6 @@ class KMeansModel:
     centroids: np.ndarray  # (k, d)
     assignments: np.ndarray  # (n,)
     inertia: float
-    seed: int
     inertia_trace: tuple[float, ...] = ()
 
     def centers(self) -> np.ndarray:
@@ -47,7 +46,6 @@ class GmmModel:
     means: np.ndarray  # (k, d)
     covariances: np.ndarray  # (k, d, d)
     log_likelihood_trace: tuple[float, ...]
-    seed: int
     assignments: np.ndarray  # (n,) hard assignments at the returned parameters
     log_likelihood: float  # total log-likelihood at the returned parameters
 
@@ -183,7 +181,7 @@ def fit_kmeans(points: np.ndarray, k: int, seed: int,
             best = (centroids, assign, inertia, trace)
     centroids, assign, inertia, trace = best
     return KMeansModel(k=k, centroids=centroids, assignments=assign,
-                       inertia=inertia, seed=seed, inertia_trace=tuple(trace))
+                       inertia=inertia, inertia_trace=tuple(trace))
 
 
 def _point_dists(points: np.ndarray) -> np.ndarray:
@@ -284,7 +282,7 @@ def fit_gmm_em(points: np.ndarray, k: int, seed: int,
             cov = (resp[:, j, None] * diff).T @ diff / nk[j]
             covs[j] = 0.5 * (cov + cov.T) + COV_REG * np.eye(d)
     return GmmModel(k=k, weights=weights, means=means, covariances=covs,
-                    log_likelihood_trace=tuple(trace), seed=seed,
+                    log_likelihood_trace=tuple(trace),
                     assignments=resp.argmax(axis=1), log_likelihood=float(norm.sum()))
 
 

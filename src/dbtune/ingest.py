@@ -172,6 +172,24 @@ def read_text(path, error: type[DbtuneError] = DataError) -> str:
         raise error(f"cannot decode {path}: {exc.reason}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write text to a file as UTF-8, line ends as given, making its directory
+    only when the write finds it missing. A file that cannot be written, or text
+    UTF-8 cannot encode (a file name's undecodable bytes), raises DataError."""
+    path = Path(path)
+    try:
+        data = text.encode("utf-8")
+        try:
+            path.write_bytes(data)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    except UnicodeEncodeError as exc:
+        raise DataError(f"cannot encode {path}: {exc.reason}") from None
+
+
 def read_json_object(path, error: type[DbtuneError] = DataError) -> dict:
     """Parse a JSON object file; an unreadable file, invalid JSON, JSON
     nested too deeply to parse or another JSON value raises `error`."""
@@ -238,8 +256,6 @@ def read_manifest(manifest_path) -> tuple[Schema, dict[Path, str]]:
     the group of each file its `groups` name, resolved relative to it. A file
     named twice is a DataError."""
     path = Path(manifest_path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
     doc = read_json_object(path)
     for key in ("workload_id", "latency", "knobs", "metrics"):
         if key not in doc:
@@ -377,8 +393,6 @@ def _load_files(schema: Schema, files) -> Corpus:
     k, m = schema.n_knobs, schema.n_metrics
     blocks_by_group: dict[str, dict[str, list]] = {g: {} for g in GROUP_NAMES}
     for path, group in files:
-        if not path.exists():
-            raise DataError(f"input file not found: {path}")
         ids, values = parse_csv(read_text(path), schema, str(path))
         rows_of: dict[str, list[int]] = {}
         for i, wid in enumerate(ids):

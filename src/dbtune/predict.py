@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ from .cluster import sq_dists
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import MAPE_EPS, mape
 from .ingest import (Schema, WorkloadTable, json_field, json_floats, json_ints, json_strings,
-                     read_json_object)
+                     read_json_object, write_text)
 
 CONST_STD_EPS = 1e-12
 
@@ -77,7 +76,7 @@ class StandardScaler:
         return (np.asarray(metrics, dtype=float) - self.means[k:]) / self.stds[k:]
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps({
+        write_text(path, json.dumps({
             "knob_names": list(self.knob_names),
             "pruned_metrics": list(self.metric_names),
             "scaler_means": self.means.tolist(),
@@ -766,7 +765,7 @@ MODEL_KINDS = {cls.kind: cls for cls in (GprModel, RfModel, MlpModel)}
 def save_model(model, path) -> None:
     """Serialize a fitted predictor to JSON, tagged with its kind and format version."""
     doc = {"kind": model.kind, **model.to_json(), "format_version": model.format_version}
-    Path(path).write_text(json.dumps(doc))
+    write_text(path, json.dumps(doc))
 
 
 def load_model(path):

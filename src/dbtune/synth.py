@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import Corpus, Schema, WorkloadTable, check_fields, csv_text, read_json_object
+from .ingest import (GROUP_NAMES, Corpus, Schema, WorkloadTable, check_fields, csv_text,
+                     read_json_object, write_text)
 
 ONLINE_PERTURB = 0.05
 LATENCY_NOISE_GAIN = 10.0
@@ -175,25 +176,18 @@ def generate_corpus(spec: SynthSpec) -> tuple[Corpus, GroundTruth]:
 def write_corpus(corpus: Corpus, out_dir) -> Path:
     """Write one CSV per workload plus the ingest manifest; returns its path."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out}: {exc}") from exc
     schema = corpus.schema
     header = ([schema.workload_id_name] + list(schema.knob_names)
               + list(schema.metric_names) + [schema.latency_name])
     groups: dict[str, list[str]] = {}
-    for group in ("offline", "online_b", "online_c"):
+    for group in GROUP_NAMES:
         groups[group] = []
         for table in corpus.group(group):
             name = f"{group}_{table.workload_id}.csv"
             groups[group].append(name)
             columns = [[table.workload_id] * table.n_rows, *table.knobs.T.tolist(),
                        *table.metrics.T.tolist(), table.latency.tolist()]
-            try:
-                (out / name).write_text(csv_text(header, columns))
-            except OSError as exc:
-                raise DataError(f"cannot write {out / name}: {exc}") from exc
+            write_text(out / name, csv_text(header, columns))
     manifest = {
         "workload_id": schema.workload_id_name,
         "latency": schema.latency_name,
@@ -202,10 +196,7 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
         "groups": groups,
     }
     manifest_path = out / "manifest.json"
-    try:
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {manifest_path}: {exc}") from exc
+    write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest_path
 
 

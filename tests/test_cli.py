@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 import zlib
 from dataclasses import fields
@@ -265,6 +268,7 @@ class TestExitContract:
         ("prune-manifest-knobs-int", "knobs must be list, got 3"),
         ("synth-spec-str-count", "'n_offline' must be int"),
         ("synth-negative-seed", "seed must be >= 0, got -1"),
+        ("prune-long-manifest", "x.json: File name too long"),
     ])
     def test_unreadable_input_exits_2(self, command, message, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -303,10 +307,59 @@ class TestExitContract:
             "prune-manifest-knobs-int": ["prune", "--manifest", knobs_int],
             "synth-spec-str-count": ["synth", "--spec", spec],
             "synth-negative-seed": ["synth", "--seed", "-1"],
+            "prune-long-manifest": ["prune", "--manifest", tmp_path / ("m" * 5000 + "x.json")],
         }[command]
         assert run([*argv, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["under-file", "is-file"])
+    @pytest.mark.parametrize("command", ["synth", "prune", "map", "train", "predict", "eval",
+                                         "pipeline"])
+    def test_unwritable_out_exits_2(self, command, where, corpus_dir, trained_dir, tmp_path,
+                                    capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out" if where == "under-file" else tmp_path / "file"
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        (preds / "predictions_x.csv").write_text("workload_id,truth,prediction\na,1,1\n")
+        pruned = trained_dir / "pruned_metrics.txt"
+        argv = {
+            "synth": ["synth"],
+            "prune": ["prune", "--manifest", corpus_dir],
+            "map": ["map", "--manifest", corpus_dir, "--pruned", pruned],
+            "train": ["train", "--manifest", corpus_dir, "--pruned", pruned],
+            "predict": ["predict", "--manifest", corpus_dir, "--model-dir", trained_dir],
+            "eval": ["eval", "--predictions-dir", preds],
+            "pipeline": ["pipeline", "--manifest", corpus_dir],
+        }[command]
+        assert run([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}/") and err.count("\n") == 1
+        assert err.endswith(": Not a directory\n")
+
+    @pytest.mark.parametrize("case, message", [
+        ("train-model-json-is-directory", "model.json: Is a directory"),
+        ("eval-name-not-utf8", "summary.csv: surrogates not allowed"),
+    ], ids=["train-model-json-is-directory", "eval-name-not-utf8"])
+    def test_unwritable_file_exits_2(self, case, message, corpus_dir, trained_dir, tmp_path,
+                                     capsys):
+        out = tmp_path / "out"
+        if case == "train-model-json-is-directory":
+            (out / "model.json").mkdir(parents=True)
+            argv = ["train", "--manifest", corpus_dir,
+                    "--pruned", trained_dir / "pruned_metrics.txt"]
+        else:
+            # a file name's undecodable byte is a model name UTF-8 cannot write
+            preds = tmp_path / "preds"
+            preds.mkdir()
+            (preds / os.fsdecode(b"predictions_\xff.csv")).write_text(
+                "workload_id,truth,prediction\na,1,1\n")
+            argv = ["eval", "--predictions-dir", preds]
+        assert run([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("file, edit, message", [
         ("model.json", _set_root_feature("3"), "feature must be a list of ints"),
@@ -487,6 +540,20 @@ class TestPruneCommand:
                             f"may score higher; raise --k-max to sweep further"] if warns else [])
         report = (out / "cluster_report.csv").read_text().splitlines()[1:]
         assert [int(line.split(",")[0]) for line in report if line.endswith(",1")] == [chosen_k]
+
+    def test_notice_prints_as_warning_line(self, tmp_path):
+        # a process of its own, so that the notice reaches stderr rather than
+        # pytest's warning capture: its message alone, without the source line
+        manifest = synth.write_corpus(synth.generate_corpus(synth.SynthSpec(seed=7))[0],
+                                      tmp_path / "corpus")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run([sys.executable, "-m", "dbtune.cli", "prune", "--manifest",
+                               str(manifest), "--out", str(tmp_path / "out"), "--k-max", "3"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0
+        assert done.stderr == ("warning: chosen k=3 is the largest candidate, so a larger k "
+                               "may score higher; raise --k-max to sweep further\n")
 
 
 class TestPipelineCommand:

@@ -291,7 +291,7 @@ class TestSelectRepresentatives:
         fm = factor_model_for(pts, ["A", "B", "C"])
         model = cluster.KMeansModel(
             k=2, centroids=np.array([[0.0, 0.0], [5.0, 5.0]]),
-            assignments=np.array([0, 0, 1]), inertia=0.0, seed=0)
+            assignments=np.array([0, 0, 1]), inertia=0.0)
         pruned = cluster.select_representatives(model, fm)
         assert pruned == ("A", "C")
 
@@ -300,7 +300,7 @@ class TestSelectRepresentatives:
         fm = factor_model_for(pts, ["zeta", "alpha", "far"])
         model = cluster.KMeansModel(
             k=2, centroids=np.array([[0.0, 0.0], [5.0, 5.0]]),
-            assignments=np.array([0, 0, 1]), inertia=0.0, seed=0)
+            assignments=np.array([0, 0, 1]), inertia=0.0)
         pruned = cluster.select_representatives(model, fm)
         assert pruned == ("alpha", "far")
 

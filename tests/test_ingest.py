@@ -15,7 +15,9 @@ from dbtune.ingest import (
     encode_booleans,
     load_corpus,
     load_corpus_from_manifest,
+    read_text,
     split_map_validation,
+    write_text,
 )
 
 from conftest import make_table
@@ -98,7 +100,7 @@ class TestLoadCorpus:
 
     def test_missing_file(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"])
-        with pytest.raises(DataError, match="not found"):
+        with pytest.raises(DataError, match="cannot read .*nope.csv: No such file"):
             load_corpus([tmp_path / "nope.csv"], manifest)
 
     @pytest.fixture
@@ -182,6 +184,26 @@ class TestRoundTrip:
             assert np.array_equal(orig.knobs, back.knobs)
             assert np.array_equal(orig.metrics, back.metrics)
             assert np.array_equal(orig.latency, back.latency)
+
+
+class TestWriteText:
+    def test_utf8_read_back_and_directory_made(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "ids.csv"
+        text = "workload_id\nb\xa0\n\x85b\n"
+        write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert read_text(path) == text
+
+    def test_unwritable_path_or_text_refused(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(DataError, match="cannot write .*file/x.csv: Not a directory"):
+            write_text(tmp_path / "file" / "x.csv", "a\n")
+        with pytest.raises(DataError, match="cannot write .*: Is a directory"):
+            write_text(tmp_path, "a\n")
+        # the undecodable bytes of a file name, as os.fsdecode gives them
+        with pytest.raises(DataError, match="cannot encode .*x.csv: surrogates not allowed"):
+            write_text(tmp_path / "x.csv", "predictions_\udcff\n")
+        assert not (tmp_path / "x.csv").exists()
 
 
 def _bits(x: float) -> bytes:
