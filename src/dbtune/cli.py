@@ -129,25 +129,39 @@ def _train_predictor(config: PipelineConfig, features: np.ndarray,
     return predict.mlp_fit(features, targets, config.hidden, config.epochs, seed)
 
 
+def _fit_models(config, stage_name, fits):
+    """One model per (workload id, features, targets), yielded in order:
+    every forest in one rf_fit_many call, any other model under its
+    workload's stage."""
+    if config.predictor == "rf":
+        with _stage(stage_name):
+            yield from predict.rf_fit_many(
+                [(feats, y, _workload_seed(config.seed, wid)) for wid, feats, y in fits],
+                config.trees, config.depth)
+        return
+    for wid, feats, y in fits:
+        with _stage(f"{stage_name}/{wid}"):
+            yield _train_predictor(config, feats, y, _workload_seed(config.seed, wid))
+
+
 def _map_train_predict(config, sources, targets, scaler, stage_name):
-    """Map each target onto the sources, train on the augmented table and
-    predict its held-out validation row."""
-    points = []
-    results = []
-    map_tables = []
+    """Map every target onto the sources, then train one model per target
+    on its augmented table and predict its held-out validation row."""
+    fits, map_tables, val_parts, results = [], [], [], []
     for table in sorted(targets, key=lambda t: t.workload_id):
         wid = table.workload_id
         with _stage(f"{stage_name}/{wid}"):
             map_part, val_part = ingest.split_map_validation(table, config.n_map)
             res = mapping.map_and_augment(sources, map_part, scaler, config.map_score)
-            feats = predict.build_features(res.augmented, scaler)
-            model = _train_predictor(config, feats, res.augmented.latency,
-                                     _workload_seed(config.seed, wid))
-            val_feats = predict.build_features(val_part, scaler)
-            pred = predict.predict_with(model, val_feats)
-        points.append((wid, float(val_part.latency[0]), float(pred[0])))
-        results.append(res)
+            fits.append((wid, predict.build_features(res.augmented, scaler), res.augmented.latency))
         map_tables.append(map_part)
+        val_parts.append(val_part)
+        results.append(res)
+    points = []
+    for (wid, _, _), val_part, model in zip(fits, val_parts, _fit_models(config, stage_name, fits)):
+        with _stage(f"{stage_name}/{wid}"):
+            pred = predict.predict_with(model, predict.build_features(val_part, scaler))
+        points.append((wid, float(val_part.latency[0]), float(pred[0])))
     return points, results, map_tables
 
 

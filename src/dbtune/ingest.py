@@ -162,7 +162,8 @@ def _field(column) -> tuple[str, Sequence]:
 def read_text(path, error: type[DbtuneError] = DataError) -> str:
     """The text of a UTF-8 file, without a leading byte-order mark (Excel
     writes one) and with its line ends as written; a file that cannot be
-    read (such as a directory) or decoded raises `error`."""
+    read (such as a directory or a name holding a NUL byte) or decoded
+    raises `error`."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.read()
@@ -170,6 +171,8 @@ def read_text(path, error: type[DbtuneError] = DataError) -> str:
         raise error(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise error(f"cannot decode {path}: {exc.reason}") from None
+    except ValueError as exc:  # open's "embedded null byte"
+        raise error(f"cannot read {str(path)!r}: {exc}") from None
 
 
 def write_text(path, text: str) -> None:

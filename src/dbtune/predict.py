@@ -359,10 +359,14 @@ class RfModel:
         return rf_predict(self, features)
 
 
-# cap on the cells of one batched array in rf_fit and rf_predict
+# cap on the cells of one batched array in rf_predict
 _CHUNK_CELLS = 1 << 11
+# cap on the cells of one chunk of nodes that _split scores together
+_SPLIT_CELLS = 1 << 13
 # candidate feature sets a tree draws at a time in rf_fit
 _CAND_BLOCK = 32
+# trees rf_fit_many grows in one lock-step loop; a batch holds whole jobs
+_BATCH_TREES = 1024
 
 
 def _square(a: np.ndarray) -> np.ndarray:
@@ -373,28 +377,30 @@ def _square(a: np.ndarray) -> np.ndarray:
 
 
 def _segments(rows: np.ndarray, trees: np.ndarray, starts: np.ndarray,
-              sizes: np.ndarray, width: int) -> np.ndarray:
-    """Row ids of each node, padded to `width` with the pad row id
-    rows.shape[1]. Node i owns rows[trees[i], starts[i]:starts[i] + sizes[i]]."""
+              sizes: np.ndarray, width: int, pad: int) -> np.ndarray:
+    """Row ids of each node, padded to `width` with the pad row id `pad`.
+    Node i owns rows[trees[i], starts[i]:starts[i] + sizes[i]]."""
     cols = np.arange(width)
     ids = rows[trees[:, None], np.minimum(starts[:, None] + cols, rows.shape[1] - 1)]
-    return np.where(cols < sizes[:, None], ids, rows.shape[1])
+    return np.where(cols < sizes[:, None], ids, pad)
 
 
 def _node_stats(ypad, rows, trees, starts, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and max - min of each node's targets.
+    """Mean and max - min of each node's targets; the last entry of ypad is
+    the pad row's.
 
     Each mean sums its rows as y[node].mean() does: numpy's pairwise sum
     adds 8-wide blocks, then the rest one by one, and splits at 128. So
     nodes with the same size // 8 (below 128) reduce together, padded with
     -0.0, which adds nothing; larger nodes reduce in groups of one size.
     """
+    pad = len(ypad) - 1
     means, spread = np.full(len(sizes), np.nan), np.zeros(len(sizes))
     keys = np.where(sizes < 128, sizes // 8, sizes)
     for key in np.unique(keys[sizes > 0]):
         at = np.nonzero((keys == key) & (sizes > 0))[0]
-        seg = _segments(rows, trees[at], starts[at], sizes[at], sizes[at].max())
-        ys, inside = ypad[seg], seg < rows.shape[1]
+        seg = _segments(rows, trees[at], starts[at], sizes[at], sizes[at].max(), pad)
+        ys, inside = ypad[seg], seg < pad
         means[at] = ys.sum(axis=1) / sizes[at]
         spread[at] = (np.where(inside, ys, -np.inf).max(axis=1)
                       - np.where(inside, ys, np.inf).min(axis=1))
@@ -471,17 +477,18 @@ def _partition(rows, xpad, seg, trees, starts, sizes, feature, threshold) -> np.
     return goes_left.sum(axis=1)
 
 
-def _candidates(rng: np.random.Generator, d: int, n_cand: int) -> np.ndarray:
-    """_CAND_BLOCK independent uniform n_cand-subsets of range(d), one per
-    row, each sorted: the first n_cand entries of a random permutation."""
-    return np.sort(np.argsort(rng.random((_CAND_BLOCK, d)), axis=1)[:, :n_cand], axis=1)
+def _candidates(draws: np.ndarray, n_cand: int) -> np.ndarray:
+    """Candidate sets from uniform draws (..., d): per row, the first n_cand
+    entries of the random permutation argsort(row), sorted; a uniform
+    n_cand-subset of range(d)."""
+    return np.sort(np.argsort(draws, axis=-1)[..., :n_cand], axis=-1)
 
 
 def _split(xpad, ypad, rows, trees, starts, sizes, feats):
     """Split each node: (feature, threshold, left size), feature -1 where no
     feature separates two rows. Nodes go in size order into chunks, each
     padded to the power of two that holds its largest node and kept within
-    _CHUNK_CELLS."""
+    _SPLIT_CELLS."""
     feature, threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
     n_left = np.zeros(len(sizes), dtype=int)
     by_size = np.argsort(sizes, kind="stable")
@@ -489,10 +496,10 @@ def _split(xpad, ypad, rows, trees, starts, sizes, feats):
     lo = 0
     while lo < len(by_size):
         cells = np.arange(1, len(by_size) - lo + 1) * widths[lo:] * feats.shape[1]
-        hi = lo + max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
+        hi = lo + max(1, int(np.searchsorted(cells, _SPLIT_CELLS, side="right")))
         at, w = by_size[lo:hi], int(widths[hi - 1])
         lo = hi
-        seg = _segments(rows, trees[at], starts[at], sizes[at], w)
+        seg = _segments(rows, trees[at], starts[at], sizes[at], w, len(ypad) - 1)
         f, thr = _best_splits(xpad, ypad, seg, sizes[at], feats[at])
         # retry with all features so splittable nodes are not stranded by
         # an unlucky candidate draw
@@ -509,48 +516,109 @@ def _split(xpad, ypad, rows, trees, starts, sizes, feats):
     return feature, threshold, n_left
 
 
+def _tree_rng(seed: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
+    """A tree's generator, `seed`, and the bootstrap of n rows it draws first."""
+    rng = np.random.default_rng(seed)
+    return rng, rng.integers(n, size=n)
+
+
 def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int, max_depth: int,
            seed: int) -> RfModel:
-    """Bagged forest of variance-splitting regression trees; tree t draws
-    its bootstrap and then its nodes' sqrt(d) candidate features from rng
-    seed + t.
+    """Bagged forest of variance-splitting regression trees: rf_fit_many
+    of the one job (features, targets, seed). The pipeline grows all of a
+    stage's forests with one rf_fit_many call, and each of them is the
+    forest this call grows from its job."""
+    return next(rf_fit_many([(features, targets, seed)], n_trees, max_depth))
 
-    Candidate sets come in blocks of _CAND_BLOCK rows (`_candidates`):
-    tree t's j-th attempted node in preorder (depth below max_depth, >= 2
-    rows, targets not all equal) takes row j, and the tree draws its next
-    block when it has used up its rows. So block b is the b-th draw of
-    rng seed + t after the bootstrap, and a tree does not depend on
-    n_trees. The trees grow in lock-step: each step takes the next node,
-    in preorder, of every tree that has one, and scores the splits of all
-    these nodes in batched passes (`_split`), so the forest equals the one
-    grown tree by tree, node by node.
+
+def rf_fit_many(jobs, n_trees: int, max_depth: int):
+    """One forest per job (features, targets, seed), yielded in job order;
+    every job has the same number of features. Each forest equals the one
+    grown alone, tree by tree, node by node.
+
+    Tree t of a job draws its bootstrap and then its nodes' sqrt(d)
+    candidate features from rng seed + t. Candidate sets come in blocks of
+    _CAND_BLOCK rows (`_candidates`): tree t's j-th attempted node in
+    preorder (depth below max_depth, >= 2 rows, targets not all equal)
+    takes row j, and the tree draws its next block when it has used up its
+    rows. So block b is the b-th draw of rng seed + t after the bootstrap,
+    and a tree depends neither on n_trees nor on the other jobs.
+
+    The jobs' trees grow in lock-step, _BATCH_TREES trees at a time: each
+    step takes the next node, in preorder, of every tree that has one, and
+    scores the splits of all these nodes in batched passes (`_split`).
     """
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(targets, dtype=float)
     if n_trees < 1 or max_depth < 0:
         raise ConfigError(f"random forest needs n_trees >= 1 and max_depth >= 0, "
                           f"got {n_trees} and {max_depth}")
-    n, d = x.shape
-    if n < 2:
-        raise DataError(f"random forest needs >= 2 rows, has {n}")
-    rngs = [np.random.default_rng(seed + t) for t in range(n_trees)]
-    # rows[t] holds tree t's bootstrap row ids; a node owns a slice of it,
-    # in bootstrap order, and a split reorders the slice into its children
-    rows = np.array([rng.integers(n, size=n) for rng in rngs])
-    # the pad row, id n, sorts after every value and adds -0.0 to every sum
-    xpad = np.vstack([x, np.full((1, d), np.nan)])
-    ypad = np.append(y, -0.0)
+    jobs = [(np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float), seed)
+            for x, y, seed in jobs]
+    for i, (x, _, _) in enumerate(jobs):
+        if len(x) < 2:
+            raise DataError(f"random forest needs >= 2 rows, has {len(x)}"
+                            + (f" in job {i}" if len(jobs) > 1 else ""))
+        if x.shape[1] != jobs[0][0].shape[1]:
+            raise DataError(f"job {i} has {x.shape[1]} features, job 0 has "
+                            f"{jobs[0][0].shape[1]}")
+    per_batch = max(1, _BATCH_TREES // n_trees)
+    for lo in range(0, len(jobs), per_batch):
+        yield from _forests(jobs[lo:lo + per_batch], n_trees, max_depth)
+
+
+def _forests(jobs, n_trees: int, max_depth: int):
+    """The forest of each job, grown together by `_grow`."""
+    forest, job_of = _grow(jobs, n_trees, max_depth)
+    for j, (x, _, seed) in enumerate(jobs):
+        # the job's nodes in id order, so numbered as its own loop numbers
+        # them; a child's new id is its rank among them
+        at = np.flatnonzero(job_of == j)
+        yield RfModel(max_depth=max_depth, seed=seed, n_trees=n_trees, n_features=x.shape[1],
+                      flat=_FlatForest(forest.feature[at], forest.threshold[at],
+                                       np.searchsorted(at, forest.left[at]),
+                                       np.searchsorted(at, forest.right[at]), forest.value[at]))
+
+
+def _grow(jobs, n_trees: int, max_depth: int) -> tuple[_FlatForest, np.ndarray]:
+    """The nodes of rf_fit_many's jobs, grown in one lock-step loop, and the
+    job of each node."""
+    n_jobs, d = len(jobs), jobs[0][0].shape[1]
+    n_of = np.array([len(x) for x, _, _ in jobs])
+    # rows get global ids, job by job; the pad row, id n_of.sum(), sorts
+    # after every value and adds -0.0 to every sum
+    xpad = np.vstack([x for x, _, _ in jobs] + [np.full((1, d), np.nan)])
+    ypad = np.concatenate([y for _, y, _ in jobs] + [[-0.0]])
     n_cand = max(1, int(round(math.sqrt(d))))
-    # each tree's current block of candidate sets, and its attempted nodes so far
-    pool = np.zeros((n_trees, _CAND_BLOCK, n_cand), dtype=np.min_scalar_type(d - 1))
-    attempted = np.zeros(n_trees, dtype=int)
+    # tree i is tree i % n_trees of job i // n_trees, of n_tree[i] rows from
+    # id first[i] on. rows[i] holds its bootstrap row ids; a node owns a
+    # slice of it, in bootstrap order, and a split reorders the slice into
+    # its children. pool[i] is its current block of candidate sets. A tree's
+    # generator is dropped after its first block and, should it use that up,
+    # replayed and kept.
+    n_all = n_jobs * n_trees
+    seeds = [seed + t for _, _, seed in jobs for t in range(n_trees)]
+    n_tree, first = np.repeat(n_of, n_trees), np.repeat(np.cumsum(n_of) - n_of, n_trees)
+    rows = np.zeros((n_all, n_of.max()), dtype=int)
+    pool = np.zeros((n_all, _CAND_BLOCK, n_cand), dtype=np.min_scalar_type(d - 1))
+    for lo in range(0, n_all, 32):  # the draws of 32 trees at a time
+        draws = np.empty((min(32, n_all - lo), _CAND_BLOCK, d))
+        for i in range(lo, lo + len(draws)):
+            rng, boot = _tree_rng(seeds[i], n_tree[i])
+            rows[i, :n_tree[i]] = first[i] + boot
+            draws[i - lo] = rng.random((_CAND_BLOCK, d))
+        pool[lo:lo + len(draws)] = _candidates(draws, n_cand)
+    rngs = {}
+    attempted = np.zeros(n_all, dtype=int)
 
     # per tree, a stack of pending nodes (id, start, size, depth), popped in
-    # preorder; a node's id is its index in the forest's growing arrays
-    forest, count = _leaves(0, 8 * n_trees), n_trees
-    stack = np.zeros((4, n_trees, 8), dtype=int)
-    stack[0, :, 0], stack[2, :, 0] = np.arange(n_trees), n
-    height = np.ones(n_trees, dtype=int)
+    # preorder. A node's id is its index in the growing arrays, and job_of
+    # holds its job. Each step's children take the next ids in tree order, so
+    # a job's ids, in order, number its nodes as the job's own loop would.
+    forest, count = _leaves(0, 8 * n_all), n_all
+    job_of = np.zeros(8 * n_all, dtype=np.min_scalar_type(n_jobs))
+    job_of[:n_all] = np.arange(n_all) // n_trees
+    stack = np.zeros((4, n_all, 8), dtype=np.int32)
+    stack[0, :, 0], stack[2, :, 0] = np.arange(n_all), n_tree
+    height = np.ones(n_all, dtype=int)
     while len(trees := np.nonzero(height)[0]):
         height[trees] -= 1
         ids, starts, sizes, depths = stack[:, trees, height[trees]]
@@ -561,8 +629,11 @@ def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int, max_depth: i
         if len(split):
             tr = trees[split]
             j = attempted[tr] % _CAND_BLOCK
-            for t in tr[j == 0].tolist():
-                pool[t] = _candidates(rngs[t], d, n_cand)
+            for i in tr[(j == 0) & (attempted[tr] > 0)].tolist():
+                if i not in rngs:  # replay the bootstrap and the blocks drawn so far
+                    rngs[i] = _tree_rng(seeds[i], n_tree[i])[0]
+                    rngs[i].random((attempted[i], d))
+                pool[i] = _candidates(rngs[i].random((_CAND_BLOCK, d)), n_cand)
             attempted[tr] += 1
             feats = pool[tr, j]
             feature[split], threshold[split], n_left[split] = _split(
@@ -574,18 +645,19 @@ def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int, max_depth: i
         if count > len(forest.value):
             forest = _FlatForest(*map(np.concatenate,
                                       zip(forest, _leaves(len(forest.value), 2 * count))))
+            job_of = np.pad(job_of, (0, 2 * count - len(job_of)))
         forest.value[ids] = means
         forest.feature[ids[s]], forest.threshold[ids[s]] = feature[s], threshold[s]
         forest.left[ids[s]], forest.right[ids[s]] = left, left + 1
         t, top = trees[s], height[trees[s]]
+        job_of[left], job_of[left + 1] = t // n_trees, t // n_trees
         if len(s) and top.max() + 2 > stack.shape[2]:
             stack = np.concatenate([stack, np.zeros_like(stack)], axis=2)
         # push the right child, then the left one, which is popped first
         stack[:, t, top] = left + 1, starts[s] + n_left[s], sizes[s] - n_left[s], depths[s] + 1
         stack[:, t, top + 1] = left, starts[s], n_left[s], depths[s] + 1
         height[t] += 2
-    return RfModel(max_depth=max_depth, seed=seed, n_trees=n_trees, n_features=d,
-                   flat=_FlatForest(*(a[:count].copy() for a in forest)))
+    return forest, job_of[:count]
 
 
 def rf_predict(model: RfModel, features: np.ndarray) -> np.ndarray:

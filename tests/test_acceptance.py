@@ -5,6 +5,9 @@ independent oracle (dense solves, exhaustive search, finite differences,
 planted synthetic ground truth) — never by the code under test.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -282,3 +285,31 @@ def test_criterion_10_forest_beats_constant(tmp_path):
             ok &= bool(rf_mape < const_mape)
             detail.append(f"seed {seed} {stage}: rf {rf_mape:.1f}% vs constant {const_mape:.1f}%")
     _verdict("criterion-10 forest beats the constant", ok, "; ".join(detail))
+
+
+def test_criterion_11_forests_grown_together_equal_forests_grown_alone(tmp_path):
+    """`pipeline --predictor rf` grows all of a stage's forests in one
+    lock-step loop. With the batch cap at one job, each forest grows alone;
+    every output file, stdout and stderr (a notice per target) are the same
+    bytes."""
+    spec = synth.SynthSpec(n_online=16, rows_per_workload=8, freq_scale=1.0,
+                           profile_scale=2.0, seed=4)
+    manifest = synth.write_corpus(synth.generate_corpus(spec)[0], tmp_path / "corpus")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = []
+    for cap in ("predict._BATCH_TREES", "1"):
+        out = tmp_path / f"cap_{len(runs)}"
+        code = (f"import sys; from dbtune import cli, predict; predict._BATCH_TREES = {cap}; "
+                f"sys.exit(cli.main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", code, "pipeline", "--manifest",
+                               str(manifest), "--out", str(out), "--predictor", "rf",
+                               "--trees", "50"],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": src})
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((done.returncode, done.stdout, done.stderr, files))
+    together, alone = runs
+    _verdict("criterion-11 forests grown together equal forests grown alone",
+             together == alone and together[0] == 0 and len(together[3]) == 10
+             and b"warning: " in together[2],
+             f"exit codes {together[0]}/{alone[0]}, {len(together[3])} files, "
+             f"equal: {together == alone}")

@@ -269,6 +269,7 @@ class TestExitContract:
         ("synth-spec-str-count", "'n_offline' must be int"),
         ("synth-negative-seed", "seed must be >= 0, got -1"),
         ("prune-long-manifest", "x.json: File name too long"),
+        ("prune-manifest-nul-name", "off\\x00.csv': embedded null byte"),
     ])
     def test_unreadable_input_exits_2(self, command, message, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -278,6 +279,10 @@ class TestExitContract:
         spec.write_text('{"n_offline": "6"}')
         knobs_int = tmp_path / "knobs_int.json"
         knobs_int.write_text(json.dumps({**json.loads(corpus_dir.read_text()), "knobs": 3}))
+        nul_name = tmp_path / "nul_name.json"
+        doc = json.loads(corpus_dir.read_text())
+        doc["groups"]["offline"][0] = "off\u0000.csv"
+        nul_name.write_text(json.dumps(doc))
         csv_damage = {
             "prune-csv-is-directory": lambda p: (p.unlink(), p.mkdir()),
             "prune-csv-not-utf8": lambda p: p.write_bytes(
@@ -305,6 +310,7 @@ class TestExitContract:
             **{name: ["eval", "--predictions-dir", preds]
                for name in ("eval-csv-is-directory", "eval-csv-not-utf8")},
             "prune-manifest-knobs-int": ["prune", "--manifest", knobs_int],
+            "prune-manifest-nul-name": ["prune", "--manifest", nul_name],
             "synth-spec-str-count": ["synth", "--spec", spec],
             "synth-negative-seed": ["synth", "--seed", "-1"],
             "prune-long-manifest": ["prune", "--manifest", tmp_path / ("m" * 5000 + "x.json")],
@@ -312,6 +318,7 @@ class TestExitContract:
         assert run([*argv, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("where", ["under-file", "is-file"])
     @pytest.mark.parametrize("command", ["synth", "prune", "map", "train", "predict", "eval",

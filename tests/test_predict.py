@@ -438,8 +438,7 @@ class TestForestExact:
         rng = np.random.default_rng(6)
         for d in (1, 2, 7, 20):
             n_cand = max(1, round(math.sqrt(d)))
-            rows = np.vstack([predict._candidates(rng, d, n_cand)
-                              for _ in range(20000 // predict._CAND_BLOCK)])
+            rows = predict._candidates(rng.random((20000, d)), n_cand)
             assert rows.shape[1] == n_cand
             assert ((rows >= 0) & (rows < d)).all()
             assert (np.diff(rows, axis=1) > 0).all()  # sorted, so distinct
@@ -541,6 +540,91 @@ class TestForestExact:
         tables = [rng.normal(size=(n, 4)) for n in (1, 10, 7, 300, 2)]
         per_table = np.concatenate([predict.rf_predict(model, t) for t in tables])
         assert per_table.tobytes() == predict.rf_predict(model, np.vstack(tables)).tobytes()
+
+
+def _split_counts(model):
+    """Split nodes per tree: a tree that attempts more nodes than one block
+    of candidate sets holds draws a second block."""
+    f = model.flat
+    counts = []
+    for t in range(model.n_trees):
+        stack, n = [t], 0
+        while stack:
+            node = stack.pop()
+            if f.feature[node] >= 0:
+                n += 1
+                stack += [int(f.left[node]), int(f.right[node])]
+        counts.append(n)
+    return counts
+
+
+class TestForestMany:
+    """Each forest of rf_fit_many has the bytes of rf_fit on its job alone;
+    rf_fit is checked against the tree-by-tree reference (TestForestExact)."""
+
+    @staticmethod
+    def _assert_alone(jobs, n_trees, max_depth):
+        many = [json.dumps(m.to_json()) for m in predict.rf_fit_many(jobs, n_trees, max_depth)]
+        alone = [json.dumps(predict.rf_fit(x, y, n_trees, max_depth, seed).to_json())
+                 for x, y, seed in jobs]
+        assert many == alone
+        return many
+
+    @pytest.mark.parametrize("batch_trees", [1, 7, 1024])
+    def test_rows_from_2_to_130(self, monkeypatch, batch_trees):
+        # 1 and 7 trees a batch: one job a batch, and two of three trees each
+        monkeypatch.setattr(predict, "_BATCH_TREES", batch_trees)
+        rng = np.random.default_rng(8)
+        jobs = [(rng.normal(size=(n, 5)), rng.uniform(1, 100, size=n), 10 * i)
+                for i, n in enumerate((2, 11, 16, 17, 40, 130))]
+        self._assert_alone(jobs, 3, 50)
+        # the 130-row trees attempt more nodes than a block holds
+        big = next(predict.rf_fit_many(jobs[-1:], 3, 50))
+        assert max(_split_counts(big)) > predict._CAND_BLOCK
+
+    # an inf threshold can leave a child empty; squares of 1e156-scale
+    # targets overflow
+    @pytest.mark.filterwarnings("ignore:invalid value encountered",
+                                "ignore:overflow encountered")
+    @pytest.mark.parametrize("max_depth", [0, 4, 60])
+    def test_forest_cases_grouped_by_width(self, max_depth):
+        by_width = {}
+        for i in range(80):
+            x, y, _, _, seed = _forest_case(i)
+            by_width.setdefault(x.shape[1], []).append((x, y, seed))
+        empty = 0
+        for jobs in by_width.values():
+            many = self._assert_alone(jobs, 4, max_depth)
+            # an empty child's value is the mean of no targets
+            empty += sum("NaN" in m for m in many)
+        assert empty > 0 or max_depth == 0
+
+    def test_constant_targets_beside_others(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(12, 4))
+        jobs = [(x, rng.uniform(1, 9, size=12), 1), (x, np.full(12, 7.5), 2),
+                (x[:5], rng.uniform(1, 9, size=5), 3)]
+        many = self._assert_alone(jobs, 6, 50)
+        constant = json.loads(many[1])
+        assert constant["feature"] == [-1] * 6 and constant["value"] == [7.5] * 6
+
+    def test_jobs_across_batches_keep_their_order(self, monkeypatch):
+        # 5 trees a job and 12 trees a batch: batches of 2, 2 and 1 jobs
+        monkeypatch.setattr(predict, "_BATCH_TREES", 12)
+        rng = np.random.default_rng(5)
+        jobs = [(rng.normal(size=(9, 3)), rng.uniform(1, 9, size=9), s) for s in range(5)]
+        models = self._assert_alone(jobs, 5, 50)
+        assert [json.loads(m)["seed"] for m in models] == list(range(5))
+
+    def test_width_mismatch_refused(self):
+        jobs = [(np.zeros((4, 2)), np.arange(4.0), 0), (np.zeros((4, 3)), np.arange(4.0), 1)]
+        with pytest.raises(DataError, match="job 1 has 3 features, job 0 has 2"):
+            list(predict.rf_fit_many(jobs, 2, 5))
+
+    def test_short_job_refused(self):
+        jobs = [(np.zeros((4, 2)), np.arange(4.0), 0), (np.zeros((1, 2)), np.ones(1), 1)]
+        with pytest.raises(DataError, match="needs >= 2 rows, has 1 in job 1"):
+            list(predict.rf_fit_many(jobs, 2, 5))
 
 
 class TestMlp:
