@@ -161,17 +161,20 @@ class GprModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GprModel":
-        x_train, chol = json_floats(doc, "x_train", 2), json_floats(doc, "chol", 2)
-        dual_coef = json_floats(doc, "dual_coef")
+        x_train, chol = _finite(doc, "x_train", 2), _finite(doc, "chol", 2)
+        dual_coef = _finite(doc, "dual_coef")
         n = len(x_train)
         if chol.shape != (n, n) or dual_coef.shape != (n,):
             raise ValueError(f"arrays do not fit {n} training rows")
-        number = (int, float)
-        return cls(alpha=json_field(doc, "alpha", number),
-                   length_scale=json_field(doc, "length_scale", number),
-                   signal_variance=json_field(doc, "signal_variance", number),
-                   x_train=x_train, y_mean=json_field(doc, "y_mean", number),
-                   chol=chol, dual_coef=dual_coef)
+        scalars = {key: float(_finite(doc, key, 0))
+                   for key in ("alpha", "length_scale", "signal_variance", "y_mean")}
+        for key in ("alpha", "length_scale", "signal_variance"):
+            if not scalars[key] > 0:
+                raise ValueError(f"{key} must be > 0, got {scalars[key]}")
+        if not 2.0 * scalars["length_scale"] * scalars["length_scale"] < math.inf:
+            raise ValueError(f"length_scale {scalars['length_scale']}: the kernel's "
+                             f"2 * length_scale ** 2 overflows")
+        return cls(x_train=x_train, chol=chol, dual_coef=dual_coef, **scalars)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return gpr_predict(self, features)[0]
@@ -349,7 +352,7 @@ class RfModel:
         """The root of each tree, its nodes linked as objects that hold no
         threshold or value, built on first use. Only the benchmark's node
         count (bench/layers.py) reads them; they go when it counts model.flat
-        (ROADMAP item 4)."""
+        (ROADMAP item 5)."""
         nodes = [_TreeNode(f) for f in self.flat.feature.tolist()]
         for i in np.flatnonzero(self.flat.feature >= 0).tolist():
             nodes[i].left, nodes[i].right = nodes[self.flat.left[i]], nodes[self.flat.right[i]]
@@ -369,13 +372,6 @@ _CAND_BLOCK = 32
 _BATCH_TREES = 1024
 
 
-def _square(a: np.ndarray) -> np.ndarray:
-    """a ** 2 as float64 scalar squares give it, through libm pow (inf on
-    overflow); the array square a * a differs in the last bit for some a."""
-    with np.errstate(over="ignore", under="ignore"):
-        return np.float_power(a, 2.0)
-
-
 def _segments(rows: np.ndarray, trees: np.ndarray, starts: np.ndarray,
               sizes: np.ndarray, width: int, pad: int) -> np.ndarray:
     """Row ids of each node, padded to `width` with the pad row id `pad`.
@@ -386,25 +382,16 @@ def _segments(rows: np.ndarray, trees: np.ndarray, starts: np.ndarray,
 
 
 def _node_stats(ypad, rows, trees, starts, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and max - min of each node's targets; the last entry of ypad is
-    the pad row's.
-
-    Each mean sums its rows as y[node].mean() does: numpy's pairwise sum
-    adds 8-wide blocks, then the rest one by one, and splits at 128. So
-    nodes with the same size // 8 (below 128) reduce together, padded with
-    -0.0, which adds nothing; larger nodes reduce in groups of one size.
-    """
+    """Mean (NaN for no rows) and max - min of each node's targets; the last
+    entry of ypad is the pad row's, -0.0. Each mean sums its node's rows left
+    to right: a cumulative sum over rows padded with -0.0, which adds nothing,
+    so no other node of the step changes it."""
     pad = len(ypad) - 1
-    means, spread = np.full(len(sizes), np.nan), np.zeros(len(sizes))
-    keys = np.where(sizes < 128, sizes // 8, sizes)
-    for key in np.unique(keys[sizes > 0]):
-        at = np.nonzero((keys == key) & (sizes > 0))[0]
-        seg = _segments(rows, trees[at], starts[at], sizes[at], sizes[at].max(), pad)
-        ys, inside = ypad[seg], seg < pad
-        means[at] = ys.sum(axis=1) / sizes[at]
-        spread[at] = (np.where(inside, ys, -np.inf).max(axis=1)
-                      - np.where(inside, ys, np.inf).min(axis=1))
-    return means, spread
+    seg = _segments(rows, trees, starts, sizes, max(int(sizes.max()), 1), pad)
+    ys, inside = ypad[seg], seg < pad
+    means = np.where(sizes > 0, np.cumsum(ys, axis=1)[:, -1] / np.maximum(sizes, 1), np.nan)
+    return means, (np.where(inside, ys, -np.inf).max(axis=1)
+                   - np.where(inside, ys, np.inf).min(axis=1))
 
 
 def _min_before(a: np.ndarray) -> np.ndarray:
@@ -430,16 +417,17 @@ def _best_splits(xpad, ypad, seg, sizes, feats) -> tuple[np.ndarray, np.ndarray]
     order = np.argsort(xpad[seg[:, None, :], feats[:, :, None]], axis=2, kind="stable")
     ids = seg.reshape(-1)[order + (np.arange(k) * w)[:, None, None]]
     xs, ys = xpad[ids, feats[:, :, None]], ypad[ids]
-    csum, csq = np.cumsum(ys, axis=2), np.cumsum(ys ** 2, axis=2)
 
     # split at position i: rows 0..i go left
     last = (sizes - 1)[:, None, None]
     nl = np.arange(1, w)
     valid = ((nl <= last) & (xs[..., :-1] != xs[..., 1:])).reshape(k, -1)
     first = valid & (np.cumsum(valid, axis=1) == 1)
-    cs, cq, tq = csum[..., :-1], csq[..., :-1], csq[..., -1:]
-    rest = csum[..., -1:] - cs
-    cost = (cq - _square(cs) / nl) + ((tq - cq) - _square(rest) / np.maximum(last + 1 - nl, 1))
+    with np.errstate(over="ignore", under="ignore"):  # squares of 1e156-scale targets
+        csum, csq = np.cumsum(ys, axis=2), np.cumsum(ys * ys, axis=2)
+        cs, cq, tq = csum[..., :-1], csq[..., :-1], csq[..., -1:]
+        rest = csum[..., -1:] - cs
+        cost = (cq - cs * cs / nl) + ((tq - cq) - rest * rest / np.maximum(last + 1 - nl, 1))
     cost = np.where(valid, cost.reshape(k, -1), np.inf)
     # Only the first split of a node and one costing less than every earlier
     # split can become the best (the best is never 1e-15 above an earlier cost)
@@ -516,10 +504,10 @@ def _split(xpad, ypad, rows, trees, starts, sizes, feats):
     return feature, threshold, n_left
 
 
-def _tree_rng(seed: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
-    """A tree's generator, `seed`, and the bootstrap of n rows it draws first."""
-    rng = np.random.default_rng(seed)
-    return rng, rng.integers(n, size=n)
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of a forest job's stream `key`: (0,) for the trees'
+    first blocks of candidate sets, (1, t) for tree t's later blocks."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def rf_fit(features: np.ndarray, targets: np.ndarray, n_trees: int, max_depth: int,
@@ -536,13 +524,18 @@ def rf_fit_many(jobs, n_trees: int, max_depth: int):
     every job has the same number of features. Each forest equals the one
     grown alone, tree by tree, node by node.
 
-    Tree t of a job draws its bootstrap and then its nodes' sqrt(d)
-    candidate features from rng seed + t. Candidate sets come in blocks of
-    _CAND_BLOCK rows (`_candidates`): tree t's j-th attempted node in
-    preorder (depth below max_depth, >= 2 rows, targets not all equal)
-    takes row j, and the tree draws its next block when it has used up its
-    rows. So block b is the b-th draw of rng seed + t after the bootstrap,
-    and a tree depends neither on n_trees nor on the other jobs.
+    Draws: a job draws the bootstraps of all its trees, row t tree t's, in
+    one default_rng(seed).integers(n, size=(n_trees, n)) call. Its nodes
+    take sqrt(d) candidate features from blocks of _CAND_BLOCK candidate
+    sets (`_candidates`): tree t's j-th attempted node in preorder (depth
+    below max_depth, >= 2 rows, targets not all equal) takes row j of its
+    block. Tree t's first block is row t of one (n_trees, _CAND_BLOCK, d)
+    draw from stream (0,) of the seed (`_stream`); a tree that uses a block
+    up draws the next from stream (1, t). So a tree depends neither on
+    n_trees nor on the other jobs.
+
+    Squares: split costs square sums with a * a. Node means: each node sums
+    its targets once, left to right in bootstrap order (`_node_stats`).
 
     The jobs' trees grow in lock-step, _BATCH_TREES trees at a time: each
     step takes the next node, in preorder, of every tree that has one, and
@@ -588,25 +581,21 @@ def _grow(jobs, n_trees: int, max_depth: int) -> tuple[_FlatForest, np.ndarray]:
     xpad = np.vstack([x for x, _, _ in jobs] + [np.full((1, d), np.nan)])
     ypad = np.concatenate([y for _, y, _ in jobs] + [[-0.0]])
     n_cand = max(1, int(round(math.sqrt(d))))
-    # tree i is tree i % n_trees of job i // n_trees, of n_tree[i] rows from
-    # id first[i] on. rows[i] holds its bootstrap row ids; a node owns a
-    # slice of it, in bootstrap order, and a split reorders the slice into
-    # its children. pool[i] is its current block of candidate sets. A tree's
-    # generator is dropped after its first block and, should it use that up,
-    # replayed and kept.
+    # tree i is tree i % n_trees of job i // n_trees. rows[i] holds its
+    # bootstrap row ids; a node owns a slice of it, in bootstrap order, and a
+    # split reorders the slice into its children. pool[i] is its current
+    # block of candidate sets, and own[i] its stream once it needs a second.
     n_all = n_jobs * n_trees
-    seeds = [seed + t for _, _, seed in jobs for t in range(n_trees)]
-    n_tree, first = np.repeat(n_of, n_trees), np.repeat(np.cumsum(n_of) - n_of, n_trees)
     rows = np.zeros((n_all, n_of.max()), dtype=int)
     pool = np.zeros((n_all, _CAND_BLOCK, n_cand), dtype=np.min_scalar_type(d - 1))
-    for lo in range(0, n_all, 32):  # the draws of 32 trees at a time
-        draws = np.empty((min(32, n_all - lo), _CAND_BLOCK, d))
-        for i in range(lo, lo + len(draws)):
-            rng, boot = _tree_rng(seeds[i], n_tree[i])
-            rows[i, :n_tree[i]] = first[i] + boot
-            draws[i - lo] = rng.random((_CAND_BLOCK, d))
-        pool[lo:lo + len(draws)] = _candidates(draws, n_cand)
-    rngs = {}
+    for (x, _, seed), at, lo in zip(jobs, range(0, n_all, n_trees), np.cumsum(n_of) - n_of):
+        rows[at:at + n_trees, :len(x)] = lo + np.random.default_rng(seed).integers(
+            len(x), size=(n_trees, len(x)))
+        blocks = _stream(seed, 0)
+        for t in range(0, n_trees, 32):  # the first blocks of 32 trees at a time
+            hi = min(t + 32, n_trees)
+            pool[at + t:at + hi] = _candidates(blocks.random((hi - t, _CAND_BLOCK, d)), n_cand)
+    own = {}
     attempted = np.zeros(n_all, dtype=int)
 
     # per tree, a stack of pending nodes (id, start, size, depth), popped in
@@ -617,7 +606,7 @@ def _grow(jobs, n_trees: int, max_depth: int) -> tuple[_FlatForest, np.ndarray]:
     job_of = np.zeros(8 * n_all, dtype=np.min_scalar_type(n_jobs))
     job_of[:n_all] = np.arange(n_all) // n_trees
     stack = np.zeros((4, n_all, 8), dtype=np.int32)
-    stack[0, :, 0], stack[2, :, 0] = np.arange(n_all), n_tree
+    stack[0, :, 0], stack[2, :, 0] = np.arange(n_all), np.repeat(n_of, n_trees)
     height = np.ones(n_all, dtype=int)
     while len(trees := np.nonzero(height)[0]):
         height[trees] -= 1
@@ -630,10 +619,9 @@ def _grow(jobs, n_trees: int, max_depth: int) -> tuple[_FlatForest, np.ndarray]:
             tr = trees[split]
             j = attempted[tr] % _CAND_BLOCK
             for i in tr[(j == 0) & (attempted[tr] > 0)].tolist():
-                if i not in rngs:  # replay the bootstrap and the blocks drawn so far
-                    rngs[i] = _tree_rng(seeds[i], n_tree[i])[0]
-                    rngs[i].random((attempted[i], d))
-                pool[i] = _candidates(rngs[i].random((_CAND_BLOCK, d)), n_cand)
+                if i not in own:
+                    own[i] = _stream(jobs[i // n_trees][2], 1, i % n_trees)
+                pool[i] = _candidates(own[i].random((_CAND_BLOCK, d)), n_cand)
             attempted[tr] += 1
             feats = pool[tr, j]
             feature[split], threshold[split], n_left[split] = _split(
@@ -719,12 +707,12 @@ class MlpModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MlpModel":
-        w1, b1 = json_floats(doc, "w1", 2), json_floats(doc, "b1")
-        w2, b2 = json_floats(doc, "w2", 2), json_floats(doc, "b2")
+        w1, b1 = _finite(doc, "w1", 2), _finite(doc, "b1")
+        w2, b2 = _finite(doc, "w2", 2), _finite(doc, "b2")
         if b1.shape != (w1.shape[1],) or w2.shape != (len(b1), 1) or b2.shape != (1,):
             raise ValueError(f"layer shapes {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
         return cls(w1=w1, b1=b1, w2=w2, b2=b2, seed=json_field(doc, "seed", int),
-                   loss_trace=tuple(json_floats(doc, "loss_trace").tolist()))
+                   loss_trace=tuple(_finite(doc, "loss_trace").tolist()))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return mlp_predict(self, features)
@@ -829,6 +817,16 @@ def mlp_fit(features: np.ndarray, targets: np.ndarray, hidden_units: int, epochs
 
 def _arr(a) -> list:
     return np.asarray(a, dtype=float).tolist()
+
+
+def _finite(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
+    """doc[key] as a float array of ndim dimensions, 0 for a number; every
+    value must be finite."""
+    a = (np.asarray(json_field(doc, key, (int, float)), dtype=float) if ndim == 0
+         else json_floats(doc, key, ndim))
+    if not np.isfinite(a).all():
+        raise ValueError(f"{key} holds {a[~np.isfinite(a)].flat[0]}: every value must be finite")
+    return a
 
 
 MODEL_KINDS = {cls.kind: cls for cls in (GprModel, RfModel, MlpModel)}

@@ -23,6 +23,10 @@ from .ingest import (GROUP_NAMES, Corpus, Schema, WorkloadTable, check_fields, c
 ONLINE_PERTURB = 0.05
 LATENCY_NOISE_GAIN = 10.0
 MIN_LATENCY = 1e-3
+# bound on the cells of a spec's corpus, (n_offline + 2 n_online) *
+# rows_per_workload * (n_knobs + n_metrics + 2), and of its latent directions,
+# n_latent * n_knobs; the largest benchmark corpus (map-large) has 414,400
+MAX_CELLS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,10 @@ class SynthSpec:
                   self.n_knobs, self.n_latent, self.metrics_per_latent)
         if any(c < 1 for c in counts):
             raise DataError("all synth counts must be >= 1")
+        cells = ((self.n_offline + 2 * self.n_online) * self.rows_per_workload
+                 * (self.n_knobs + self.n_metrics + 2))
+        if (size := max(cells, self.n_latent * self.n_knobs)) > MAX_CELLS:
+            raise DataError(f"synth spec asks for {size} cells, more than {MAX_CELLS}")
         if self.noise_std < 0:
             raise DataError("noise_std must be >= 0")
         if self.seed < 0:

@@ -42,6 +42,26 @@ def trained_dir(corpus_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def nn_trained_dir(trained_dir, corpus_dir, tmp_path_factory):
+    """train output of a small network beside the shared pruned metrics."""
+    out = tmp_path_factory.mktemp("nn_trained")
+    assert run(["train", "--manifest", corpus_dir, "--out", out, "--predictor", "nn",
+                "--epochs", "3", "--pruned", trained_dir / "pruned_metrics.txt"]) == 0
+    return out
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _edit_model(edit):
+    """A damage that edits the model.json of a model directory."""
+    return lambda model_dir: _edit_json(model_dir / "model.json", edit)
+
+
 # a value for every PipelineConfig field, none of them its default
 NON_DEFAULT = dict(manifest="m.json", method="gmm", k_min=3, k_max=9, factor_cap=4,
                    predictor="nn", alpha=0.25, trees=7, depth=5, hidden=8, epochs=3,
@@ -132,34 +152,58 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("damage, message", [
-        (lambda d: (d / "model.json").unlink(), "cannot read"),
-        (lambda d: (d / "preprocess.json").unlink(), "cannot read"),
-        (lambda d: (d / "model.json").write_text(
+    @pytest.mark.parametrize("kind, damage, message", [
+        ("gpr", lambda d: (d / "model.json").unlink(), "cannot read"),
+        ("gpr", lambda d: (d / "preprocess.json").unlink(), "cannot read"),
+        ("gpr", lambda d: (d / "model.json").write_text(
             (d / "model.json").read_text().replace('"chol"', '"cholx"')), "'chol'"),
-        (lambda d: (d / "preprocess.json").write_text(
+        ("gpr", lambda d: (d / "preprocess.json").write_text(
             (d / "preprocess.json").read_text().replace('"knob_names"', '"knobs"')),
          "'knob_names'"),
-        (lambda d: (d / "model.json").write_text("{"), "not valid JSON"),
-        (lambda d: (d / "model.json").write_text("[" * 100000 + "]" * 100000),
+        ("gpr", lambda d: (d / "model.json").write_text("{"), "not valid JSON"),
+        ("gpr", lambda d: (d / "model.json").write_text("[" * 100000 + "]" * 100000),
          "nests too deeply to parse"),
-        (lambda d: _edit_json(d / "model.json", lambda m: m.update(length_scale="a")),
+        ("gpr", _edit_model(lambda m: m.update(length_scale="a")),
          "length_scale must be a number"),
         # a std of 0 makes features inf or nan, which scipy refuses with a ValueError
-        (lambda d: _edit_json(d / "preprocess.json",
-                              lambda p: p["scaler_stds"].__setitem__(0, 0.0)),
+        ("gpr", lambda d: _edit_json(d / "preprocess.json",
+                                     lambda p: p["scaler_stds"].__setitem__(0, 0.0)),
          "every std must be finite and > 0"),
+        # a non-finite or non-positive gpr or nn value would predict nan, raise
+        # scipy's ValueError or overflow in the kernel
+        ("gpr", _edit_model(lambda m: m["dual_coef"].__setitem__(0, math.nan)),
+         "dual_coef holds nan: every value must be finite"),
+        ("gpr", _edit_model(lambda m: m["x_train"][0].__setitem__(0, math.nan)),
+         "x_train holds nan"),
+        ("gpr", _edit_model(lambda m: m["chol"][0].__setitem__(0, math.inf)), "chol holds inf"),
+        ("gpr", _edit_model(lambda m: m.update(y_mean=math.nan)), "y_mean holds nan"),
+        ("gpr", _edit_model(lambda m: m.update(length_scale=1e308)),
+         "length_scale 1e+308: the kernel's 2 * length_scale ** 2 overflows"),
+        ("gpr", _edit_model(lambda m: m.update(length_scale=0.0)),
+         "length_scale must be > 0, got 0.0"),
+        ("gpr", _edit_model(lambda m: m.update(signal_variance=-1)),
+         "signal_variance must be > 0, got -1.0"),
+        ("gpr", _edit_model(lambda m: m.update(signal_variance=math.inf)),
+         "signal_variance holds inf"),
+        ("nn", _edit_model(lambda m: m["b2"].__setitem__(0, math.nan)), "b2 holds nan"),
+        ("nn", _edit_model(lambda m: m["w1"][0].__setitem__(0, -math.inf)), "w1 holds -inf"),
+        ("nn", _edit_model(lambda m: m["loss_trace"].__setitem__(0, math.nan)),
+         "loss_trace holds nan"),
     ], ids=["no-model", "no-preprocess", "model-key", "preprocess-key", "model-bad-json",
-            "model-too-deep", "length-scale-str", "std-zero"])
-    def test_bad_model_dir_exits_2(self, damage, message, corpus_dir, trained_dir,
+            "model-too-deep", "length-scale-str", "std-zero", "dual-coef-nan", "x-train-nan",
+            "chol-inf", "y-mean-nan", "length-scale-square-overflows", "length-scale-zero",
+            "signal-variance-negative", "signal-variance-inf", "nn-b2-nan", "nn-w1-inf",
+            "nn-loss-nan"])
+    def test_bad_model_dir_exits_2(self, kind, damage, message, corpus_dir, request,
                                    tmp_path, capsys):
         model_dir = tmp_path / "model"
-        shutil.copytree(trained_dir, model_dir)
+        trained = {"gpr": "trained_dir", "nn": "nn_trained_dir"}[kind]
+        shutil.copytree(request.getfixturevalue(trained), model_dir)
         damage(model_dir)
         assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
                     "--model-dir", model_dir]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_workload_id_in_two_groups_is_data_error(self, corpus_dir, tmp_path, capsys):
         # an online-B table that reuses an offline id: stage 2 would score two
@@ -204,12 +248,6 @@ def rf_trained_dir(trained_dir, corpus_dir, tmp_path_factory):
                 "--trees", "3", "--depth", "4",
                 "--pruned", trained_dir / "pruned_metrics.txt"]) == 0
     return out
-
-
-def _edit_json(path, edit):
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
 
 
 def _set_root_feature(value):
@@ -270,6 +308,10 @@ class TestExitContract:
         ("synth-negative-seed", "seed must be >= 0, got -1"),
         ("prune-long-manifest", "x.json: File name too long"),
         ("prune-manifest-nul-name", "off\\x00.csv': embedded null byte"),
+        # refused before the generator allocates anything
+        ("synth-spec-huge-count", f"synth spec asks for {(2 ** 70 + 2 * 8) * 6 * (3 + 12 + 2)} "
+                                  f"cells, more than 10000000"),
+        ("synth-spec-wide-latent", "synth spec asks for 25000000 cells, more than 10000000"),
     ])
     def test_unreadable_input_exits_2(self, command, message, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -277,6 +319,12 @@ class TestExitContract:
         missing = tmp_path / "missing.txt"
         spec = tmp_path / "spec.json"
         spec.write_text('{"n_offline": "6"}')
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"n_offline": 2 ** 70}))
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"n_offline": 1, "n_online": 1, "rows_per_workload": 1,
+                                    "n_latent": 5000, "n_knobs": 5000,
+                                    "metrics_per_latent": 1}))
         knobs_int = tmp_path / "knobs_int.json"
         knobs_int.write_text(json.dumps({**json.loads(corpus_dir.read_text()), "knobs": 3}))
         nul_name = tmp_path / "nul_name.json"
@@ -312,6 +360,8 @@ class TestExitContract:
             "prune-manifest-knobs-int": ["prune", "--manifest", knobs_int],
             "prune-manifest-nul-name": ["prune", "--manifest", nul_name],
             "synth-spec-str-count": ["synth", "--spec", spec],
+            "synth-spec-huge-count": ["synth", "--spec", huge],
+            "synth-spec-wide-latent": ["synth", "--spec", wide],
             "synth-negative-seed": ["synth", "--seed", "-1"],
             "prune-long-manifest": ["prune", "--manifest", tmp_path / ("m" * 5000 + "x.json")],
         }[command]

@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -272,14 +271,17 @@ class TestRandomForest:
             predict.rf_fit(np.zeros((1, 2)), np.zeros(1), 200, 50, seed=0)
 
 
-# The forest as grown before lock-step growth: one tree at a time,
-# recursively, each node's splits scanned in a Python loop. Squares go
-# through libm pow, as the float64 scalar `csum[i] ** 2` did (inf on overflow).
-def _pow2(v):
-    try:
-        return math.pow(v, 2)
-    except OverflowError:
-        return math.inf
+# The forest as rf_fit documents it, grown one tree at a time, recursively,
+# each node's splits scanned in a Python loop. Squares are a * a; a node's
+# value adds its targets one by one, left to right, from -0.0 (the builtin
+# sum() compensates float sums on Python >= 3.12).
+def _left_to_right_mean(y):
+    if not len(y):
+        return math.nan
+    total = -0.0
+    for v in y.tolist():
+        total += v
+    return total / len(y)
 
 
 def _reference_split(x, y, feats, log):
@@ -287,37 +289,40 @@ def _reference_split(x, y, feats, log):
     for f in feats:
         order = np.argsort(x[:, f], kind="stable")
         xs, ys = x[order, f], y[order]
-        csum, csq = np.cumsum(ys), np.cumsum(ys ** 2)
+        csum, csq = np.cumsum(ys), np.cumsum(ys * ys)
         n = len(ys)
         for i in range(n - 1):
             if xs[i] == xs[i + 1]:
                 continue
             nl, nr = i + 1, n - i - 1
-            cost = ((csq[i] - _pow2(csum[i]) / nl)
-                    + ((csq[-1] - csq[i]) - _pow2(csum[-1] - csum[i]) / nr))
+            rest = csum[-1] - csum[i]
+            cost = ((csq[i] - csum[i] * csum[i] / nl)
+                    + ((csq[-1] - csq[i]) - rest * rest / nr))
             if best is None or cost < best[0] - 1e-15:
                 best = (cost, f, 0.5 * (xs[i] + xs[i + 1]))
     return None if best is None else best[1:]
 
 
 class _CandidateRows:
-    """A tree's candidate feature sets as rf_fit documents them: after the
-    bootstrap, the tree's generator draws blocks of predict._CAND_BLOCK rows,
-    each row the first round(sqrt(d)) entries of a uniform random
-    permutation, sorted; the tree's j-th attempted node takes row j."""
+    """A tree's candidate feature sets as rf_fit documents them: blocks of
+    predict._CAND_BLOCK rows, each row the first round(sqrt(d)) entries of
+    a uniform random permutation (the argsort of uniform draws), sorted; the
+    tree's j-th attempted node takes row j. The first block comes from
+    `draws`, each later one from the tree's own generator `rng`."""
 
-    def __init__(self, rng, d):
-        self.rng, self.d, self.rows = rng, d, []
+    def __init__(self, draws, rng):
+        self.draws, self.rng, self.rows = draws, rng, []
 
     def next(self):
         if not self.rows:
-            perms = np.argsort(self.rng.random((predict._CAND_BLOCK, self.d)), axis=1)
-            self.rows = [sorted(p[:max(1, round(math.sqrt(self.d)))].tolist()) for p in perms]
+            perms = np.argsort(self.draws, axis=1)
+            self.rows = [sorted(p[:max(1, round(math.sqrt(len(p))))].tolist()) for p in perms]
+            self.draws = self.rng.random(self.draws.shape)
         return self.rows.pop(0)
 
 
 def _reference_tree(x, y, depth, max_depth, cands, log):
-    value = float(y.mean())
+    value = _left_to_right_mean(y)
     if depth >= max_depth or len(y) < 2 or float(np.ptp(y)) == 0.0:
         return {"value": value}
     d = x.shape[1]
@@ -335,13 +340,17 @@ def _reference_tree(x, y, depth, max_depth, cands, log):
 
 
 def _reference_trees(x, y, n_trees, max_depth, seed, log):
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(seed + t)
-        idx = rng.integers(len(y), size=len(y))
-        trees.append(_reference_tree(x[idx], y[idx], 0, max_depth,
-                                     _CandidateRows(rng, x.shape[1]), log))
-    return trees
+    """Tree t takes row t of one bootstrap draw from default_rng(seed), its
+    first block from row t of one block draw from the seed's stream (0,),
+    and its later blocks from the seed's stream (1, t)."""
+    def stream(*key):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    n, d = x.shape
+    boots = np.random.default_rng(seed).integers(n, size=(n_trees, n))
+    firsts = stream(0).random((n_trees, predict._CAND_BLOCK, d))
+    return [_reference_tree(x[boots[t]], y[boots[t]], 0, max_depth,
+                            _CandidateRows(firsts[t], stream(1, t)), log)
+            for t in range(n_trees)]
 
 
 def _nested_tree(doc, i):
@@ -401,10 +410,9 @@ def _forest_case(i):
 
 
 class TestForestExact:
-    # an inf threshold can leave a child empty, whose mean the reference warns
-    # of; squares of 1e156-scale targets overflow
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice",
-                                "ignore:invalid value encountered",
+    # an inf threshold can leave a child empty; squares of 1e156-scale
+    # targets overflow
+    @pytest.mark.filterwarnings("ignore:invalid value encountered",
                                 "ignore:overflow encountered")
     def test_model_json_and_predictions_equal_reference(self, tmp_path):
         log = {"retries": 0}
@@ -448,18 +456,12 @@ class TestForestExact:
             counts = np.bincount(rows.ravel(), minlength=d)
             assert (np.abs(counts - n * p) <= 5 * math.sqrt(n * p * (1 - p))).all(), (d, counts)
 
-    def test_square_is_libm_pow(self):
-        rng = np.random.default_rng(0)
-        tiny = np.finfo(float).smallest_subnormal
-        a = np.concatenate([
-            np.ldexp(rng.uniform(-1, 1, size=20000), rng.integers(-1074, 1025, size=20000)),
-            [0.0, -0.0, tiny, -tiny, 1e-160, 1e154, -1e154, 1e155, -1e155,
-             np.inf, -np.inf, np.nan]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = predict._square(a)
-        want = np.array([_pow2(v) for v in a])
-        assert got.tobytes() == want.tobytes()
+    def test_nearby_seeds_draw_apart(self):
+        # seeds 5 and 6 share no stream: tree 1 of one is not tree 0 of the other
+        rng = np.random.default_rng(12)
+        x, y = rng.normal(size=(40, 5)), rng.uniform(1, 100, size=40)
+        five, six = (predict.rf_fit(x, y, 2, 50, seed).to_json() for seed in (5, 6))
+        assert _nested_tree(five, 1) != _nested_tree(six, 0)
 
     def test_loaded_forest_predicts_the_same(self, tmp_path):
         x, y, n_trees, max_depth, seed = _forest_case(3)

@@ -23,6 +23,18 @@ class TestSpec:
         with pytest.raises(DataError):
             synth.SynthSpec(noise_std=-0.1)
 
+    def test_size_bound(self):
+        # 250 workloads * 40 rows * (2 knobs + 996 metrics + 2) is exactly the bound
+        edge = dict(n_offline=200, n_online=25, rows_per_workload=40, n_knobs=2,
+                    n_latent=996, metrics_per_latent=1)
+        assert synth.SynthSpec(**edge).n_metrics == 996
+        with pytest.raises(DataError, match="asks for 10010000 cells, more than 10000000"):
+            synth.SynthSpec(**{**edge, "n_latent": 997})
+        # 3163 * 3163 latent directions, in a corpus of 3 * 6328 cells
+        with pytest.raises(DataError, match="asks for 10004569 cells"):
+            synth.SynthSpec(n_offline=1, n_online=1, rows_per_workload=1, n_knobs=3163,
+                            n_latent=3163, metrics_per_latent=1)
+
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(synth.spec_to_json(SMALL))
