@@ -26,6 +26,10 @@ from . import cluster, evaluate, factors, ingest, mapping, predict, synth
 from .errors import ConfigError, DataError, DbtuneError, NumericalError
 
 EXIT_CODES = {ConfigError: 1, DataError: 2, NumericalError: 3}
+# Upper bounds of the flags that size a fit, far above every value in use
+# (200 trees, 64 hidden units, 500 epochs). The other counts need none: they
+# are clipped to the data or refused against it.
+MAX_TREES, MAX_HIDDEN, MAX_EPOCHS = 10**4, 10**4, 10**5
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,9 @@ class PipelineConfig:
         for name, low in (("factor_cap", 1), ("hidden", 1), ("epochs", 0), ("n_map", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name, high in (("trees", MAX_TREES), ("hidden", MAX_HIDDEN), ("epochs", MAX_EPOCHS)):
+            if getattr(self, name) > high:
+                raise ConfigError(f"{name} must be <= {high}, got {getattr(self, name)}")
 
 
 @contextmanager

@@ -394,20 +394,15 @@ def _node_stats(ypad, rows, trees, starts, sizes) -> tuple[np.ndarray, np.ndarra
                    - np.where(inside, ys, np.inf).min(axis=1))
 
 
-def _min_before(a: np.ndarray) -> np.ndarray:
-    """Per row, the least non-NaN value left of each column (inf at column 0)."""
-    out = np.full(a.shape, np.inf)
-    np.fmin.accumulate(a[:, :-1], axis=1, out=out[:, 1:])
-    return out
-
-
 def _best_splits(xpad, ypad, seg, sizes, feats) -> tuple[np.ndarray, np.ndarray]:
     """Split of least summed child SSE for each node: (feature, threshold),
     feature -1 where no candidate feature separates two rows.
 
     seg is (nodes, width) padded row ids and feats (nodes, c) sorted
-    candidate features. Splits are tried in (feature, position) order and a
-    later one replaces the best only if it costs less by more than 1e-15.
+    candidate features. Splits are tried in (feature, position) order: a
+    node takes its first split of least cost, a NaN cost counting as +inf.
+    If the first split's cost is NaN, or no cost is below +inf, it takes
+    its first split.
     """
     k, w = seg.shape
     c = feats.shape[1]
@@ -422,26 +417,16 @@ def _best_splits(xpad, ypad, seg, sizes, feats) -> tuple[np.ndarray, np.ndarray]
     last = (sizes - 1)[:, None, None]
     nl = np.arange(1, w)
     valid = ((nl <= last) & (xs[..., :-1] != xs[..., 1:])).reshape(k, -1)
-    first = valid & (np.cumsum(valid, axis=1) == 1)
     with np.errstate(over="ignore", under="ignore"):  # squares of 1e156-scale targets
         csum, csq = np.cumsum(ys, axis=2), np.cumsum(ys * ys, axis=2)
         cs, cq, tq = csum[..., :-1], csq[..., :-1], csq[..., -1:]
         rest = csum[..., -1:] - cs
         cost = (cq - cs * cs / nl) + ((tq - cq) - rest * rest / np.maximum(last + 1 - nl, 1))
-    cost = np.where(valid, cost.reshape(k, -1), np.inf)
-    # Only the first split of a node and one costing less than every earlier
-    # split can become the best (the best is never 1e-15 above an earlier cost)
-    e = np.flatnonzero(first | (valid & (cost < _min_before(cost))))
-    kk, col = np.divmod(e, c * (w - 1))
-    cost = cost.reshape(-1)[e]
-
-    rank = np.arange(len(kk)) - np.searchsorted(kk, kk)
-    best, pick = np.full(k, np.nan), np.full(k, -1)
-    for r in range(rank.max(initial=-1) + 1):
-        at = rank == r
-        nd, ct = kk[at], cost[at]
-        take = ct < best[nd] - 1e-15 if r else np.ones(len(nd), dtype=bool)
-        best[nd[take]], pick[nd[take]] = ct[take], col[at][take]
+    cost = cost.reshape(k, -1)
+    least = np.where(valid & ~np.isnan(cost), cost, np.inf)
+    nodes, first, pick = np.arange(k), np.argmax(valid, axis=1), np.argmin(least, axis=1)
+    pick = np.where(np.isnan(cost[nodes, first]) | (least[nodes, pick] == np.inf), first, pick)
+    pick[~valid.any(axis=1)] = -1
 
     found = np.nonzero(pick >= 0)[0]
     fi, ii = np.divmod(pick[found], w - 1)
@@ -536,6 +521,9 @@ def rf_fit_many(jobs, n_trees: int, max_depth: int):
 
     Squares: split costs square sums with a * a. Node means: each node sums
     its targets once, left to right in bootstrap order (`_node_stats`).
+    Split choice: a node takes its first split of least cost, with no
+    tolerance (`_best_splits`), so the trees do not depend on the unit of
+    the targets.
 
     The jobs' trees grow in lock-step, _BATCH_TREES trees at a time: each
     step takes the next node, in preorder, of every tree that has one, and
@@ -776,12 +764,13 @@ def mlp_gradients(model: MlpModel, features: np.ndarray,
 def mlp_fit(features: np.ndarray, targets: np.ndarray, hidden_units: int, epochs: int,
             seed: int) -> MlpModel:
     """Train with Adam on mini-batches of BATCH_SIZE rows; shuffling is
-    seeded per epoch."""
+    seeded per epoch. The output bias starts at the mean of the targets."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
     if x.shape[0] < 1:
         raise DataError("empty training set")
     model = _mlp_init(x.shape[1], hidden_units, seed)
+    model.b2 = np.array([y.mean()])
     params = ["w1", "b1", "w2", "b2"]
     m = {p: np.zeros_like(getattr(model, p)) for p in params}
     v = {p: np.zeros_like(getattr(model, p)) for p in params}

@@ -261,11 +261,12 @@ def test_criterion_9_metric_formulas():
              f"scale-invariant: {invariant}")
 
 
-def test_criterion_10_forest_beats_constant(tmp_path):
+def _held_out_against_constant(tmp_path, predictor, args):
     """On corpora of strong workload identity (the fit-rf benchmark's spec),
-    seeds 1-3: in both stages the forest's held-out MAPE is below that of
-    predicting each target's mean latency over its n_map mapping rows. Both
-    are scored against the held-out latencies of the generated corpus."""
+    seeds 1-3: whether, in both stages, the predictor's held-out MAPE is
+    below that of predicting each target's mean latency over its n_map
+    mapping rows, and a line per seed and stage. Both are scored against the
+    held-out latencies of the generated corpus."""
     n_map, detail, ok = 5, [], True
     for seed in (1, 2, 3):
         spec = synth.SynthSpec(n_online=16, freq_scale=1.0, profile_scale=2.0, seed=seed)
@@ -273,18 +274,26 @@ def test_criterion_10_forest_beats_constant(tmp_path):
         manifest = synth.write_corpus(corpus, tmp_path / f"corpus{seed}")
         out = tmp_path / f"run{seed}"
         assert cli.main(["pipeline", "--manifest", str(manifest), "--out", str(out),
-                         "--predictor", "rf", "--trees", "200", "--depth", "50",
-                         "--n-map", str(n_map)]) == 0
+                         "--predictor", predictor, *args, "--n-map", str(n_map)]) == 0
         for stage, targets in (("stage1", corpus.online_b), ("stage2", corpus.online_c)):
-            lines = (out / f"predictions_rf_{stage}.csv").read_text().splitlines()[1:]
+            lines = (out / f"predictions_{predictor}_{stage}.csv").read_text().splitlines()[1:]
             pred = {line.split(",")[0]: float(line.split(",")[2]) for line in lines}
             truth = np.array([t.latency[n_map] for t in targets])
-            rf = np.array([pred[t.workload_id] for t in targets])
+            model = np.array([pred[t.workload_id] for t in targets])
             const = np.array([t.latency[:n_map].mean() for t in targets])
-            rf_mape, const_mape = (100 * np.mean(np.abs(p - truth) / truth) for p in (rf, const))
-            ok &= bool(rf_mape < const_mape)
-            detail.append(f"seed {seed} {stage}: rf {rf_mape:.1f}% vs constant {const_mape:.1f}%")
-    _verdict("criterion-10 forest beats the constant", ok, "; ".join(detail))
+            model_mape, const_mape = (100 * np.mean(np.abs(p - truth) / truth)
+                                      for p in (model, const))
+            ok &= bool(model_mape < const_mape)
+            detail.append(f"seed {seed} {stage}: {predictor} {model_mape:.1f}% "
+                          f"vs constant {const_mape:.1f}%")
+    return ok, "; ".join(detail)
+
+
+def test_criterion_10_forest_beats_constant(tmp_path):
+    """The forest beats the constant on held-out rows (see
+    `_held_out_against_constant`)."""
+    ok, detail = _held_out_against_constant(tmp_path, "rf", ["--trees", "200", "--depth", "50"])
+    _verdict("criterion-10 forest beats the constant", ok, detail)
 
 
 def test_criterion_11_forests_grown_together_equal_forests_grown_alone(tmp_path):
@@ -313,3 +322,10 @@ def test_criterion_11_forests_grown_together_equal_forests_grown_alone(tmp_path)
              and b"warning: " in together[2],
              f"exit codes {together[0]}/{alone[0]}, {len(together[3])} files, "
              f"equal: {together == alone}")
+
+
+def test_criterion_12_network_beats_constant(tmp_path):
+    """The network, its output bias started at the mean of its targets,
+    beats the constant on held-out rows (see `_held_out_against_constant`)."""
+    ok, detail = _held_out_against_constant(tmp_path, "nn", [])
+    _verdict("criterion-12 network beats the constant", ok, detail)

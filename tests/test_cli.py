@@ -105,6 +105,21 @@ class TestConfig:
         args = cli.build_parser().parse_args(["pipeline", *argv])
         assert cli.build_config(args) == cli.PipelineConfig(**NON_DEFAULT)
 
+    # checked on the config alone: a fit at an over-bound value is never started
+    @pytest.mark.parametrize("name, high", [("trees", cli.MAX_TREES), ("hidden", cli.MAX_HIDDEN),
+                                            ("epochs", cli.MAX_EPOCHS)])
+    def test_size_bounds(self, name, high, tmp_path):
+        assert getattr(cli.PipelineConfig(**{name: high}), name) == high
+        message = f"{name} must be <= {high}, got {high + 1}"
+        with pytest.raises(ConfigError, match=message):
+            cli.PipelineConfig(**{name: high + 1})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: 10**30}))
+        for argv in (["--" + name, str(high + 1)], ["--config", str(cfg)]):
+            args = cli.build_parser().parse_args(["pipeline", *argv])
+            with pytest.raises(ConfigError, match=f"{name} must be <= {high}"):
+                cli.build_config(args)
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -298,7 +299,7 @@ def _reference_split(x, y, feats, log):
             rest = csum[-1] - csum[i]
             cost = ((csq[i] - csum[i] * csum[i] / nl)
                     + ((csq[-1] - csq[i]) - rest * rest / nr))
-            if best is None or cost < best[0] - 1e-15:
+            if best is None or cost < best[0]:
                 best = (cost, f, 0.5 * (xs[i] + xs[i + 1]))
     return None if best is None else best[1:]
 
@@ -462,6 +463,44 @@ class TestForestExact:
         x, y = rng.normal(size=(40, 5)), rng.uniform(1, 100, size=40)
         five, six = (predict.rf_fit(x, y, 2, 50, seed).to_json() for seed in (5, 6))
         assert _nested_tree(five, 1) != _nested_tree(six, 0)
+
+    def test_trees_do_not_depend_on_the_target_unit(self):
+        # a power of two scales every split cost exactly, so no split moves
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(40, 4)), rng.uniform(1, 100, size=40)
+        scale = 2.0 ** -40
+        plain, scaled = (predict.rf_fit(x, t, 5, 50, seed=3).flat for t in (y, y * scale))
+        for name in ("feature", "threshold", "left", "right"):
+            assert np.array_equal(getattr(plain, name), getattr(scaled, name)), name
+        assert np.array_equal(plain.value * scale, scaled.value)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered",
+                                "ignore:overflow encountered")
+    def test_overflowed_costs_pick_as_reference(self):
+        big, small = 1.3e154, 2e153
+        cases = [
+            # squares that sum to about the largest float: the sum overflows in
+            # feature 0's and 2's row order but not in feature 1's, so their
+            # splits cost NaN and feature 1's -inf
+            (np.array([[0.0, 1.0, -1.0], [-0.0, 2.0, -1.0], [-1.0, 1.0, -0.0], [1.0, -1.0, 2.0],
+                       [1.0, 1.0, 4.0], [-1.0, -0.0, 0.0], [0.0, -0.0, 0.0]]),
+             np.array([5.067675058448934e+153, 5.0676750584492974e+153, 5.067675058449801e+153,
+                       5.0676750584497656e+153, 5.0676750584505106e+153, 5.067675058449577e+153,
+                       5.067675058449953e+153])),
+            # big**2 + 3 * small**2 overflows: feature 0 has no split, and
+            # feature 1's first split costs +inf, its others NaN
+            (np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]),
+             np.array([big, small, small, small])),
+        ]
+        for x, y in cases:
+            n, d = x.shape
+            xpad, ypad = np.vstack([x, np.full((1, d), np.nan)]), np.append(y, -0.0)
+            w = 2 ** math.ceil(math.log2(n))
+            seg = np.minimum(np.arange(w), n)[None, :]  # the rows, then pad rows
+            for feats in (c for k in range(1, d + 1) for c in itertools.combinations(range(d), k)):
+                f, thr = predict._best_splits(xpad, ypad, seg, np.array([n]), np.array([feats]))
+                expected = _reference_split(x, y, feats, {}) or (-1, 0.0)  # -1: no split
+                assert (f[0], thr[0]) == expected, (n, feats)
 
     def test_loaded_forest_predicts_the_same(self, tmp_path):
         x, y, n_trees, max_depth, seed = _forest_case(3)
