@@ -226,13 +226,6 @@ def json_floats(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
     return cells.astype(float)
 
 
-def json_ints(doc: dict, key: str) -> np.ndarray:
-    values = json_field(doc, key, list)
-    if not set(map(type, values)) <= {int}:  # a bool's type is bool
-        raise TypeError(f"{key} must be a list of ints")
-    return np.array(values, dtype=int)
-
-
 def json_strings(doc: dict, key: str) -> tuple[str, ...]:
     values = json_field(doc, key, list)
     if not all(isinstance(v, str) for v in values):

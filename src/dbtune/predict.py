@@ -8,6 +8,7 @@ loss. Latency targets stay in raw milliseconds; only features are scaled.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from .cluster import sq_dists
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import MAPE_EPS, mape
-from .ingest import (Schema, WorkloadTable, json_field, json_floats, json_ints, json_strings,
+from .ingest import (Schema, WorkloadTable, json_field, json_floats, json_strings,
                      read_json_object, write_text)
 
 CONST_STD_EPS = 1e-12
@@ -144,7 +145,7 @@ def build_features(table: WorkloadTable, scaler: StandardScaler) -> np.ndarray:
 @dataclass(frozen=True)
 class GprModel:
     kind: ClassVar[str] = "gpr"
-    format_version: ClassVar[int] = 1
+    format_version: ClassVar[int] = 2
     alpha: float  # effective diagonal noise actually used
     length_scale: float
     signal_variance: float
@@ -156,8 +157,8 @@ class GprModel:
     def to_json(self) -> dict:
         return {"alpha": self.alpha, "length_scale": self.length_scale,
                 "signal_variance": self.signal_variance,
-                "x_train": _arr(self.x_train), "y_mean": self.y_mean,
-                "chol": _arr(self.chol), "dual_coef": _arr(self.dual_coef)}
+                "x_train": _pack(self.x_train), "y_mean": self.y_mean,
+                "chol": _pack(self.chol), "dual_coef": _pack(self.dual_coef)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "GprModel":
@@ -176,8 +177,16 @@ class GprModel:
                              f"2 * length_scale ** 2 overflows")
         return cls(x_train=x_train, chol=chol, dual_coef=dual_coef, **scalars)
 
+    def cross_kernel(self, features: np.ndarray) -> np.ndarray:
+        """Kernel between the training rows and the query rows."""
+        xq = np.atleast_2d(np.asarray(features, dtype=float))
+        if xq.shape[1] != self.x_train.shape[1]:
+            raise DataError("query feature dimension mismatch")
+        return _rbf_kernel(sq_dists(self.x_train, xq), self.length_scale, self.signal_variance)
+
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return gpr_predict(self, features)[0]
+        """Posterior mean at the query points; `gpr_posterior` adds the variance."""
+        return self.cross_kernel(features).T @ self.dual_coef + self.y_mean
 
 
 def _rbf_kernel(d2: np.ndarray, length_scale: float, signal_variance: float) -> np.ndarray:
@@ -217,8 +226,12 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
         raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
     if x.shape[0] != y.shape[0] or y.shape[0] < 1:
         raise DataError("features/targets length mismatch or empty")
-    y_mean = float(y.mean())
-    yc = y - y_mean
+    with np.errstate(over="ignore", invalid="ignore"):  # latencies near the float limit
+        y_mean = float(y.mean())
+        yc = y - y_mean
+        var_y = float(yc.var())
+    if not (math.isfinite(y_mean) and math.isfinite(var_y)):
+        raise NumericalError(f"latency mean {y_mean} and variance {var_y} must be finite")
 
     n = x.shape[0]
     # train x train squared distances, for the median heuristic and every kernel
@@ -226,7 +239,6 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
     base = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)]))) if n > 1 else 0.0
     if base <= 0:
         base = 1.0
-    var_y = float(yc.var())
     sig_base = var_y if var_y > 0 else 1.0
 
     ell_grid = [base * 2.0 ** e for e in range(-5, 6)]
@@ -255,15 +267,8 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
 
 def gpr_posterior(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and raw (unclamped) variance at the query points."""
-    xq = np.atleast_2d(np.asarray(features, dtype=float))
-    if xq.shape[1] != model.x_train.shape[1]:
-        raise DataError("query feature dimension mismatch")
-    kstar = _rbf_kernel(sq_dists(model.x_train, xq), model.length_scale,
-                        model.signal_variance)
-    mean = kstar.T @ model.dual_coef + model.y_mean
-    v = solve_triangular(model.chol, kstar, lower=True)
-    var = model.signal_variance - np.sum(v ** 2, axis=0)
-    return mean, var
+    v = solve_triangular(model.chol, model.cross_kernel(features), lower=True)
+    return model.predict(features), model.signal_variance - np.sum(v ** 2, axis=0)
 
 
 def gpr_predict(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,6 +299,11 @@ class _FlatForest(NamedTuple):
     value: np.ndarray
 
 
+# the dtype each node array is stored as in model.json
+_NODE_DTYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
+                "value": "<f8"}
+
+
 def _leaves(lo: int, hi: int) -> _FlatForest:
     """Nodes lo..hi-1 as leaves of value 0."""
     ids = np.arange(lo, hi)
@@ -303,7 +313,7 @@ def _leaves(lo: int, hi: int) -> _FlatForest:
 @dataclass(frozen=True)
 class RfModel:
     kind: ClassVar[str] = "rf"
-    format_version: ClassVar[int] = 2
+    format_version: ClassVar[int] = 3
     max_depth: int
     seed: int
     n_trees: int
@@ -311,15 +321,19 @@ class RfModel:
     flat: _FlatForest = field(repr=False)
 
     def to_json(self) -> dict:
+        if len(self.flat.feature) > 2 ** 31:
+            raise DataError(f"a forest of {len(self.flat.feature)} nodes: its node ids "
+                            f"do not fit in int32")
         return {"n_trees": self.n_trees, "max_depth": self.max_depth, "seed": self.seed,
                 "n_features": self.n_features,
-                **{name: a.tolist() for name, a in self.flat._asdict().items()}}
+                **{name: _pack(getattr(self.flat, name), dtype)
+                   for name, dtype in _NODE_DTYPES.items()}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "RfModel":
-        feature, left, right = (json_ints(doc, k) for k in ("feature", "left", "right"))
-        forest = _FlatForest(feature, json_floats(doc, "threshold"), left, right,
-                             json_floats(doc, "value"))
+        forest = _FlatForest(**{name: _unpack(doc, name, dtype)
+                                for name, dtype in _NODE_DTYPES.items()})
+        feature, left, right = forest.feature, forest.left, forest.right
         n_trees, n_features = json_field(doc, "n_trees", int), json_field(doc, "n_features", int)
         ids, split = np.arange(len(feature)), feature >= 0
         if any(len(a) != len(ids) for a in forest):
@@ -680,7 +694,7 @@ ADAM_EPS = 1e-8
 @dataclass
 class MlpModel:
     kind: ClassVar[str] = "nn"
-    format_version: ClassVar[int] = 1
+    format_version: ClassVar[int] = 2
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -689,9 +703,9 @@ class MlpModel:
     loss_trace: tuple[float, ...] = ()
 
     def to_json(self) -> dict:
-        return {"w1": _arr(self.w1), "b1": _arr(self.b1),
-                "w2": _arr(self.w2), "b2": _arr(self.b2),
-                "seed": self.seed, "loss_trace": list(self.loss_trace)}
+        return {"w1": _pack(self.w1), "b1": _pack(self.b1),
+                "w2": _pack(self.w2), "b2": _pack(self.b2),
+                "seed": self.seed, "loss_trace": _pack(self.loss_trace)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "MlpModel":
@@ -804,15 +818,38 @@ def mlp_fit(features: np.ndarray, targets: np.ndarray, hidden_units: int, epochs
 # Model persistence
 # ---------------------------------------------------------------------------
 
-def _arr(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
+def _pack(a: np.ndarray, dtype: str = "<f8") -> dict:
+    """An array as a JSON object: its dtype, its shape and the base64 of its
+    C-order little-endian bytes."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    return {"dtype": dtype, "shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
+
+
+def _unpack(doc: dict, key: str, dtype: str, ndim: int = 1) -> np.ndarray:
+    """doc[key], written by `_pack`, as a read-only array of `dtype` with
+    `ndim` dimensions."""
+    packed = doc[key]
+    if not isinstance(packed, dict):
+        raise TypeError(f"{key} must be a packed array object, got {type(packed).__name__}")
+    if packed.get("dtype") != dtype:
+        raise TypeError(f"{key} must have dtype {dtype!r}, got {packed.get('dtype')!r}")
+    shape, data = packed.get("shape"), packed.get("data")
+    if (not isinstance(shape, list) or len(shape) != ndim
+            or not all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{key} must have a shape of {ndim} ints >= 0, got {shape!r}")
+    if not isinstance(data, str):
+        raise TypeError(f"{key} data must be a base64 string, got {type(data).__name__}")
+    raw = base64.b64decode(data, validate=True)
+    if len(raw) != math.prod(shape) * np.dtype(dtype).itemsize:
+        raise ValueError(f"{key} holds {len(raw)} bytes, not those of {dtype} shape {shape}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def _finite(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
     """doc[key] as a float array of ndim dimensions, 0 for a number; every
     value must be finite."""
     a = (np.asarray(json_field(doc, key, (int, float)), dtype=float) if ndim == 0
-         else json_floats(doc, key, ndim))
+         else _unpack(doc, key, "<f8", ndim))
     if not np.isfinite(a).all():
         raise ValueError(f"{key} holds {a[~np.isfinite(a)].flat[0]}: every value must be finite")
     return a
@@ -842,5 +879,12 @@ def load_model(path):
 
 
 def predict_with(model, features: np.ndarray) -> np.ndarray:
-    """Uniform prediction entry point for all three model kinds."""
-    return model.predict(features)
+    """Uniform prediction entry point for all three model kinds. Finite
+    model values can still sum past the float range, as in a gpr model.json
+    whose dual_coef holds 1e307: such a prediction is a NumericalError."""
+    with np.errstate(over="ignore"):
+        preds = model.predict(features)
+    if not np.isfinite(preds).all():
+        raise NumericalError(f"the {model.kind} model predicts "
+                             f"{preds[~np.isfinite(preds)][0]}")
+    return preds

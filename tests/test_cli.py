@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import math
@@ -14,6 +15,8 @@ import pytest
 
 from dbtune import cli, evaluate, ingest, mapping, predict, synth
 from dbtune.errors import ConfigError
+
+from conftest import arrays, decode_arrays
 
 
 @pytest.fixture(scope="module")
@@ -186,11 +189,12 @@ class TestExitCodes:
          "every std must be finite and > 0"),
         # a non-finite or non-positive gpr or nn value would predict nan, raise
         # scipy's ValueError or overflow in the kernel
-        ("gpr", _edit_model(lambda m: m["dual_coef"].__setitem__(0, math.nan)),
+        ("gpr", _edit_model(arrays(lambda m: m["dual_coef"].__setitem__(0, math.nan))),
          "dual_coef holds nan: every value must be finite"),
-        ("gpr", _edit_model(lambda m: m["x_train"][0].__setitem__(0, math.nan)),
+        ("gpr", _edit_model(arrays(lambda m: m["x_train"][0].__setitem__(0, math.nan))),
          "x_train holds nan"),
-        ("gpr", _edit_model(lambda m: m["chol"][0].__setitem__(0, math.inf)), "chol holds inf"),
+        ("gpr", _edit_model(arrays(lambda m: m["chol"][0].__setitem__(0, math.inf))),
+         "chol holds inf"),
         ("gpr", _edit_model(lambda m: m.update(y_mean=math.nan)), "y_mean holds nan"),
         ("gpr", _edit_model(lambda m: m.update(length_scale=1e308)),
          "length_scale 1e+308: the kernel's 2 * length_scale ** 2 overflows"),
@@ -200,9 +204,11 @@ class TestExitCodes:
          "signal_variance must be > 0, got -1.0"),
         ("gpr", _edit_model(lambda m: m.update(signal_variance=math.inf)),
          "signal_variance holds inf"),
-        ("nn", _edit_model(lambda m: m["b2"].__setitem__(0, math.nan)), "b2 holds nan"),
-        ("nn", _edit_model(lambda m: m["w1"][0].__setitem__(0, -math.inf)), "w1 holds -inf"),
-        ("nn", _edit_model(lambda m: m["loss_trace"].__setitem__(0, math.nan)),
+        ("nn", _edit_model(arrays(lambda m: m["b2"].__setitem__(0, math.nan))),
+         "b2 holds nan"),
+        ("nn", _edit_model(arrays(lambda m: m["w1"][0].__setitem__(0, -math.inf))),
+         "w1 holds -inf"),
+        ("nn", _edit_model(arrays(lambda m: m["loss_trace"].__setitem__(0, math.nan))),
          "loss_trace holds nan"),
     ], ids=["no-model", "no-preprocess", "model-key", "preprocess-key", "model-bad-json",
             "model-too-deep", "length-scale-str", "std-zero", "dual-coef-nan", "x-train-nan",
@@ -266,6 +272,7 @@ def rf_trained_dir(trained_dir, corpus_dir, tmp_path_factory):
 
 
 def _set_root_feature(value):
+    @arrays
     def edit(doc):
         assert doc["feature"][0] >= 0
         doc["feature"][0] = value
@@ -276,6 +283,7 @@ def _relink(last, left, right):
     """Edit the children of the first split node (tree 0's root) or, if
     `last`, of the last one: left and right map the old (left, right) pair
     to the new left and right child."""
+    @arrays
     def edit(doc):
         node = max(i for i, f in enumerate(doc["feature"]) if f >= 0) if last else 0
         assert doc["feature"][node] >= 0
@@ -288,6 +296,35 @@ def _relink(last, left, right):
 FORMAT_1_FOREST = {"kind": "rf", "n_trees": 1, "max_depth": 1, "seed": 0, "format_version": 1,
                    "trees": [{"feature": 0, "threshold": 0.5, "value": 2.0,
                               "left": {"value": 1.0}, "right": {"value": 3.0}}]}
+
+
+_TRAINED = {"gpr": "trained_dir", "rf": "rf_trained_dir", "nn": "nn_trained_dir"}
+
+# one damage each to a packed model.json array: (packed object, decoded
+# array) -> what the file holds in its place
+_MUTATIONS = {
+    "b64-bad-char": lambda p, a: {**p, "data": "*" + p["data"][1:]},
+    "b64-drop-1": lambda p, a: {**p, "data": p["data"][:-1]},
+    "b64-drop-4": lambda p, a: {**p, "data": p["data"][4:]},
+    "dtype-swapped": lambda p, a: {**p, "dtype": {"<f8": "<i4", "<i4": "<f8"}[p["dtype"]]},
+    "dtype-big-endian": lambda p, a: {**p, "dtype": ">" + p["dtype"][1:]},
+    "shape-first-plus-1": lambda p, a: {**p, "shape": [p["shape"][0] + 1, *p["shape"][1:]]},
+    "shape-last-minus-1": lambda p, a: {**p, "shape": [*p["shape"][:-1], p["shape"][-1] - 1]},
+    "shape-extra-dim": lambda p, a: {**p, "shape": [*p["shape"], 1]},
+    "dim-negative": lambda p, a: {**p, "shape": [-1, *p["shape"][1:]]},
+    # a 2-d shape negated keeps its product, so the byte count does not refuse it
+    "dims-negated": lambda p, a: {**p, "shape": [-n for n in p["shape"]]},
+    # b2's shape [1] as [true] passes every check but the type of a dimension
+    "dim-bool": lambda p, a: {**p, "shape": [True] * len(p["shape"])},
+    "data-not-str": lambda p, a: {**p, "data": list(base64.b64decode(p["data"]))},
+    "data-missing": lambda p, a: {k: v for k, v in p.items() if k != "data"},
+    "json-list": lambda p, a: a.tolist(),
+}
+
+
+def _predictions_finite(path) -> bool:
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    return bool(rows) and all(math.isfinite(float(r["prediction"])) for r in rows)
 
 
 class TestExitContract:
@@ -434,28 +471,34 @@ class TestExitContract:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("file, edit, message", [
-        ("model.json", _set_root_feature("3"), "feature must be a list of ints"),
+        ("model.json", arrays(lambda d: d.update(feature=d["feature"].astype(float))),
+         "feature must have dtype '<i4', got '<f8'"),
         ("model.json", _set_root_feature(99), "splits on features -1..99, has 4 features"),
         ("model.json", _set_root_feature(-2), "splits on features -2.."),
-        ("model.json", lambda d: d.update({k: [] for k in ("feature", "threshold", "left",
-                                                           "right", "value")}),
+        ("model.json", arrays(lambda d: d.update({k: d[k][:0] for k in (
+            "feature", "threshold", "left", "right", "value")})),
          "n_trees is 3, but the forest has 0 nodes"),
         ("model.json", lambda d: d.update(n_trees=2), "node 2 has 0 parents"),
-        ("model.json", lambda d: d.update(n_trees=len(d["feature"]) + 1),
+        ("model.json", arrays(lambda d: d.update(n_trees=len(d["feature"]) + 1)),
          "but the forest has"),
         ("model.json", _relink(False, lambda l, r: 0, lambda l, r: r),
          "node 0: a split's children must come after it"),
         ("model.json", _relink(True, lambda l, r: l, lambda l, r: 0),
          "a split's children must come after it"),
         ("model.json", _relink(False, lambda l, r: l, lambda l, r: l), "has 2 parents"),
-        ("model.json", lambda d: d.update(value=d["value"][:-1]), "node arrays of lengths"),
-        ("model.json", lambda d: d["left"].__setitem__(0, True), "left must be a list of ints"),
+        ("model.json", arrays(lambda d: d.update(value=d["value"][:-1])),
+         "node arrays of lengths"),
+        ("model.json", lambda d: d["left"].update(data=True),
+         "left data must be a base64 string, got bool"),
         ("model.json", lambda d: (d.clear(), d.update(FORMAT_1_FOREST)),
          "unsupported model format version 1"),
-        ("model.json", lambda d: d["threshold"].__setitem__(0, math.nan),
+        ("model.json", lambda d: d.update(format_version=2), "unsupported model format version 2"),
+        ("model.json", arrays(lambda d: d["threshold"].__setitem__(0, math.nan)),
          "node 0 has threshold nan and value"),
-        ("model.json", lambda d: d["value"].__setitem__(-1, math.nan), "and value nan: a"),
-        ("model.json", lambda d: d["value"].__setitem__(-1, math.inf), "and value inf: a"),
+        ("model.json", arrays(lambda d: d["value"].__setitem__(-1, math.nan)),
+         "and value nan: a"),
+        ("model.json", arrays(lambda d: d["value"].__setitem__(-1, math.inf)),
+         "and value inf: a"),
         ("preprocess.json", lambda d: d.update(knob_names="3"), "knob_names must be list"),
         ("preprocess.json", lambda d: d.update(knob_names=[3]), "list of strings"),
         ("preprocess.json", lambda d: d.update(scaler_means=d["scaler_means"][:-1]),
@@ -478,7 +521,7 @@ class TestExitContract:
     ], ids=["feature-str", "feature-past-width", "feature-negative", "no-trees",
             "n-trees-not-tree-count", "n-trees-past-nodes", "child-to-itself",
             "child-backward", "two-parents", "unequal-lengths", "left-bool", "format-1",
-            "threshold-nan", "value-nan", "value-inf",
+            "format-2", "threshold-nan", "value-nan", "value-inf",
             "knob-names-str", "knob-names-not-strings", "means-short", "stds-long",
             "pruned-empty", "name-twice", "means-str", "std-zero", "std-negative",
             "std-nan", "mean-inf"])
@@ -491,6 +534,52 @@ class TestExitContract:
                     "--model-dir", model_dir]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("mutation", list(_MUTATIONS))
+    @pytest.mark.parametrize("kind, key", [("gpr", "x_train"), ("gpr", "dual_coef"),
+                                           ("rf", "left"), ("rf", "threshold"),
+                                           ("nn", "w1"), ("nn", "b2")])
+    def test_packed_array_mutation_exits_2(self, kind, key, mutation, corpus_dir, request,
+                                           tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        shutil.copytree(request.getfixturevalue(_TRAINED[kind]), model_dir)
+        _edit_json(model_dir / "model.json", lambda d: d.update(
+            {key: _MUTATIONS[mutation](d[key], decode_arrays(d)[key])}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # a warning is shown; it does not raise
+            code = run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                        "--model-dir", model_dir])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert _predictions_finite(tmp_path / "out" / f"predictions_{kind}.csv")
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+
+    @pytest.mark.parametrize("byte", [0, 3, 7, -1])
+    @pytest.mark.parametrize("kind, key", [("gpr", "x_train"), ("gpr", "dual_coef"),
+                                           ("rf", "left"), ("rf", "threshold"),
+                                           ("nn", "w1"), ("nn", "b2")])
+    def test_flipped_byte_exits_0_with_finite_predictions_or_refused(
+            self, kind, key, byte, corpus_dir, request, tmp_path, capsys):
+        # the base64 stays valid, so only the checks on the values can refuse
+        # it: a value the loader refuses exits 2, a prediction that overflows 3
+        model_dir = tmp_path / "model"
+        shutil.copytree(request.getfixturevalue(_TRAINED[kind]), model_dir)
+
+        def flip(doc):
+            raw = bytearray(base64.b64decode(doc[key]["data"]))
+            raw[byte] ^= 0x40
+            doc[key]["data"] = base64.b64encode(raw).decode()
+        _edit_json(model_dir / "model.json", flip)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            code = run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                        "--model-dir", model_dir])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), err
+        if code == 0:
+            assert _predictions_finite(tmp_path / "out" / f"predictions_{kind}.csv")
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("kind, flags, short, wide", [
         ("gpr", [], "query feature dimension mismatch", "query feature dimension mismatch"),
@@ -731,6 +820,43 @@ class TestTrainPredictCommands:
         pred_file = out / "predictions_gpr.csv"
         report = evaluate.parse_predictions_csv(pred_file.read_text(), "gpr")
         assert report.n > 0
+
+    def test_huge_signal_variance_predicts_without_a_warning(self, corpus_dir, trained_dir,
+                                                            tmp_path):
+        # predict computes only the posterior mean, so no squares of a 1e300
+        # kernel are taken for a variance
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained_dir, model_dir)
+        _edit_json(model_dir / "model.json", lambda m: m.update(signal_variance=1e300))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run([sys.executable, "-m", "dbtune.cli", "predict", "--manifest",
+                               str(corpus_dir), "--out", str(tmp_path / "out"),
+                               "--model-dir", str(model_dir)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stderr) == (0, "")
+        assert _predictions_finite(tmp_path / "out" / "predictions_gpr.csv")
+
+    def test_gpr_fit_on_huge_latencies_exits_3(self, tmp_path, capsys):
+        # latencies of 1e200 scale: their variance overflows to inf
+        corpus = tmp_path / "c"
+        assert run(["synth", "--out", corpus, "--seed", "3"]) == 0
+        latency = json.loads((corpus / "manifest.json").read_text())["latency"]
+        for path in corpus.glob("*.csv"):
+            rows = list(csv.reader(path.read_text().splitlines()))
+            at = rows[0].index(latency)
+            for row in rows[1:]:
+                row[at] = repr(float(row[at]) * 1e200)
+            path.write_text("".join(",".join(row) + "\n" for row in rows))
+        manifest = corpus / "manifest.json"
+        assert run(["prune", "--manifest", manifest, "--out", tmp_path / "p"]) == 0
+        capsys.readouterr()
+        for argv in (["train", "--pruned", tmp_path / "p" / "pruned_metrics.txt"],
+                     ["pipeline"]):
+            assert run([*argv, "--manifest", manifest, "--out", tmp_path / "out"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "variance inf must be finite" in err
 
     def test_predictions_named_after_loaded_model(self, corpus_dir, trained_dir,
                                                   tmp_path, capsys):

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dbtune import predict
 from dbtune.errors import ConfigError, DataError
 from dbtune.ingest import Schema
 
-from conftest import make_table
+from conftest import arrays, decode_arrays, make_table
 
 
 class TestScaler:
@@ -354,8 +356,13 @@ def _reference_trees(x, y, n_trees, max_depth, seed, log):
             for t in range(n_trees)]
 
 
+def _node_lists(doc):
+    """The node arrays of an rf model.json document, decoded, as lists."""
+    return {k: v.tolist() for k, v in decode_arrays(doc).items() if isinstance(v, np.ndarray)}
+
+
 def _nested_tree(doc, i):
-    """Node i of a model.json's node arrays and the nodes below it, nested as
+    """Node i of _node_lists's node arrays and the nodes below it, nested as
     the reference tree is."""
     if doc["feature"][i] < 0:
         return {"value": doc["value"][i]}
@@ -425,10 +432,11 @@ class TestForestExact:
             assert {k: doc[k] for k in ("kind", "n_trees", "max_depth", "seed", "n_features",
                                         "format_version")} == {
                 "kind": "rf", "n_trees": n_trees, "max_depth": max_depth, "seed": seed,
-                "n_features": x.shape[1], "format_version": 2}, i
-            # JSON text holds each threshold and value exactly, NaN included
+                "n_features": x.shape[1], "format_version": 3}, i
+            # the packed bytes hold each threshold and value exactly, NaN included
             reference = _reference_trees(x, y, n_trees, max_depth, seed, log)
-            assert [json.dumps(_nested_tree(doc, t)) for t in range(n_trees)] == [
+            nodes = _node_lists(doc)
+            assert [json.dumps(_nested_tree(nodes, t)) for t in range(n_trees)] == [
                 json.dumps(tree) for tree in reference], i
             query = np.vstack([x, np.random.default_rng(i).normal(size=(20, x.shape[1]))])
             assert np.array_equal(predict.rf_predict(model, query),
@@ -439,7 +447,7 @@ class TestForestExact:
         # 130 rows: each tree attempts more nodes than one block holds
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(130, 6)), rng.uniform(1, 100, size=130)
-        small, large = (predict.rf_fit(x, y, n, 50, 11).to_json() for n in (3, 8))
+        small, large = (_node_lists(predict.rf_fit(x, y, n, 50, 11).to_json()) for n in (3, 8))
         assert [_nested_tree(small, t) for t in range(3)] == [
             _nested_tree(large, t) for t in range(3)]
 
@@ -461,7 +469,7 @@ class TestForestExact:
         # seeds 5 and 6 share no stream: tree 1 of one is not tree 0 of the other
         rng = np.random.default_rng(12)
         x, y = rng.normal(size=(40, 5)), rng.uniform(1, 100, size=40)
-        five, six = (predict.rf_fit(x, y, 2, 50, seed).to_json() for seed in (5, 6))
+        five, six = (_node_lists(predict.rf_fit(x, y, 2, 50, seed).to_json()) for seed in (5, 6))
         assert _nested_tree(five, 1) != _nested_tree(six, 0)
 
     def test_trees_do_not_depend_on_the_target_unit(self):
@@ -637,7 +645,7 @@ class TestForestMany:
         for jobs in by_width.values():
             many = self._assert_alone(jobs, 4, max_depth)
             # an empty child's value is the mean of no targets
-            empty += sum("NaN" in m for m in many)
+            empty += sum(np.isnan(_node_lists(json.loads(m))["value"]).any() for m in many)
         assert empty > 0 or max_depth == 0
 
     def test_constant_targets_beside_others(self):
@@ -646,7 +654,7 @@ class TestForestMany:
         jobs = [(x, rng.uniform(1, 9, size=12), 1), (x, np.full(12, 7.5), 2),
                 (x[:5], rng.uniform(1, 9, size=5), 3)]
         many = self._assert_alone(jobs, 6, 50)
-        constant = json.loads(many[1])
+        constant = _node_lists(json.loads(many[1]))
         assert constant["feature"] == [-1] * 6 and constant["value"] == [7.5] * 6
 
     def test_jobs_across_batches_keep_their_order(self, monkeypatch):
@@ -750,9 +758,9 @@ class TestPersistence:
 
     @pytest.mark.parametrize("fit, edit, message", [
         (lambda x, y: predict.gpr_fit(x, y, 1e-2),
-         lambda d: d.update(chol=d["chol"][:-1]), "do not fit 6 training rows"),
+         arrays(lambda d: d.update(chol=d["chol"][:-1])), "do not fit 6 training rows"),
         (lambda x, y: predict.mlp_fit(x, y, hidden_units=64, epochs=1, seed=0),
-         lambda d: d.update(w2=[[1.0]]), "layer shapes"),
+         arrays(lambda d: d.update(w2=np.ones((1, 1)))), "layer shapes"),
         (lambda x, y: predict.mlp_fit(x, y, hidden_units=64, epochs=1, seed=0),
          lambda d: d.update(seed="3"), "seed must be int"),
     ], ids=["gpr-chol-shape", "mlp-layer-shape", "mlp-seed-str"])
@@ -765,6 +773,35 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=message):
             predict.load_model(path)
+
+    # bit patterns: -0.0, the least and the greatest subnormal, +-inf, a
+    # quiet, a signalling and a negative NaN, and NaNs with payloads
+    SPECIAL_BITS = [0x8000000000000000, 0x1, 0x000FFFFFFFFFFFFF, 0x7FF0000000000000,
+                    0xFFF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001,
+                    0xFFF8000000000000, 0x7FF800000000BEEF, 0xFFFFFFFFFFFFFFFF]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(hnp.arrays("<u8", hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+                      elements=st.one_of(st.sampled_from(SPECIAL_BITS),
+                                         st.integers(0, 2 ** 64 - 1))),
+           hnp.arrays("<i4", hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)))
+    @example(np.array(SPECIAL_BITS, dtype="<u8"), np.array([-1, 2 ** 31 - 1], dtype="<i4"))
+    @example(np.zeros(0, dtype="<u8"), np.zeros((0, 3), dtype="<i4"))
+    def test_pack_round_trips_every_bit(self, bits, ints):
+        floats = bits.view("<f8")
+        doc = json.loads(json.dumps({"f": predict._pack(floats), "i": predict._pack(ints, "<i4")}))
+        back = predict._unpack(doc, "f", "<f8", floats.ndim)
+        assert back.shape == floats.shape and np.array_equal(back.view("<u8"), bits)
+        back = predict._unpack(doc, "i", "<i4", ints.ndim)
+        assert back.shape == ints.shape and np.array_equal(back, ints)
+
+    def test_forest_past_int32_node_ids_refused(self):
+        # broadcast views: 2 ** 31 + 1 nodes, one stored value per array
+        ids, values = (np.broadcast_to(v, (2 ** 31 + 1,)) for v in (np.int64(-1), 0.0))
+        model = predict.RfModel(max_depth=0, seed=0, n_trees=1, n_features=1,
+                                flat=predict._FlatForest(ids, values, ids, ids, values))
+        with pytest.raises(DataError, match="2147483649 nodes: its node ids do not fit"):
+            model.to_json()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
