@@ -9,8 +9,10 @@ Usage: python scripts/compare_outputs.py --parent REV [--expect GLOB ...]
 The parent is checked out with `git worktree add` into a temporary
 directory, removed afterwards; each tree runs with its own `src`. The matrix:
 `pipeline` with gpr, rf and nn on the corpora of `synth --seed 7` and
-`--seed 8`, and one corpus of each benchmark workload (seed
-`corpus_seed(181, 0)`) through the commands of its `Workload.steps`. Every
+`--seed 8`; on the seed-7 corpus, `prune`, then `train` and `predict` (both
+online groups) with gpr and with nn (`--epochs 20`), so that a gpr and an nn
+model.json are written and read; and one corpus of each benchmark workload
+(seed `corpus_seed(181, 0)`) through the commands of its `Workload.steps`. Every
 file the commands write is compared, and so is each command's stdout, stderr
 and exit code, as the pseudo-paths `<step>.stdout`, `.stderr` and `.exit`.
 Only the temporary run directories are masked.
@@ -37,6 +39,9 @@ from workloads import WORKLOADS, corpus_seed  # noqa: E402
 
 SYNTH_SEEDS = (7, 8)
 PREDICTORS = ("gpr", "rf", "nn")
+# the stage commands' predictors on the seed-7 corpus, with their flags; the
+# benchmark's serve-rf workload runs them with rf
+STAGE_PREDICTORS = {"gpr": [], "nn": ["--epochs", "20"]}
 BENCH_SEED = 181
 # characters of context shown either side of a line's first difference
 CONTEXT = 30
@@ -52,6 +57,15 @@ def matrix() -> list[tuple[str, list[str]]]:
         for p in PREDICTORS:
             runs.append((f"{case}/{p}", ["pipeline", "--manifest", f"{case}/corpus/manifest.json",
                                          "--out", f"{case}/{p}", "--predictor", p]))
+    m, pruned = "seed7/corpus/manifest.json", "seed7/prune/pruned_metrics.txt"
+    runs.append(("seed7/prune", ["prune", "--manifest", m, "--out", "seed7/prune"]))
+    for p, flags in STAGE_PREDICTORS.items():
+        runs.append((f"seed7/train_{p}", ["train", "--manifest", m, "--out", f"seed7/train_{p}",
+                                          "--pruned", pruned, "--predictor", p, *flags]))
+        runs += [(f"seed7/predict_{p}_{g}", ["predict", "--manifest", m, "--out",
+                                             f"seed7/predict_{p}_{g}", "--model-dir",
+                                             f"seed7/train_{p}", "--group", g])
+                 for g in ("online_b", "online_c")]
     for name, workload in WORKLOADS.items():
         runs.append((f"{name}/corpus", ["synth", "--spec", f"{name}/spec.json",
                                         "--out", f"{name}/corpus"]))

@@ -311,16 +311,13 @@ def _cmd_train(args, config: PipelineConfig) -> int:
     feats = np.vstack([predict.build_features(t, scaler) for t in corpus.offline])
     targets = np.concatenate([t.latency for t in corpus.offline])
     model = _train_predictor(config, feats, targets, config.seed)
-    predict.save_model(model, out / "model.json")
-    scaler.save(out / "preprocess.json")
+    predict.save_model(model, out / "model.json", scaler)
     print(out / "model.json")
     return 0
 
 
 def _cmd_predict(args, config: PipelineConfig) -> int:
-    model_dir = Path(args.model_dir)
-    model = predict.load_model(model_dir / "model.json")
-    scaler = predict.StandardScaler.load(model_dir / "preprocess.json")
+    model, scaler = predict.load_model(Path(args.model_dir) / "model.json")
     # the model's columns are picked by name, so none of this corpus is dropped;
     # predictions for one group read nothing of the others
     corpus = ingest.load_corpus_from_manifest(config.manifest, (args.group,))

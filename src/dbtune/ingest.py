@@ -217,15 +217,6 @@ def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
     return value
 
 
-def json_floats(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
-    """doc[key] as a float array: a list of numbers, or for ndim 2 a list of
-    equally long such lists."""
-    cells = np.array(json_field(doc, key, list), dtype=object)
-    if cells.ndim != ndim or not set(map(type, cells.ravel().tolist())) <= {int, float}:
-        raise TypeError(f"{key} must be {'a list' if ndim == 1 else 'lists'} of numbers")
-    return cells.astype(float)
-
-
 def json_strings(doc: dict, key: str) -> tuple[str, ...]:
     values = json_field(doc, key, list)
     if not all(isinstance(v, str) for v in values):
@@ -432,16 +423,9 @@ def drop_constant_columns(corpus: Corpus) -> tuple[Corpus, list[str]]:
     if not tables:
         return corpus, []
     schema = corpus.schema
-    all_knobs = np.vstack([t.knobs for t in tables]) if schema.n_knobs else np.zeros((0, 0))
-    all_metrics = np.vstack([t.metrics for t in tables]) if schema.n_metrics else np.zeros((0, 0))
-
-    def keep_mask(mat):
-        if mat.size == 0:
-            return np.zeros(mat.shape[1] if mat.ndim == 2 else 0, dtype=bool)
-        return np.any(mat != mat[0], axis=0)
-
-    knob_keep = keep_mask(all_knobs)
-    metric_keep = keep_mask(all_metrics)
+    # every table has a row, so each stack has a first row; (N, 0) keeps none
+    knob_keep, metric_keep = (np.any(mat != mat[0], axis=0) for mat in (
+        np.vstack([t.knobs for t in tables]), np.vstack([t.metrics for t in tables])))
     dropped = sorted(
         [n for n, k in zip(schema.knob_names, knob_keep) if not k]
         + [n for n, k in zip(schema.metric_names, metric_keep) if not k]

@@ -21,8 +21,8 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from .cluster import sq_dists
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import MAPE_EPS, mape
-from .ingest import (Schema, WorkloadTable, json_field, json_floats, json_strings,
-                     read_json_object, write_text)
+from .ingest import (Schema, WorkloadTable, json_field, json_strings, read_json_object,
+                     write_text)
 
 CONST_STD_EPS = 1e-12
 
@@ -37,8 +37,8 @@ class StandardScaler:
 
     `means` and `stds` hold one value per feature, knobs first. Features with
     std below 1e-12 are only centered; their names are kept in
-    `constant_features`. `train` stores the scaler beside its model as
-    preprocess.json, and `predict` picks and scales the columns of any corpus
+    `constant_features`. `train` stores the scaler in the model's model.json
+    (`save_model`), and `predict` picks and scales the columns of any corpus
     with it.
     """
 
@@ -76,25 +76,6 @@ class StandardScaler:
         k = len(self.knob_names)
         return (np.asarray(metrics, dtype=float) - self.means[k:]) / self.stds[k:]
 
-    def save(self, path) -> None:
-        write_text(path, json.dumps({
-            "knob_names": list(self.knob_names),
-            "pruned_metrics": list(self.metric_names),
-            "scaler_means": self.means.tolist(),
-            "scaler_stds": self.stds.tolist(),
-            "constant_features": list(self.constant_features),
-        }) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "StandardScaler":
-        doc = read_json_object(path)
-        try:
-            return cls(json_strings(doc, "knob_names"), json_strings(doc, "pruned_metrics"),
-                       json_floats(doc, "scaler_means"), json_floats(doc, "scaler_stds"),
-                       json_strings(doc, "constant_features"))
-        except (KeyError, TypeError, ValueError, DataError) as exc:
-            raise DataError(f"{path}: malformed preprocessing: {exc!r}") from None
-
 
 def _positions(kind: str, names: tuple[str, ...], columns: tuple[str, ...]) -> np.ndarray:
     at = {name: i for i, name in enumerate(columns)}
@@ -106,7 +87,8 @@ def _positions(kind: str, names: tuple[str, ...], columns: tuple[str, ...]) -> n
 
 def fit_scaler(tables: list[WorkloadTable], schema: Schema,
                metric_names: tuple[str, ...]) -> StandardScaler:
-    """Fit the features' mean and population std over all rows of all tables.
+    """Fit the features' mean and population std over all rows of all tables:
+    the scaler `train` stores in model.json with its model (`save_model`).
 
     The statistics are reduced over every knob and metric column, then the
     features are picked: numpy's axis-0 reduction order depends on the
@@ -145,28 +127,24 @@ def build_features(table: WorkloadTable, scaler: StandardScaler) -> np.ndarray:
 @dataclass(frozen=True)
 class GprModel:
     kind: ClassVar[str] = "gpr"
-    format_version: ClassVar[int] = 2
     alpha: float  # effective diagonal noise actually used
     length_scale: float
     signal_variance: float
     x_train: np.ndarray
     y_mean: float
-    chol: np.ndarray = field(repr=False)
     dual_coef: np.ndarray = field(repr=False)  # (K + alpha I)^-1 (y - y_mean)
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha, "length_scale": self.length_scale,
                 "signal_variance": self.signal_variance,
                 "x_train": _pack(self.x_train), "y_mean": self.y_mean,
-                "chol": _pack(self.chol), "dual_coef": _pack(self.dual_coef)}
+                "dual_coef": _pack(self.dual_coef)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "GprModel":
-        x_train, chol = _finite(doc, "x_train", 2), _finite(doc, "chol", 2)
-        dual_coef = _finite(doc, "dual_coef")
-        n = len(x_train)
-        if chol.shape != (n, n) or dual_coef.shape != (n,):
-            raise ValueError(f"arrays do not fit {n} training rows")
+        x_train, dual_coef = _finite(doc, "x_train", 2), _finite(doc, "dual_coef")
+        if dual_coef.shape != (len(x_train),):
+            raise ValueError(f"arrays do not fit {len(x_train)} training rows")
         scalars = {key: float(_finite(doc, key, 0))
                    for key in ("alpha", "length_scale", "signal_variance", "y_mean")}
         for key in ("alpha", "length_scale", "signal_variance"):
@@ -175,7 +153,7 @@ class GprModel:
         if not 2.0 * scalars["length_scale"] * scalars["length_scale"] < math.inf:
             raise ValueError(f"length_scale {scalars['length_scale']}: the kernel's "
                              f"2 * length_scale ** 2 overflows")
-        return cls(x_train=x_train, chol=chol, dual_coef=dual_coef, **scalars)
+        return cls(x_train=x_train, dual_coef=dual_coef, **scalars)
 
     def cross_kernel(self, features: np.ndarray) -> np.ndarray:
         """Kernel between the training rows and the query rows."""
@@ -212,7 +190,7 @@ def _log_marginal_likelihood(x, y, length_scale, signal_variance, alpha, d2=None
     dual = cho_solve((chol, True), y)
     n = len(y)
     lml = -0.5 * float(y @ dual) - np.log(np.diag(chol)).sum() - 0.5 * n * math.log(2 * math.pi)
-    return lml, chol, dual, eff
+    return lml, dual, eff
 
 
 def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel:
@@ -247,27 +225,32 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
     best = None
     for ell in ell_grid:
         for sig in sig_grid:
-            lml, chol, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha, d2)
+            lml, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha, d2)
             if best is None or lml > best[0]:
-                best = (lml, ell, sig, chol, dual, eff)
+                best = (lml, ell, sig, dual, eff)
 
     # one local coordinate-refinement pass around the grid optimum
     for factors, coord in (((2 ** -0.5, 2 ** 0.5), "ell"), ((0.5, 2.0), "sig")):
         for f in factors:
             ell = best[1] * f if coord == "ell" else best[1]
             sig = best[2] * f if coord == "sig" else best[2]
-            lml, chol, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha, d2)
+            lml, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha, d2)
             if lml > best[0]:
-                best = (lml, ell, sig, chol, dual, eff)
+                best = (lml, ell, sig, dual, eff)
 
-    _, ell, sig, chol, dual, eff = best
+    _, ell, sig, dual, eff = best
     return GprModel(alpha=eff, length_scale=ell, signal_variance=sig,
-                    x_train=x, y_mean=y_mean, chol=chol, dual_coef=dual)
+                    x_train=x, y_mean=y_mean, dual_coef=dual)
 
 
 def gpr_posterior(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and raw (unclamped) variance at the query points."""
-    v = solve_triangular(model.chol, model.cross_kernel(features), lower=True)
+    """Posterior mean and raw (unclamped) variance at the query points. The
+    Cholesky factor of K + alpha I is computed again at the model's
+    effective alpha, as the fit computed it."""
+    x = model.x_train
+    k = _rbf_kernel(sq_dists(x, x), model.length_scale, model.signal_variance)
+    chol = cholesky(k + model.alpha * np.eye(len(x)), lower=True)
+    v = solve_triangular(chol, model.cross_kernel(features), lower=True)
     return model.predict(features), model.signal_variance - np.sum(v ** 2, axis=0)
 
 
@@ -313,7 +296,6 @@ def _leaves(lo: int, hi: int) -> _FlatForest:
 @dataclass(frozen=True)
 class RfModel:
     kind: ClassVar[str] = "rf"
-    format_version: ClassVar[int] = 3
     max_depth: int
     seed: int
     n_trees: int
@@ -694,7 +676,6 @@ ADAM_EPS = 1e-8
 @dataclass
 class MlpModel:
     kind: ClassVar[str] = "nn"
-    format_version: ClassVar[int] = 2
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -856,25 +837,36 @@ def _finite(doc: dict, key: str, ndim: int = 1) -> np.ndarray:
 
 
 MODEL_KINDS = {cls.kind: cls for cls in (GprModel, RfModel, MlpModel)}
+# the format of every model.json; a file of another format must be retrained
+MODEL_FORMAT = 4
 
 
-def save_model(model, path) -> None:
-    """Serialize a fitted predictor to JSON, tagged with its kind and format version."""
-    doc = {"kind": model.kind, **model.to_json(), "format_version": model.format_version}
+def save_model(model, path, scaler: StandardScaler) -> None:
+    """Serialize a fitted predictor and the scaler of its features to one
+    JSON object, tagged with its kind and MODEL_FORMAT."""
+    doc = {"kind": model.kind, **model.to_json(),
+           "knob_names": list(scaler.knob_names), "pruned_metrics": list(scaler.metric_names),
+           "scaler_means": _pack(scaler.means), "scaler_stds": _pack(scaler.stds),
+           "constant_features": list(scaler.constant_features), "format_version": MODEL_FORMAT}
     write_text(path, json.dumps(doc))
 
 
-def load_model(path):
+def load_model(path) -> tuple[GprModel | RfModel | MlpModel, StandardScaler]:
+    """The predictor and the scaler of its features that `save_model` wrote."""
     doc = read_json_object(path)
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise DataError(f"unknown model kind {kind!r}")
     version = doc.get("format_version")
-    if version != MODEL_KINDS[kind].format_version:
+    if version != MODEL_FORMAT:
         raise DataError(f"unsupported model format version {version!r}")
     try:
-        return MODEL_KINDS[kind].from_json(doc)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        model = MODEL_KINDS[kind].from_json(doc)
+        return model, StandardScaler(
+            json_strings(doc, "knob_names"), json_strings(doc, "pruned_metrics"),
+            _unpack(doc, "scaler_means", "<f8"), _unpack(doc, "scaler_stds", "<f8"),
+            json_strings(doc, "constant_features"))
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"{path}: malformed {kind} model: {exc!r}") from None
 
 

@@ -34,6 +34,13 @@ def identity_scaler(schema, metric_names=None):
     return StandardScaler(schema.knob_names, metrics, np.zeros(n), np.ones(n))
 
 
+def width_scaler(width):
+    """An identity scaler of `width` features, all of them metrics: what
+    save_model stores beside a model fitted on bare feature arrays."""
+    return StandardScaler((), tuple(f"m{i}" for i in range(width)),
+                          np.zeros(width), np.ones(width))
+
+
 def decode_arrays(doc: dict) -> dict:
     """A model.json document with each packed array decoded, read by this
     decoder of the format rather than the loader's: a writable numpy array

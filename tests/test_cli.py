@@ -65,6 +65,11 @@ def _edit_model(edit):
     return lambda model_dir: _edit_json(model_dir / "model.json", edit)
 
 
+# the keys of the feature scaler in model.json, beside the model's own
+SCALER_KEYS = ("knob_names", "pruned_metrics", "scaler_means", "scaler_stds",
+               "constant_features")
+
+
 # a value for every PipelineConfig field, none of them its default
 NON_DEFAULT = dict(manifest="m.json", method="gmm", k_min=3, k_max=9, factor_cap=4,
                    predictor="nn", alpha=0.25, trees=7, depth=5, hidden=8, epochs=3,
@@ -172,11 +177,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind, damage, message", [
         ("gpr", lambda d: (d / "model.json").unlink(), "cannot read"),
-        ("gpr", lambda d: (d / "preprocess.json").unlink(), "cannot read"),
+        ("gpr", _edit_model(lambda m: [m.pop(key) for key in SCALER_KEYS]), "'knob_names'"),
         ("gpr", lambda d: (d / "model.json").write_text(
-            (d / "model.json").read_text().replace('"chol"', '"cholx"')), "'chol'"),
-        ("gpr", lambda d: (d / "preprocess.json").write_text(
-            (d / "preprocess.json").read_text().replace('"knob_names"', '"knobs"')),
+            (d / "model.json").read_text().replace('"dual_coef"', '"dual_coefx"')),
+         "'dual_coef'"),
+        ("gpr", lambda d: (d / "model.json").write_text(
+            (d / "model.json").read_text().replace('"knob_names"', '"knobs"')),
          "'knob_names'"),
         ("gpr", lambda d: (d / "model.json").write_text("{"), "not valid JSON"),
         ("gpr", lambda d: (d / "model.json").write_text("[" * 100000 + "]" * 100000),
@@ -184,8 +190,7 @@ class TestExitCodes:
         ("gpr", _edit_model(lambda m: m.update(length_scale="a")),
          "length_scale must be a number"),
         # a std of 0 makes features inf or nan, which scipy refuses with a ValueError
-        ("gpr", lambda d: _edit_json(d / "preprocess.json",
-                                     lambda p: p["scaler_stds"].__setitem__(0, 0.0)),
+        ("gpr", _edit_model(arrays(lambda m: m["scaler_stds"].__setitem__(0, 0.0))),
          "every std must be finite and > 0"),
         # a non-finite or non-positive gpr or nn value would predict nan, raise
         # scipy's ValueError or overflow in the kernel
@@ -193,8 +198,8 @@ class TestExitCodes:
          "dual_coef holds nan: every value must be finite"),
         ("gpr", _edit_model(arrays(lambda m: m["x_train"][0].__setitem__(0, math.nan))),
          "x_train holds nan"),
-        ("gpr", _edit_model(arrays(lambda m: m["chol"][0].__setitem__(0, math.inf))),
-         "chol holds inf"),
+        ("gpr", _edit_model(arrays(lambda m: m["x_train"][0].__setitem__(0, math.inf))),
+         "x_train holds inf"),
         ("gpr", _edit_model(lambda m: m.update(y_mean=math.nan)), "y_mean holds nan"),
         ("gpr", _edit_model(lambda m: m.update(length_scale=1e308)),
          "length_scale 1e+308: the kernel's 2 * length_scale ** 2 overflows"),
@@ -210,9 +215,9 @@ class TestExitCodes:
          "w1 holds -inf"),
         ("nn", _edit_model(arrays(lambda m: m["loss_trace"].__setitem__(0, math.nan))),
          "loss_trace holds nan"),
-    ], ids=["no-model", "no-preprocess", "model-key", "preprocess-key", "model-bad-json",
+    ], ids=["no-model", "no-scaler", "model-key", "scaler-key", "model-bad-json",
             "model-too-deep", "length-scale-str", "std-zero", "dual-coef-nan", "x-train-nan",
-            "chol-inf", "y-mean-nan", "length-scale-square-overflows", "length-scale-zero",
+            "x-train-inf", "y-mean-nan", "length-scale-square-overflows", "length-scale-zero",
             "signal-variance-negative", "signal-variance-inf", "nn-b2-nan", "nn-w1-inf",
             "nn-loss-nan"])
     def test_bad_model_dir_exits_2(self, kind, damage, message, corpus_dir, request,
@@ -470,66 +475,65 @@ class TestExitContract:
         assert err.startswith("error: ") and err.endswith(message + "\n")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("file, edit, message", [
-        ("model.json", arrays(lambda d: d.update(feature=d["feature"].astype(float))),
+    @pytest.mark.parametrize("edit, message", [
+        (arrays(lambda d: d.update(feature=d["feature"].astype(float))),
          "feature must have dtype '<i4', got '<f8'"),
-        ("model.json", _set_root_feature(99), "splits on features -1..99, has 4 features"),
-        ("model.json", _set_root_feature(-2), "splits on features -2.."),
-        ("model.json", arrays(lambda d: d.update({k: d[k][:0] for k in (
+        (_set_root_feature(99), "splits on features -1..99, has 4 features"),
+        (_set_root_feature(-2), "splits on features -2.."),
+        (arrays(lambda d: d.update({k: d[k][:0] for k in (
             "feature", "threshold", "left", "right", "value")})),
          "n_trees is 3, but the forest has 0 nodes"),
-        ("model.json", lambda d: d.update(n_trees=2), "node 2 has 0 parents"),
-        ("model.json", arrays(lambda d: d.update(n_trees=len(d["feature"]) + 1)),
+        (lambda d: d.update(n_trees=2), "node 2 has 0 parents"),
+        (arrays(lambda d: d.update(n_trees=len(d["feature"]) + 1)),
          "but the forest has"),
-        ("model.json", _relink(False, lambda l, r: 0, lambda l, r: r),
+        (_relink(False, lambda l, r: 0, lambda l, r: r),
          "node 0: a split's children must come after it"),
-        ("model.json", _relink(True, lambda l, r: l, lambda l, r: 0),
+        (_relink(True, lambda l, r: l, lambda l, r: 0),
          "a split's children must come after it"),
-        ("model.json", _relink(False, lambda l, r: l, lambda l, r: l), "has 2 parents"),
-        ("model.json", arrays(lambda d: d.update(value=d["value"][:-1])),
+        (_relink(False, lambda l, r: l, lambda l, r: l), "has 2 parents"),
+        (arrays(lambda d: d.update(value=d["value"][:-1])),
          "node arrays of lengths"),
-        ("model.json", lambda d: d["left"].update(data=True),
+        (lambda d: d["left"].update(data=True),
          "left data must be a base64 string, got bool"),
-        ("model.json", lambda d: (d.clear(), d.update(FORMAT_1_FOREST)),
+        (lambda d: (d.clear(), d.update(FORMAT_1_FOREST)),
          "unsupported model format version 1"),
-        ("model.json", lambda d: d.update(format_version=2), "unsupported model format version 2"),
-        ("model.json", arrays(lambda d: d["threshold"].__setitem__(0, math.nan)),
+        (lambda d: d.update(format_version=2), "unsupported model format version 2"),
+        (lambda d: d.update(format_version=3), "unsupported model format version 3"),
+        (arrays(lambda d: d["threshold"].__setitem__(0, math.nan)),
          "node 0 has threshold nan and value"),
-        ("model.json", arrays(lambda d: d["value"].__setitem__(-1, math.nan)),
+        (arrays(lambda d: d["value"].__setitem__(-1, math.nan)),
          "and value nan: a"),
-        ("model.json", arrays(lambda d: d["value"].__setitem__(-1, math.inf)),
+        (arrays(lambda d: d["value"].__setitem__(-1, math.inf)),
          "and value inf: a"),
-        ("preprocess.json", lambda d: d.update(knob_names="3"), "knob_names must be list"),
-        ("preprocess.json", lambda d: d.update(knob_names=[3]), "list of strings"),
-        ("preprocess.json", lambda d: d.update(scaler_means=d["scaler_means"][:-1]),
-         "means and"),
-        ("preprocess.json", lambda d: d.update(scaler_stds=d["scaler_stds"] + [1.0]),
-         "stds"),
-        ("preprocess.json", lambda d: d.update(pruned_metrics=[]), "empty pruned metric set"),
-        ("preprocess.json", lambda d: d.update(pruned_metrics=d["knob_names"][:1]
-                                               + d["pruned_metrics"][1:]),
+        (lambda d: d.update(knob_names="3"), "knob_names must be list"),
+        (lambda d: d.update(knob_names=[3]), "list of strings"),
+        (arrays(lambda d: d.update(scaler_means=d["scaler_means"][:-1])), "means and"),
+        (arrays(lambda d: d.update(scaler_stds=np.append(d["scaler_stds"], 1.0))), "stds"),
+        (lambda d: d.update(pruned_metrics=[]), "empty pruned metric set"),
+        (lambda d: d.update(pruned_metrics=d["knob_names"][:1] + d["pruned_metrics"][1:]),
          "named twice"),
-        ("preprocess.json", lambda d: d.update(scaler_means=["a"]), "list of numbers"),
-        ("preprocess.json", lambda d: d["scaler_stds"].__setitem__(0, 0.0),
+        (arrays(lambda d: d.update(scaler_means=d["scaler_means"].astype("<i4"))),
+         "scaler_means must have dtype '<f8', got '<i4'"),
+        (arrays(lambda d: d["scaler_stds"].__setitem__(0, 0.0)),
          "every std must be finite and > 0"),
-        ("preprocess.json", lambda d: d["scaler_stds"].__setitem__(0, -1.0),
+        (arrays(lambda d: d["scaler_stds"].__setitem__(0, -1.0)),
          "every std must be finite and > 0"),
-        ("preprocess.json", lambda d: d["scaler_stds"].__setitem__(0, math.nan),
+        (arrays(lambda d: d["scaler_stds"].__setitem__(0, math.nan)),
          "every std must be finite and > 0"),
-        ("preprocess.json", lambda d: d["scaler_means"].__setitem__(0, math.inf),
+        (arrays(lambda d: d["scaler_means"].__setitem__(0, math.inf)),
          "every mean must be finite"),
     ], ids=["feature-str", "feature-past-width", "feature-negative", "no-trees",
             "n-trees-not-tree-count", "n-trees-past-nodes", "child-to-itself",
             "child-backward", "two-parents", "unequal-lengths", "left-bool", "format-1",
-            "format-2", "threshold-nan", "value-nan", "value-inf",
+            "format-2", "format-3", "threshold-nan", "value-nan", "value-inf",
             "knob-names-str", "knob-names-not-strings", "means-short", "stds-long",
             "pruned-empty", "name-twice", "means-str", "std-zero", "std-negative",
             "std-nan", "mean-inf"])
-    def test_malformed_model_dir_exits_2(self, file, edit, message, corpus_dir,
-                                         rf_trained_dir, trained_dir, tmp_path, capsys):
+    def test_malformed_model_dir_exits_2(self, edit, message, corpus_dir, rf_trained_dir,
+                                         tmp_path, capsys):
         model_dir = tmp_path / "model"
         shutil.copytree(rf_trained_dir, model_dir)
-        _edit_json(model_dir / file, edit)
+        _edit_json(model_dir / "model.json", edit)
         assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
                     "--model-dir", model_dir]) == 2
         err = capsys.readouterr().err
@@ -537,7 +541,8 @@ class TestExitContract:
 
     @pytest.mark.parametrize("mutation", list(_MUTATIONS))
     @pytest.mark.parametrize("kind, key", [("gpr", "x_train"), ("gpr", "dual_coef"),
-                                           ("rf", "left"), ("rf", "threshold"),
+                                           ("gpr", "scaler_stds"), ("rf", "left"),
+                                           ("rf", "threshold"), ("rf", "scaler_means"),
                                            ("nn", "w1"), ("nn", "b2")])
     def test_packed_array_mutation_exits_2(self, kind, key, mutation, corpus_dir, request,
                                            tmp_path, capsys):
@@ -556,7 +561,8 @@ class TestExitContract:
 
     @pytest.mark.parametrize("byte", [0, 3, 7, -1])
     @pytest.mark.parametrize("kind, key", [("gpr", "x_train"), ("gpr", "dual_coef"),
-                                           ("rf", "left"), ("rf", "threshold"),
+                                           ("gpr", "scaler_stds"), ("rf", "left"),
+                                           ("rf", "threshold"), ("rf", "scaler_means"),
                                            ("nn", "w1"), ("nn", "b2")])
     def test_flipped_byte_exits_0_with_finite_predictions_or_refused(
             self, kind, key, byte, corpus_dir, request, tmp_path, capsys):
@@ -587,9 +593,9 @@ class TestExitContract:
         ("nn", ["--epochs", "3"], "network takes 6 features, rows have 4",
          "network takes 4 features, rows have 6"),
     ], ids=["gpr", "rf", "nn"])
-    def test_preprocess_of_another_train_exits_2(self, kind, flags, short, wide, corpus_dir,
-                                                 tmp_path, capsys):
-        # a model trained on 4 metrics beside the preprocess.json of a 2-metric
+    def test_scaler_of_another_train_exits_2(self, kind, flags, short, wide, corpus_dir,
+                                             tmp_path, capsys):
+        # a model trained on 4 metrics with the scaler keys of a 2-metric
         # train, whose rows are 2 features short, and the other way round
         metrics = ["metric_g00_0", "metric_g00_1", "metric_g01_0", "metric_g01_1"]
         for name, n in (("wide", 4), ("narrow", 2)):
@@ -599,7 +605,9 @@ class TestExitContract:
         for model, other, message in (("wide", "narrow", short), ("narrow", "wide", wide)):
             model_dir = tmp_path / f"{model}_model"
             shutil.copytree(tmp_path / model, model_dir)
-            shutil.copy(tmp_path / other / "preprocess.json", model_dir)
+            scaler = json.loads((tmp_path / other / "model.json").read_text())
+            _edit_json(model_dir / "model.json",
+                       lambda d: d.update({key: scaler[key] for key in SCALER_KEYS}))
             capsys.readouterr()
             assert run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
                         "--model-dir", model_dir]) == 2
@@ -884,16 +892,22 @@ class TestTrainPredictCommands:
                     "--model-dir", model_dir]) == 2
         assert capsys.readouterr().err == "error: unknown model kind 'mlp'\n"
 
-    def test_reloaded_preprocessing_matches_in_process_path(self, corpus_dir, trained_dir,
-                                                            tmp_path, capsys):
-        out = tmp_path / "out"
+    @pytest.mark.parametrize("kind, flags", [("gpr", dict(alpha=1e-4)),
+                                             ("rf", dict(trees=3, depth=4)),
+                                             ("nn", dict(epochs=3))])
+    def test_model_json_alone_matches_in_process_path(self, kind, flags, corpus_dir,
+                                                      trained_dir, request, tmp_path, capsys):
+        # the model directory holds model.json and nothing else
+        model_dir, out = tmp_path / "model", tmp_path / "out"
+        model_dir.mkdir()
+        shutil.copy(request.getfixturevalue(_TRAINED[kind]) / "model.json", model_dir)
         assert run(["predict", "--manifest", corpus_dir, "--out", out,
-                    "--model-dir", trained_dir, "--group", "online_c"]) == 0
+                    "--model-dir", model_dir, "--group", "online_c"]) == 0
         capsys.readouterr()
         corpus, _ = ingest.drop_constant_columns(ingest.load_corpus_from_manifest(corpus_dir))
         pruned = cli._read_pruned(trained_dir / "pruned_metrics.txt")
         scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
-        loaded = predict.StandardScaler.load(trained_dir / "preprocess.json")
+        _, loaded = predict.load_model(model_dir / "model.json")
         assert loaded.means.tobytes() == scaler.means.tobytes()
         assert loaded.stds.tobytes() == scaler.stds.tobytes()
         assert loaded.knob_names == scaler.knob_names == corpus.schema.knob_names
@@ -901,16 +915,16 @@ class TestTrainPredictCommands:
         assert loaded.metric_names == pruned == tuple(
             (trained_dir / "pruned_metrics.txt").read_text().split())
 
-        feats = np.vstack([predict.build_features(t, scaler) for t in corpus.offline])
-        model = predict.gpr_fit(feats, np.concatenate([t.latency for t in corpus.offline]),
-                                1e-4)
+        config = cli.PipelineConfig(predictor=kind, **flags)
+        model = cli._train_predictor(
+            config, np.vstack([predict.build_features(t, scaler) for t in corpus.offline]),
+            np.concatenate([t.latency for t in corpus.offline]), config.seed)
         expected = [(t.workload_id, float(y), float(p)) for t in corpus.online_c
                     for y, p in zip(t.latency, predict.predict_with(
                         model, predict.build_features(t, scaler)))]
         got = evaluate.parse_predictions_csv(
-            (out / "predictions_gpr.csv").read_text(), "gpr").per_point
+            (out / f"predictions_{kind}.csv").read_text(), kind).per_point
         assert got == tuple(expected)
-
 
 def _corpus_copy(manifest, dest, constant=(), drop_knob=None):
     """A copy of the corpus with each `constant` column set to 1.5 in every

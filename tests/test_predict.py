@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import cholesky, solve_triangular
 
 from dbtune import predict
 from dbtune.errors import ConfigError, DataError
 from dbtune.ingest import Schema
 
-from conftest import arrays, decode_arrays, make_table
+from conftest import arrays, decode_arrays, make_table, width_scaler
 
 
 class TestScaler:
@@ -188,6 +189,36 @@ class TestGpr:
         _, var = predict.gpr_posterior(m, rng.uniform(0, 1, size=(200, 3)))
         assert np.min(var) >= -1e-8
 
+    def test_posterior_factors_at_the_effective_alpha(self, monkeypatch):
+        # the first Cholesky attempt of every kernel fails, so the fit
+        # escalates the jitter to 10 alpha and the model stores that alpha
+        calls = []
+
+        def first_attempt_fails(a, lower):
+            calls.append(len(calls))
+            if len(calls) % 2:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a, lower=lower)
+
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(size=(10, 3)), rng.uniform(1, 5, size=10)
+        q = np.vstack([x[:3], rng.uniform(size=(3, 3))])  # the noise shows at training rows
+        monkeypatch.setattr(predict, "cholesky", first_attempt_fails)
+        m = predict.gpr_fit(x, y, alpha=1e-2)
+        monkeypatch.undo()
+        assert m.alpha == 1e-2 * 10.0
+        mean, var = predict.gpr_posterior(m, q)
+        k = predict._rbf_kernel(predict.sq_dists(x, x), m.length_scale, m.signal_variance)
+
+        def variance(alpha):
+            chol = cholesky(k + alpha * np.eye(len(x)), lower=True)
+            return m.signal_variance - np.sum(
+                solve_triangular(chol, m.cross_kernel(q), lower=True) ** 2, axis=0)
+
+        assert np.array_equal(mean, m.predict(q))
+        assert np.array_equal(var, variance(m.alpha))
+        assert not np.allclose(var, variance(1e-2))
+
     def test_chosen_hyperparams_maximize_grid_lml(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 1, size=(12, 2))
@@ -195,13 +226,13 @@ class TestGpr:
         alpha = 1e-3
         m = predict.gpr_fit(x, y, alpha)
         yc = y - y.mean()
-        chosen, _, _, _ = predict._log_marginal_likelihood(
+        chosen, _, _ = predict._log_marginal_likelihood(
             x, yc, m.length_scale, m.signal_variance, alpha)
         d = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
         base = np.median(d[np.triu_indices(12, k=1)])
         for ell in [base * 2.0 ** e for e in range(-5, 6)]:
             for sig in [yc.var() * f for f in (0.1, 1.0, 10.0)]:
-                lml, _, _, _ = predict._log_marginal_likelihood(x, yc, ell, sig, alpha)
+                lml, _, _ = predict._log_marginal_likelihood(x, yc, ell, sig, alpha)
                 assert chosen >= lml - 1e-9
 
     def test_bad_alpha_rejected(self):
@@ -358,7 +389,7 @@ def _reference_trees(x, y, n_trees, max_depth, seed, log):
 
 def _node_lists(doc):
     """The node arrays of an rf model.json document, decoded, as lists."""
-    return {k: v.tolist() for k, v in decode_arrays(doc).items() if isinstance(v, np.ndarray)}
+    return {k: v.tolist() for k, v in decode_arrays(doc).items() if k in predict._NODE_DTYPES}
 
 
 def _nested_tree(doc, i):
@@ -427,12 +458,12 @@ class TestForestExact:
         for i in range(80):
             x, y, n_trees, max_depth, seed = _forest_case(i)
             model = predict.rf_fit(x, y, n_trees, max_depth, seed)
-            predict.save_model(model, tmp_path / "model.json")
+            predict.save_model(model, tmp_path / "model.json", width_scaler(x.shape[1]))
             doc = json.loads((tmp_path / "model.json").read_text())
             assert {k: doc[k] for k in ("kind", "n_trees", "max_depth", "seed", "n_features",
                                         "format_version")} == {
                 "kind": "rf", "n_trees": n_trees, "max_depth": max_depth, "seed": seed,
-                "n_features": x.shape[1], "format_version": 3}, i
+                "n_features": x.shape[1], "format_version": 4}, i
             # the packed bytes hold each threshold and value exactly, NaN included
             reference = _reference_trees(x, y, n_trees, max_depth, seed, log)
             nodes = _node_lists(doc)
@@ -513,8 +544,8 @@ class TestForestExact:
     def test_loaded_forest_predicts_the_same(self, tmp_path):
         x, y, n_trees, max_depth, seed = _forest_case(3)
         model = predict.rf_fit(x, y, n_trees, max_depth, seed)
-        predict.save_model(model, tmp_path / "model.json")
-        back = predict.load_model(tmp_path / "model.json")
+        predict.save_model(model, tmp_path / "model.json", width_scaler(x.shape[1]))
+        back, _ = predict.load_model(tmp_path / "model.json")
         assert np.array_equal(back.predict(x), _reference_predict(back, x))
         assert np.array_equal(back.predict(x), model.predict(x))
 
@@ -726,11 +757,18 @@ class TestMlp:
 class TestPersistence:
     def _roundtrip(self, model, x, tmp_path):
         path = tmp_path / "model.json"
-        predict.save_model(model, path)
-        back = predict.load_model(path)
+        scaler = predict.StandardScaler(("k0",), ("m0",), np.array([-0.0, 2.5]),
+                                        np.array([1.0, 5e-324]), ("k0",))
+        predict.save_model(model, path, scaler)
+        back, scaler_back = predict.load_model(path)
         a = predict.predict_with(model, x)
         b = predict.predict_with(back, x)
         assert np.max(np.abs(a - b)) <= 1e-12
+        # the scaler comes back bit for bit, beside the model it scales for
+        assert scaler_back.means.tobytes() == scaler.means.tobytes()
+        assert scaler_back.stds.tobytes() == scaler.stds.tobytes()
+        assert (scaler_back.knob_names, scaler_back.metric_names, scaler_back.constant_features
+                ) == (("k0",), ("m0",), ("k0",))
 
     def test_gpr_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -750,24 +788,26 @@ class TestPersistence:
         y = rng.uniform(1, 5, size=10)
         m = predict.mlp_fit(x, y, hidden_units=6, epochs=5, seed=3)
         path = tmp_path / "model.json"
-        predict.save_model(m, path)
-        back = predict.load_model(path)
+        predict.save_model(m, path, width_scaler(2))
+        back, _ = predict.load_model(path)
         assert back.seed == 3 and back.w1.shape == (2, 6)
         assert back.loss_trace == m.loss_trace
         assert predict.predict_with(back, x).tobytes() == predict.predict_with(m, x).tobytes()
 
     @pytest.mark.parametrize("fit, edit, message", [
         (lambda x, y: predict.gpr_fit(x, y, 1e-2),
-         arrays(lambda d: d.update(chol=d["chol"][:-1])), "do not fit 6 training rows"),
+         arrays(lambda d: d.update(dual_coef=d["dual_coef"][:-1])),
+         "do not fit 6 training rows"),
         (lambda x, y: predict.mlp_fit(x, y, hidden_units=64, epochs=1, seed=0),
          arrays(lambda d: d.update(w2=np.ones((1, 1)))), "layer shapes"),
         (lambda x, y: predict.mlp_fit(x, y, hidden_units=64, epochs=1, seed=0),
          lambda d: d.update(seed="3"), "seed must be int"),
-    ], ids=["gpr-chol-shape", "mlp-layer-shape", "mlp-seed-str"])
+    ], ids=["gpr-dual-coef-shape", "mlp-layer-shape", "mlp-seed-str"])
     def test_malformed_model_rejected(self, fit, edit, message, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "model.json"
-        predict.save_model(fit(rng.uniform(size=(6, 2)), rng.uniform(1, 5, size=6)), path)
+        predict.save_model(fit(rng.uniform(size=(6, 2)), rng.uniform(1, 5, size=6)), path,
+                           width_scaler(2))
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
