@@ -17,7 +17,7 @@ import sys
 import warnings
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -257,12 +257,8 @@ def _cmd_synth(args) -> int:
         spec = synth.SynthSpec(**{**spec.__dict__, "seed": args.seed})
     corpus, truth = synth.generate_corpus(spec)
     manifest = synth.write_corpus(corpus, args.out)
-    ingest.write_text(Path(args.out) / "ground_truth.json", json.dumps({
-        "latent_of_metric": list(truth.latent_of_metric),
-        "nearest_source_of": truth.nearest_source_of,
-        "planted_source_of": truth.planted_source_of,
-        "latency_params": truth.latency_params,
-    }, indent=2) + "\n")
+    ingest.write_text(Path(args.out) / "ground_truth.json",
+                      json.dumps(asdict(truth), indent=2) + "\n")
     print(manifest)
     return 0
 

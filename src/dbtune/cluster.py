@@ -102,21 +102,19 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 def _label_sums(values: np.ndarray, labels: np.ndarray, n_labels: int) -> np.ndarray:
     """Row sums of `values` over the columns of each label, (rows, n_labels).
 
-    `take` copies a label's columns C-ordered, so each row is summed pairwise
-    exactly as `values[i, labels == j].sum()` is; `values[:, cols]` comes back
-    F-ordered and sums in another order.
+    One `np.bincount` over the (row, label) cells: each cell adds its values
+    left to right from +0.0.
     """
-    out = np.empty((values.shape[0], n_labels))
-    for j in range(n_labels):
-        out[:, j] = values.take(np.flatnonzero(labels == j), axis=1).sum(axis=1)
-    return out
+    rows = values.shape[0]
+    cells = (np.arange(rows)[:, None] * n_labels + labels).ravel()
+    return np.bincount(cells, weights=values.ravel(),
+                       minlength=rows * n_labels).reshape(rows, n_labels)
 
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    n, d = points.shape
+    n = points.shape[0]
     k = centroids.shape[0]
     centroids = centroids.copy()
-    cols, flat = np.arange(d), points.ravel()
     prev_assign = None
     trace: list[float] = []
     for _ in range(MAX_LLOYD_ITER):
@@ -132,14 +130,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
                     d2[:, j] = sq_dists(points, centroids[j:j + 1])[:, 0]
                     assign = d2.argmin(axis=1)
             counts = np.bincount(assign, minlength=k)
-        # the summation order of points[assign == j].mean(axis=0): pairwise
-        # down a single column, else row by row from +0.0, so -0.0 sums to +0.0;
-        # bincount adds each (cluster, column) cell's weights in row order
-        if d == 1:
-            sums = _label_sums(points.T, assign, k).T
-        else:
-            cells = (assign[:, None] * d + cols).ravel()
-            sums = np.bincount(cells, weights=flat, minlength=k * d).reshape(k, d)
+        sums = _label_sums(points.T, assign, k).T
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]
         diff = points - centroids[assign]

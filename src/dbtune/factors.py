@@ -31,14 +31,15 @@ class MetricMatrix:
 
     values: np.ndarray
     metric_names: tuple[str, ...]
-    n_configs: int
     dropped_zero_variance: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.values.shape != (len(self.metric_names), self.n_configs):
-            raise DataError("metric matrix shape does not match names/config count")
         if self.values.size and not np.all(np.isfinite(self.values)):
             raise NumericalError("metric matrix contains non-finite values")
+
+    @property
+    def n_configs(self) -> int:
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class FactorModel:
 
     loadings: np.ndarray  # (n_metrics, retained)
     eigenvalues: np.ndarray  # all extracted factors, descending
-    retained: int
     metric_names: tuple[str, ...]
 
     def __post_init__(self):
@@ -55,13 +55,15 @@ class FactorModel:
             raise NumericalError("eigenvalues not sorted descending")
         if np.any(self.eigenvalues < -1e-8):
             raise NumericalError("negative eigenvalue")
-        if self.retained > len(self.eigenvalues) or self.retained < 1:
-            raise NumericalError("invalid retained factor count")
+
+    @property
+    def retained(self) -> int:
+        return self.loadings.shape[1]
 
     @property
     def points(self) -> np.ndarray:
         """Metric coordinates in retained-factor space (one row per metric)."""
-        return self.loadings[:, : self.retained]
+        return self.loadings
 
 
 def build_metric_matrix(offline: list[WorkloadTable]) -> MetricMatrix:
@@ -78,9 +80,8 @@ def build_metric_matrix(offline: list[WorkloadTable]) -> MetricMatrix:
         raise DataError("no metric columns")
     tables = sorted(offline, key=lambda t: t.workload_id)
     cols = np.vstack([t.metrics for t in tables])  # (n_configs, n_metrics)
-    n_configs = cols.shape[0]
-    if n_configs < 2:
-        raise DataError(f"need at least 2 configurations, have {n_configs}")
+    if cols.shape[0] < 2:
+        raise DataError(f"need at least 2 configurations, have {cols.shape[0]}")
     x = cols.T.astype(float)
     mean = x.mean(axis=1, keepdims=True)
     std = x.std(axis=1, keepdims=True)
@@ -90,8 +91,7 @@ def build_metric_matrix(offline: list[WorkloadTable]) -> MetricMatrix:
     names = tuple(n for n, keep in zip(schema.metric_names, nonconstant) if keep)
     if not names:
         raise DataError("all metric rows have zero variance")
-    return MetricMatrix(values=x, metric_names=names, n_configs=n_configs,
-                        dropped_zero_variance=dropped)
+    return MetricMatrix(values=x, metric_names=names, dropped_zero_variance=dropped)
 
 
 def fit_factors(x: MetricMatrix) -> FactorModel:
@@ -111,12 +111,7 @@ def fit_factors(x: MetricMatrix) -> FactorModel:
         col = loadings[:, j]
         if col[np.argmax(np.abs(col))] < 0:
             loadings[:, j] = -col
-    return FactorModel(
-        loadings=loadings,
-        eigenvalues=eigenvalues,
-        retained=loadings.shape[1],
-        metric_names=x.metric_names,
-    )
+    return FactorModel(loadings=loadings, eigenvalues=eigenvalues, metric_names=x.metric_names)
 
 
 def retain_significant(model: FactorModel, cap: int = DEFAULT_FACTOR_CAP) -> FactorModel:
@@ -130,13 +125,8 @@ def retain_significant(model: FactorModel, cap: int = DEFAULT_FACTOR_CAP) -> Fac
     if significant == 0:
         warnings.warn("no factor has eigenvalue > 1; retaining 1 factor", stacklevel=2)
         significant = 1
-    retained = min(cap, significant)
-    return FactorModel(
-        loadings=model.loadings[:, :retained],
-        eigenvalues=model.eigenvalues,
-        retained=retained,
-        metric_names=model.metric_names,
-    )
+    return FactorModel(loadings=model.loadings[:, :min(cap, significant)],
+                       eigenvalues=model.eigenvalues, metric_names=model.metric_names)
 
 
 def export_loadings_csv(model: FactorModel) -> str:

@@ -113,11 +113,20 @@ def build_features(table: WorkloadTable, scaler: StandardScaler) -> np.ndarray:
     from the table by name and scaled, one row per observation.
 
     `take` copies the columns C-ordered; `[:, idx]` returns them F-ordered,
-    and distances over F-ordered features sum in another order.
+    and distances over F-ordered features sum in another order. A feature
+    that scales past the float range, from an extreme scaler value or a
+    corpus value far outside the training range, is a DataError.
     """
     kidx, midx = scaler.columns(table.schema)
-    return np.hstack([scaler.transform_knobs(table.knobs.take(kidx, axis=1)),
-                      scaler.transform_metrics(table.metrics.take(midx, axis=1))])
+    with np.errstate(over="ignore"):  # refused below
+        features = np.hstack([scaler.transform_knobs(table.knobs.take(kidx, axis=1)),
+                              scaler.transform_metrics(table.metrics.take(midx, axis=1))])
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        name = (scaler.knob_names + scaler.metric_names)[col]
+        raise DataError(f"workload {table.workload_id}: feature {name!r} of row {row} "
+                        f"scales to {features[row, col]}")
+    return features
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +192,10 @@ def _try_cholesky(k_matrix: np.ndarray, alpha: float) -> tuple[np.ndarray, float
     raise NumericalError(f"Cholesky failed up to jitter {100 * alpha}")
 
 
-def _log_marginal_likelihood(x, y, length_scale, signal_variance, alpha, d2=None):
-    """`d2` is sq_dists(x, x), when the caller already has it."""
-    k = _rbf_kernel(sq_dists(x, x) if d2 is None else d2, length_scale, signal_variance)
+def _log_marginal_likelihood(d2, y, length_scale, signal_variance, alpha):
+    """(log marginal likelihood, dual coefficients, effective jitter) of the
+    centered targets `y` under the kernel of the rows' squared distances `d2`."""
+    k = _rbf_kernel(d2, length_scale, signal_variance)
     chol, eff = _try_cholesky(k, alpha)
     dual = cho_solve((chol, True), y)
     n = len(y)
@@ -225,7 +235,7 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
     best = None
     for ell in ell_grid:
         for sig in sig_grid:
-            lml, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha, d2)
+            lml, dual, eff = _log_marginal_likelihood(d2, yc, ell, sig, alpha)
             if best is None or lml > best[0]:
                 best = (lml, ell, sig, dual, eff)
 
@@ -234,7 +244,7 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
         for f in factors:
             ell = best[1] * f if coord == "ell" else best[1]
             sig = best[2] * f if coord == "sig" else best[2]
-            lml, dual, eff = _log_marginal_likelihood(x, yc, ell, sig, alpha, d2)
+            lml, dual, eff = _log_marginal_likelihood(d2, yc, ell, sig, alpha)
             if lml > best[0]:
                 best = (lml, ell, sig, dual, eff)
 
@@ -252,12 +262,6 @@ def gpr_posterior(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np
     chol = cholesky(k + model.alpha * np.eye(len(x)), lower=True)
     v = solve_triangular(chol, model.cross_kernel(features), lower=True)
     return model.predict(features), model.signal_variance - np.sum(v ** 2, axis=0)
-
-
-def gpr_predict(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and standard deviation (variance clamped at 0)."""
-    mean, var = gpr_posterior(model, features)
-    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +359,36 @@ class RfModel:
         return tuple(nodes[:self.n_trees])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return rf_predict(self, features)
+        """Mean leaf value over the trees. A chunk of trees routes its (tree,
+        row) cells one level per step, each step moving only the cells still
+        at a split node; the chunk's leaf values are then added to the
+        running sum one tree at a time, in tree order."""
+        x = np.atleast_2d(np.asarray(features, dtype=float))
+        n, d = x.shape
+        if d != self.n_features:
+            raise DataError(f"forest was fit on {self.n_features} features, "
+                            f"rows have {d} features")
+        forest, n_trees = self.flat, self.n_trees
+        x_flat, out = x.ravel(), np.zeros(n)
+        per_chunk = max(1, _CHUNK_CELLS // max(n, 1))
+        for lo in range(0, n_trees, per_chunk):
+            hi = min(lo + per_chunk, n_trees)
+            node = np.repeat(np.arange(lo, hi), n)  # cell i is tree lo + i // n, row i % n
+            row_start = np.tile(np.arange(0, n * d, d), hi - lo)  # of cell i's row in x_flat
+            live = np.flatnonzero(forest.feature.take(node) >= 0)
+            while live.size:
+                at = node.take(live)
+                go_left = (x_flat.take(row_start.take(live) + forest.feature.take(at))
+                           <= forest.threshold.take(at))
+                at = np.where(go_left, forest.left.take(at), forest.right.take(at))
+                node[live] = at
+                live = live[forest.feature.take(at) >= 0]
+            leaves = forest.value.take(node).reshape(hi - lo, n)
+            out = np.add.accumulate(np.vstack([out, leaves]), axis=0)[-1]
+        return out / n_trees
 
 
-# cap on the cells of one batched array in rf_predict
+# cap on the cells of one batched array in RfModel.predict
 _CHUNK_CELLS = 1 << 11
 # cap on the cells of one chunk of nodes that _split scores together
 _SPLIT_CELLS = 1 << 13
@@ -632,36 +662,6 @@ def _grow(jobs, n_trees: int, max_depth: int) -> tuple[_FlatForest, np.ndarray]:
     return forest, job_of[:count]
 
 
-def rf_predict(model: RfModel, features: np.ndarray) -> np.ndarray:
-    """Mean leaf value over the trees. A chunk of trees routes its (tree, row)
-    cells one level per step, each step moving only the cells still at a
-    split node; the chunk's leaf values are then added to the running sum one
-    tree at a time, in tree order."""
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    n, d = x.shape
-    if d != model.n_features:
-        raise DataError(f"forest was fit on {model.n_features} features, "
-                        f"rows have {d} features")
-    forest, n_trees = model.flat, model.n_trees
-    x_flat, out = x.ravel(), np.zeros(n)
-    per_chunk = max(1, _CHUNK_CELLS // max(n, 1))
-    for lo in range(0, n_trees, per_chunk):
-        hi = min(lo + per_chunk, n_trees)
-        node = np.repeat(np.arange(lo, hi), n)  # cell i is tree lo + i // n, row i % n
-        row_start = np.tile(np.arange(0, n * d, d), hi - lo)  # of cell i's row in x_flat
-        live = np.flatnonzero(forest.feature.take(node) >= 0)
-        while live.size:
-            at = node.take(live)
-            go_left = (x_flat.take(row_start.take(live) + forest.feature.take(at))
-                       <= forest.threshold.take(at))
-            at = np.where(go_left, forest.left.take(at), forest.right.take(at))
-            node[live] = at
-            live = live[forest.feature.take(at) >= 0]
-        leaves = forest.value.take(node).reshape(hi - lo, n)
-        out = np.add.accumulate(np.vstack([out, leaves]), axis=0)[-1]
-    return out / n_trees
-
-
 # ---------------------------------------------------------------------------
 # Neural network (1 hidden layer, Adam, MAPE loss)
 # ---------------------------------------------------------------------------
@@ -698,7 +698,11 @@ class MlpModel:
                    loss_trace=tuple(_finite(doc, "loss_trace").tolist()))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return mlp_predict(self, features)
+        x = np.atleast_2d(np.asarray(features, dtype=float))
+        if x.shape[1] != self.w1.shape[0]:
+            raise DataError(f"network takes {self.w1.shape[0]} features, "
+                            f"rows have {x.shape[1]}")
+        return _mlp_forward(self, x)[0]
 
 
 def _mlp_init(n_features: int, hidden_units: int, seed: int) -> MlpModel:
@@ -725,17 +729,9 @@ def _mlp_forward(model: MlpModel, x: np.ndarray):
     return out, pre, hid
 
 
-def mlp_predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    if x.shape[1] != model.w1.shape[0]:
-        raise DataError(f"network takes {model.w1.shape[0]} features, "
-                        f"rows have {x.shape[1]}")
-    return _mlp_forward(model, x)[0]
-
-
 def mlp_loss(model: MlpModel, features: np.ndarray, targets: np.ndarray) -> float:
     """MAPE of the model's predictions, in percent."""
-    return float(mape(targets, mlp_predict(model, features)))
+    return float(mape(targets, model.predict(features)))
 
 
 def mlp_gradients(model: MlpModel, features: np.ndarray,

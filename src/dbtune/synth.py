@@ -71,10 +71,12 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
+    """What `generate_corpus` planted; `synth` writes it, in field order, to ground_truth.json."""
+
     latent_of_metric: tuple[int, ...]
     nearest_source_of: dict[str, str]  # online workload id -> offline workload id
-    latency_params: dict[str, dict]  # workload id -> {"base", "curvature", "optimum"}
     planted_source_of: dict[str, str]
+    latency_params: dict[str, dict]  # workload id -> {"base", "curvature", "optimum"}
 
 
 def _schema(spec: SynthSpec) -> Schema:

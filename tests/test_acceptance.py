@@ -28,9 +28,7 @@ def test_criterion_1_factor_correctness():
     rng = np.random.default_rng(101)
     raw = rng.normal(size=(10, 50))
     raw = (raw - raw.mean(axis=1, keepdims=True)) / raw.std(axis=1, keepdims=True)
-    mm = factors.MetricMatrix(values=raw,
-                              metric_names=tuple(f"m{i}" for i in range(10)),
-                              n_configs=50)
+    mm = factors.MetricMatrix(values=raw, metric_names=tuple(f"m{i}" for i in range(10)))
     model = factors.fit_factors(mm)
     trace_err = abs(float(model.eigenvalues.sum()) - 10.0)
     corr = raw @ raw.T / 50
@@ -163,7 +161,7 @@ def test_criterion_6_alpha_trend():
     mapes = []
     for alpha in (1e8, 1e7, 1e5, 1e3, 1e1, 1e-1):
         model = predict.gpr_fit(feats, targets, alpha)
-        mapes.append(evaluate.mape(targets, predict.gpr_predict(model, feats)[0]))
+        mapes.append(evaluate.mape(targets, model.predict(feats)))
     monotone = all(b <= a + 1e-9 for a, b in zip(mapes, mapes[1:]))
     elapsed = time.monotonic() - start
     _verdict("criterion-6 alpha trend",
@@ -179,7 +177,7 @@ def test_criterion_7_predictor_contract():
     q = rng.uniform(-0.5, 1.5, size=(30, 3))
 
     rf = predict.rf_fit(x, y, n_trees=25, max_depth=8, seed=0)
-    preds = predict.rf_predict(rf, q)
+    preds = rf.predict(q)
     bounded = bool(np.all(preds >= y.min()) and np.all(preds <= y.max()))
 
     # analytic MLP gradients vs central finite differences
@@ -202,11 +200,9 @@ def test_criterion_7_predictor_contract():
     grad_ok = worst < 1e-4
 
     deterministic = True
-    for fit in (lambda: predict.gpr_predict(predict.gpr_fit(x, y, 1e-2), q)[0],
-                lambda: predict.rf_predict(
-                    predict.rf_fit(x, y, n_trees=10, max_depth=6, seed=4), q),
-                lambda: predict.mlp_predict(
-                    predict.mlp_fit(x, y, hidden_units=8, epochs=20, seed=4), q)):
+    for fit in (lambda: predict.gpr_fit(x, y, 1e-2).predict(q),
+                lambda: predict.rf_fit(x, y, n_trees=10, max_depth=6, seed=4).predict(q),
+                lambda: predict.mlp_fit(x, y, hidden_units=8, epochs=20, seed=4).predict(q)):
         if not np.array_equal(fit(), fit()):
             deterministic = False
     _verdict("criterion-7 predictor contract",

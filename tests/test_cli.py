@@ -327,6 +327,13 @@ _MUTATIONS = {
 }
 
 
+def _flip_byte(doc, key, byte):
+    """XOR 0x40 into one byte of the packed array doc[key]; its base64 stays valid."""
+    raw = bytearray(base64.b64decode(doc[key]["data"]))
+    raw[byte] ^= 0x40
+    doc[key]["data"] = base64.b64encode(raw).decode()
+
+
 def _predictions_finite(path) -> bool:
     rows = list(csv.DictReader(path.read_text().splitlines()))
     return bool(rows) and all(math.isfinite(float(r["prediction"])) for r in rows)
@@ -570,12 +577,7 @@ class TestExitContract:
         # it: a value the loader refuses exits 2, a prediction that overflows 3
         model_dir = tmp_path / "model"
         shutil.copytree(request.getfixturevalue(_TRAINED[kind]), model_dir)
-
-        def flip(doc):
-            raw = bytearray(base64.b64decode(doc[key]["data"]))
-            raw[byte] ^= 0x40
-            doc[key]["data"] = base64.b64encode(raw).decode()
-        _edit_json(model_dir / "model.json", flip)
+        _edit_json(model_dir / "model.json", lambda doc: _flip_byte(doc, key, byte))
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             code = run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
@@ -586,6 +588,24 @@ class TestExitContract:
             assert _predictions_finite(tmp_path / "out" / f"predictions_{kind}.csv")
         else:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, key, byte", [("gpr", "scaler_stds", -1),
+                                                 ("rf", "scaler_means", 7)])
+    def test_scaler_value_scaling_features_past_float_range_exits_2(
+            self, kind, key, byte, corpus_dir, request, tmp_path, capsys):
+        # the flip turns the last std, 2.70, into 7.8e-309 and the first
+        # mean, 0.43, into 7.7e307: finite, so the loader keeps them, and the
+        # features they scale overflow to inf
+        model_dir = tmp_path / "model"
+        shutil.copytree(request.getfixturevalue(_TRAINED[kind]), model_dir)
+        _edit_json(model_dir / "model.json", lambda doc: _flip_byte(doc, key, byte))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["predict", "--manifest", corpus_dir, "--out", tmp_path / "out",
+                        "--model-dir", model_dir])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+        assert "scales to" in err and not caught, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("kind, flags, short, wide", [
         ("gpr", [], "query feature dimension mismatch", "query feature dimension mismatch"),

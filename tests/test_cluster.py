@@ -21,8 +21,7 @@ def blobs(centers, per_blob, spread, seed):
 def factor_model_for(points, names):
     points = np.asarray(points, dtype=float)
     ev = np.sort(np.ones(points.shape[1]) * 2.0)[::-1]
-    return FactorModel(loadings=points, eigenvalues=ev,
-                       retained=points.shape[1], metric_names=tuple(names))
+    return FactorModel(loadings=points, eigenvalues=ev, metric_names=tuple(names))
 
 
 class TestKMeans:
@@ -313,8 +312,18 @@ class TestSelectRepresentatives:
         assert len(set(pruned)) == 3
 
 
+def _sum_left_to_right(values):
+    """Sum along axis 0, one value at a time from +0.0: the order in which
+    `cluster` sums every per-label group."""
+    total = np.zeros(values.shape[1:])
+    for v in values:
+        total = total + v
+    return total
+
+
 def _reference_silhouette(points, assignments):
-    """The per-point silhouette loop that `silhouette_score` replaced."""
+    """The per-point silhouette loop that `silhouette_score` replaced, its
+    sums taken left to right."""
     labels = np.unique(assignments)
     dists = np.sqrt(np.maximum(cluster.sq_dists(points, points), 0.0))
     scores = np.zeros(points.shape[0])
@@ -323,14 +332,16 @@ def _reference_silhouette(points, assignments):
         own = assignments[i]
         if sizes[own] == 1:
             continue
-        a = dists[i, assignments == own].sum() / (sizes[own] - 1)
-        b = min(dists[i, assignments == lab].mean() for lab in labels if lab != own)
+        a = _sum_left_to_right(dists[i, assignments == own]) / (sizes[own] - 1)
+        b = min(_sum_left_to_right(dists[i, assignments == lab]) / sizes[lab]
+                for lab in labels if lab != own)
         scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
     return float(scores.mean())
 
 
 def _reference_lloyd(points, centroids):
-    """The Lloyd iterations with per-cluster loops that `_lloyd` replaced."""
+    """The Lloyd iterations with per-cluster loops that `_lloyd` replaced,
+    each member mean summed left to right."""
     n = points.shape[0]
     k = centroids.shape[0]
     centroids = centroids.copy()
@@ -348,7 +359,7 @@ def _reference_lloyd(points, centroids):
         for j in range(k):
             members = assign == j
             if np.any(members):
-                centroids[j] = points[members].mean(axis=0)
+                centroids[j] = _sum_left_to_right(points[members]) / members.sum()
         trace.append(float(cluster.sq_dists(points, centroids)[np.arange(n), assign].sum()))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
@@ -373,7 +384,8 @@ def _exactness_cases(count, seed):
 
 
 class TestVectorisedExactness:
-    """The loop-free silhouette and Lloyd step give the loops' bytes."""
+    """The loop-free silhouette and Lloyd step give the bytes of the loops,
+    each summing left to right from +0.0."""
 
     def test_silhouette_bit_equal_to_per_point_loop(self):
         singletons = 0
@@ -459,13 +471,14 @@ class TestSweepSeedsOnce:
 
 
 def _reference_gmm_start(points, km):
-    """The member-mean loop that set the GMM's starting weights and means."""
+    """The member-mean loop that set the GMM's starting weights and means,
+    each mean summed left to right."""
     n, d = points.shape
     weights, means = np.empty(km.k), np.empty((km.k, d))
     for j in range(km.k):
         members = points[km.assignments == j]
         weights[j] = members.shape[0] / n
-        means[j] = members.mean(axis=0)
+        means[j] = _sum_left_to_right(members) / members.shape[0]
     return weights, means
 
 

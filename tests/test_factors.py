@@ -31,8 +31,7 @@ def random_metric_matrix(n_metrics, n_configs, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n_metrics, n_configs))
     x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
-    return MetricMatrix(values=x, metric_names=tuple(f"m{i}" for i in range(n_metrics)),
-                        n_configs=n_configs)
+    return MetricMatrix(values=x, metric_names=tuple(f"m{i}" for i in range(n_metrics)))
 
 
 class TestBuildMetricMatrix:
@@ -89,7 +88,7 @@ class TestFitFactors:
         base = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
         x = np.vstack([c * base for c in (1.0, 2.0, -3.0)])
         x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
-        mm = MetricMatrix(values=x, metric_names=("a", "b", "c"), n_configs=5)
+        mm = MetricMatrix(values=x, metric_names=("a", "b", "c"))
         model = fit_factors(mm)
         assert np.sum(model.eigenvalues > 1e-8) == 1
         # independent oracle: eigensolve of the Gram matrix X X^T / n
@@ -138,7 +137,7 @@ class TestRetainSignificant:
     def _model(self, eigenvalues, n_metrics=5):
         ev = np.asarray(eigenvalues, dtype=float)
         loadings = np.ones((n_metrics, len(ev)))
-        return FactorModel(loadings=loadings, eigenvalues=ev, retained=len(ev),
+        return FactorModel(loadings=loadings, eigenvalues=ev,
                            metric_names=tuple(f"m{i}" for i in range(n_metrics)))
 
     def test_threshold(self):

@@ -130,22 +130,22 @@ class TestBuildFeatures:
 class TestGpr:
     def test_single_point_interpolation(self):
         m = predict.gpr_fit(np.array([[0.5]]), np.array([3.0]), alpha=1e-8)
-        mean, _ = predict.gpr_predict(m, np.array([[0.5]]))
-        assert abs(mean[0] - 3.0) < 1e-4
+        assert abs(m.predict(np.array([[0.5]]))[0] - 3.0) < 1e-4
 
     def test_prior_reversion_far_away(self):
         x = np.linspace(0, 1, 10)[:, None]
         y = np.sin(x[:, 0]) + 2.0
         m = predict.gpr_fit(x, y, alpha=1e-6)
-        mean, std = predict.gpr_predict(m, np.array([[1e6]]))
+        mean, var = predict.gpr_posterior(m, np.array([[1e6]]))
         assert abs(mean[0] - y.mean()) < 1e-6
-        assert abs(std[0] - np.sqrt(m.signal_variance)) < 0.05 * np.sqrt(m.signal_variance)
+        std = np.sqrt(var[0])
+        assert abs(std - np.sqrt(m.signal_variance)) < 0.05 * np.sqrt(m.signal_variance)
 
     def test_sine_interpolation_against_gaussian_elimination(self):
         x = np.linspace(0, 2 * np.pi, 20)[:, None]
         y = np.sin(x[:, 0])
         m = predict.gpr_fit(x, y, alpha=1e-6)
-        mean, _ = predict.gpr_predict(m, x)
+        mean = m.predict(x)
         assert np.max(np.abs(mean - y)) < 1e-3
         # independent oracle: plain Gaussian elimination on (K + alpha I) z = y
         d2 = (x - x.T) ** 2
@@ -178,8 +178,8 @@ class TestGpr:
         x = np.linspace(0, 1, 8)[:, None]
         y = x[:, 0] ** 2
         m = predict.gpr_fit(x, y, alpha=1e-8)
-        _, std = predict.gpr_predict(m, x)
-        assert np.max(std) < 1e-3
+        _, var = predict.gpr_posterior(m, x)
+        assert np.max(np.sqrt(np.maximum(var, 0.0))) < 1e-3
 
     def test_raw_variance_not_too_negative(self):
         rng = np.random.default_rng(0)
@@ -226,13 +226,14 @@ class TestGpr:
         alpha = 1e-3
         m = predict.gpr_fit(x, y, alpha)
         yc = y - y.mean()
+        d2 = predict.sq_dists(x, x)
         chosen, _, _ = predict._log_marginal_likelihood(
-            x, yc, m.length_scale, m.signal_variance, alpha)
+            d2, yc, m.length_scale, m.signal_variance, alpha)
         d = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
         base = np.median(d[np.triu_indices(12, k=1)])
         for ell in [base * 2.0 ** e for e in range(-5, 6)]:
             for sig in [yc.var() * f for f in (0.1, 1.0, 10.0)]:
-                lml, _, _ = predict._log_marginal_likelihood(x, yc, ell, sig, alpha)
+                lml, _, _ = predict._log_marginal_likelihood(d2, yc, ell, sig, alpha)
                 assert chosen >= lml - 1e-9
 
     def test_bad_alpha_rejected(self):
@@ -243,7 +244,7 @@ class TestGpr:
     def test_dimension_mismatch(self):
         m = predict.gpr_fit(np.zeros((3, 2)), np.arange(3.0), alpha=1e-2)
         with pytest.raises(DataError):
-            predict.gpr_predict(m, np.zeros((1, 5)))
+            m.predict(np.zeros((1, 5)))
 
 
 def _gaussian_elimination(a, b):
@@ -270,7 +271,7 @@ class TestRandomForest:
         x = rng.uniform(size=(20, 3))
         y = np.full(20, 7.5)
         m = predict.rf_fit(x, y, n_trees=10, max_depth=50, seed=0)
-        assert np.allclose(predict.rf_predict(m, x), 7.5)
+        assert np.allclose(m.predict(x), 7.5)
 
     def test_single_tree_memorizes_bootstrap(self):
         # trace construction: recompute the bootstrap draw for tree 0
@@ -279,7 +280,7 @@ class TestRandomForest:
         seed = 3
         m = predict.rf_fit(x, y, n_trees=1, max_depth=10**6, seed=seed)
         boot = np.random.default_rng(seed).integers(4, size=4)
-        preds = predict.rf_predict(m, x)
+        preds = m.predict(x)
         for i in set(boot.tolist()):
             assert preds[i] == y[i]
 
@@ -288,7 +289,7 @@ class TestRandomForest:
         x = rng.uniform(size=(30, 4))
         y = rng.uniform(100, 200, size=30)
         m = predict.rf_fit(x, y, n_trees=25, max_depth=50, seed=1)
-        p = predict.rf_predict(m, rng.uniform(size=(50, 4)))
+        p = m.predict(rng.uniform(size=(50, 4)))
         assert p.min() >= y.min() - 1e-12
         assert p.max() <= y.max() + 1e-12
 
@@ -296,8 +297,8 @@ class TestRandomForest:
         rng = np.random.default_rng(2)
         x = rng.uniform(size=(25, 3))
         y = rng.uniform(size=25)
-        a = predict.rf_predict(predict.rf_fit(x, y, 20, 50, seed=9), x)
-        b = predict.rf_predict(predict.rf_fit(x, y, 20, 50, seed=9), x)
+        a = predict.rf_fit(x, y, 20, 50, seed=9).predict(x)
+        b = predict.rf_fit(x, y, 20, 50, seed=9).predict(x)
         assert np.array_equal(a, b)
 
     def test_empty_rejected(self):
@@ -421,13 +422,15 @@ def _forest_case(i):
     """Inputs of random case i: ties in features and targets, n = 2, d = 1,
     depth limits 0..60, mostly constant features (the all-features retry),
     signed zeros, non-finite features and nodes past 128 rows; from case 64
-    on, also targets whose squares overflow and features one ulp apart."""
+    on, also targets whose squares overflow and features one ulp apart; from
+    case 80 on, targets within about 1e-6 of each other, whose split costs
+    are mostly rounding, so the rounding of a square can pick the split."""
     rng = np.random.default_rng(1000 + i)
     n = int(rng.choice([2, 3, 5, 11, 17, 40, 130]))
     d = 1 if i % 7 == 0 else int(rng.integers(1, 9))
     x = rng.normal(size=(n, d))
     y = rng.uniform(1, 100, size=n)
-    kind = i % 6 if i < 64 else 6 + i % 2
+    kind = i % 6 if i < 64 else (6 + i % 2 if i < 80 else 8)
     if kind == 1:
         x = np.round(x)
     elif kind == 2:
@@ -444,6 +447,8 @@ def _forest_case(i):
         y = y * 1e156
     elif kind == 7:
         x = x[0] + np.spacing(np.abs(x[0])) * rng.integers(0, 3, size=(n, d))
+    elif kind == 8:
+        y = y[0] + rng.normal(size=n) * 1e-6
     n_trees = int(rng.integers(1, 4 if n > 100 else 13))
     return x, y, n_trees, int(rng.integers(0, 61)), int(rng.integers(0, 1000))
 
@@ -455,7 +460,10 @@ class TestForestExact:
                                 "ignore:overflow encountered")
     def test_model_json_and_predictions_equal_reference(self, tmp_path):
         log = {"retries": 0}
-        for i in range(80):
+        # in cases 80, 105 and 304 a tree changes if _best_splits takes the
+        # square of rest, of cs or of ys (in that order) with np.float_power,
+        # which differs from a * a on about 1 in 1200 doubles
+        for i in (*range(80), 80, 105, 304):
             x, y, n_trees, max_depth, seed = _forest_case(i)
             model = predict.rf_fit(x, y, n_trees, max_depth, seed)
             predict.save_model(model, tmp_path / "model.json", width_scaler(x.shape[1]))
@@ -470,7 +478,7 @@ class TestForestExact:
             assert [json.dumps(_nested_tree(nodes, t)) for t in range(n_trees)] == [
                 json.dumps(tree) for tree in reference], i
             query = np.vstack([x, np.random.default_rng(i).normal(size=(20, x.shape[1]))])
-            assert np.array_equal(predict.rf_predict(model, query),
+            assert np.array_equal(model.predict(query),
                                   _reference_predict(model, query), equal_nan=True), i
         assert log["retries"] > 0
 
@@ -581,12 +589,12 @@ class TestForestExact:
     def test_feature_past_row_width_rejected(self):
         model = predict.rf_fit(np.arange(12.0).reshape(6, 2), np.arange(6.0), 2, 3, seed=0)
         with pytest.raises(DataError, match="feature"):
-            predict.rf_predict(model, np.zeros((3, 1)))
+            model.predict(np.zeros((3, 1)))
 
     def test_rows_wider_than_the_fit_rejected(self):
         model = predict.rf_fit(np.arange(12.0).reshape(6, 2), np.arange(6.0), 2, 3, seed=0)
         with pytest.raises(DataError, match="fit on 2 features, rows have 3 features"):
-            predict.rf_predict(model, np.zeros((3, 3)))
+            model.predict(np.zeros((3, 3)))
 
     @staticmethod
     def _deep_forest(n_trees):
@@ -602,7 +610,7 @@ class TestForestExact:
     def test_routing_equals_reference_across_chunk_shapes(self, n_rows, n_trees):
         model = self._deep_forest(n_trees)
         query = np.random.default_rng(n_rows).normal(size=(n_rows, 4))
-        got = predict.rf_predict(model, query)
+        got = model.predict(query)
         assert got.shape == (n_rows,)
         assert np.array_equal(got, _reference_predict(model, query), equal_nan=True)
 
@@ -611,15 +619,15 @@ class TestForestExact:
         query = np.random.default_rng(2).normal(size=(30, 4))
         query[::3, 0], query[1::3, 1], query[2::3, 2] = np.nan, np.inf, -np.inf
         query[0] = np.nan
-        assert np.array_equal(predict.rf_predict(model, query),
+        assert np.array_equal(model.predict(query),
                               _reference_predict(model, query), equal_nan=True)
 
     def test_per_table_calls_equal_one_call_on_the_stacked_rows(self):
         model = self._deep_forest(40)
         rng = np.random.default_rng(3)
         tables = [rng.normal(size=(n, 4)) for n in (1, 10, 7, 300, 2)]
-        per_table = np.concatenate([predict.rf_predict(model, t) for t in tables])
-        assert per_table.tobytes() == predict.rf_predict(model, np.vstack(tables)).tobytes()
+        per_table = np.concatenate([model.predict(t) for t in tables])
+        assert per_table.tobytes() == model.predict(np.vstack(tables)).tobytes()
 
 
 def _split_counts(model):
@@ -713,7 +721,7 @@ class TestMlp:
         x = rng.uniform(size=(10, 2))
         y = rng.uniform(1, 2, size=10)
         m = predict.mlp_fit(x, y, hidden_units=64, epochs=0, seed=1)
-        p = predict.mlp_predict(m, x)
+        p = m.predict(x)
         assert np.all(np.isfinite(p))
 
     def test_gradient_check_against_finite_differences(self):
@@ -741,8 +749,8 @@ class TestMlp:
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(16, 2))
         y = rng.uniform(1, 2, size=16)
-        a = predict.mlp_predict(predict.mlp_fit(x, y, hidden_units=64, epochs=20, seed=4), x)
-        b = predict.mlp_predict(predict.mlp_fit(x, y, hidden_units=64, epochs=20, seed=4), x)
+        a = predict.mlp_fit(x, y, hidden_units=64, epochs=20, seed=4).predict(x)
+        b = predict.mlp_fit(x, y, hidden_units=64, epochs=20, seed=4).predict(x)
         assert np.array_equal(a, b)
 
     def test_loss_trace_recorded(self):
