@@ -154,12 +154,14 @@ def _fit_models(config, stage_name, fits):
 def _map_train_predict(config, sources, targets, scaler, stage_name):
     """Map every target onto the sources, then train one model per target
     on its augmented table and predict its held-out validation row."""
+    with _stage(stage_name):
+        repository = mapping.Repository(sources, scaler)
     fits, map_tables, val_parts, results = [], [], [], []
     for table in sorted(targets, key=lambda t: t.workload_id):
         wid = table.workload_id
         with _stage(f"{stage_name}/{wid}"):
             map_part, val_part = ingest.split_map_validation(table, config.n_map)
-            res = mapping.map_and_augment(sources, map_part, scaler, config.map_score)
+            res = mapping.map_and_augment(repository, map_part, config.map_score)
             fits.append((wid, predict.build_features(res.augmented, scaler), res.augmented.latency))
         map_tables.append(map_part)
         val_parts.append(val_part)
@@ -180,18 +182,16 @@ def run_two_stage(config: PipelineConfig) -> list[evaluate.EvalReport]:
     with _stage("scaler"):
         scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
 
-    offline = list(corpus.offline)
     if not corpus.online_b or not corpus.online_c:
         raise DataError("two-stage pipeline needs online_b and online_c groups")
 
     points_b, results_b, map_tables_b = _map_train_predict(
-        config, offline, corpus.online_b, scaler, "stage1")
+        config, list(corpus.offline), corpus.online_b, scaler, "stage1")
     stage1 = evaluate.EvalReport(f"{config.predictor}_stage1", tuple(points_b))
 
     # stage-2 repository: offline plus every mapped B table
-    repo = offline + map_tables_b
     points_c, results_c, _ = _map_train_predict(
-        config, repo, corpus.online_c, scaler, "stage2")
+        config, list(corpus.offline) + map_tables_b, corpus.online_c, scaler, "stage2")
     stage2 = evaluate.EvalReport(f"{config.predictor}_stage2", tuple(points_c))
 
     reports = [stage1, stage2]
@@ -293,8 +293,9 @@ def _load_with_pruned(config: PipelineConfig, path
 def _cmd_map(args, config: PipelineConfig) -> int:
     out = Path(config.out)
     corpus, scaler = _load_with_pruned(config, args.pruned)
-    results = [mapping.map_and_augment(list(corpus.offline), table, scaler, config.map_score)
-               for table in list(corpus.online_b) + list(corpus.online_c)]
+    repository = mapping.Repository(list(corpus.offline), scaler)
+    results = [mapping.map_and_augment(repository, table, config.map_score)
+               for table in corpus.online_b + corpus.online_c]
     text = mapping.mapping_report_csv(results)
     ingest.write_text(out / "map_report.csv", text)
     print(text, end="")

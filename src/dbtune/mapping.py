@@ -6,9 +6,10 @@ per-metric distances are averaged into a workload score. The lowest-scoring
 source is the match (the smallest id on ties), and its rows (minus
 knob-config conflicts) are appended to the target's rows as training data.
 
-A target is scored against all sources in one batched pass: the sources are
-stacked, one knob-distance array pairs every target row with its nearest row
-inside each source (first row on ties), and every per-metric distance and
+A stage's sources form one `Repository`, their features (`build_features`,
+as the target's) stacked once. A target is scored against all of them in one
+batched pass: one knob-distance array pairs every target row with its nearest
+row inside each source (first row on ties), and every per-metric distance and
 score is a reduction over a contiguous last axis. The floats are those of
 scoring one source and one metric column at a time.
 """
@@ -20,13 +21,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import sq_dists
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .evaluate import mape
 from .ingest import WorkloadTable, csv_text
-from .predict import StandardScaler
+from .predict import StandardScaler, build_features
 
 KNOB_CONFLICT_TOL = 1e-9
 SCORE_VARIANTS = ("euclid", "mse", "mape")
+
+
+class Repository:
+    """The sources a stage maps its targets onto: their tables in id order, the
+    scaler, and every row's features (`build_features`), stacked once."""
+
+    def __init__(self, tables: list[WorkloadTable], scaler: StandardScaler):
+        self.tables = sorted(tables, key=lambda t: t.workload_id)
+        self.scaler = scaler
+        if not self.tables:
+            raise DataError("no source workloads to map onto")
+        empty = next((t.workload_id for t in self.tables if t.n_rows < 1), None)
+        if empty is not None:
+            raise DataError(f"source {empty} has no rows")
+        self.features = np.vstack([build_features(t, scaler) for t in self.tables])
+
+    def __len__(self) -> int:
+        return len(self.tables)
 
 
 @dataclass(frozen=True)
@@ -54,43 +73,41 @@ def _metric_distances(t_cols: np.ndarray, paired: np.ndarray, variant: str) -> n
     return np.mean(diff ** 2, axis=-1)
 
 
-def score_workloads(target: WorkloadTable, sources: list[WorkloadTable],
-                    scaler: StandardScaler, variant: str = "euclid") -> np.ndarray:
-    """Score of each source workload, in the order given, against the target on
-    the scaler's knobs and pruned metrics; lower is more similar. The sources
-    share the target's schema."""
+def score_workloads(target: WorkloadTable, sources: Repository,
+                    variant: str = "euclid") -> np.ndarray:
+    """Score of each source workload, in id order, against the target on the
+    scaler's knobs and pruned metrics; lower is more similar. The sources
+    share the target's schema. A score that is not finite is a
+    NumericalError."""
     if target.n_rows < 1:
         raise DataError(f"target {target.workload_id} has no rows")
     if variant not in SCORE_VARIANTS:
         raise ConfigError(f"unknown score variant {variant!r}")
-    kidx, midx = scaler.columns(target.schema)
-    if not sources:
-        raise DataError(f"no source workloads to map {target.workload_id} onto")
-    empty = min((s.workload_id for s in sources if s.n_rows < 1), default=None)
-    if empty is not None:
-        raise DataError(f"source {empty} has no rows")
-
-    t_knobs = scaler.transform_knobs(target.knobs.take(kidx, axis=1))
-    t_metrics = scaler.transform_metrics(target.metrics.take(midx, axis=1))
-    s_knobs = scaler.transform_knobs(np.concatenate([s.knobs for s in sources]).take(kidx, axis=1))
+    t_features = build_features(target, sources.scaler)
+    k = len(sources.scaler.knob_names)
 
     # nearest source row of every target row, within each source's own rows:
     # distances go into a (target rows, sources, max source rows) grid padded
     # with inf, so argmin keeps its first-occurrence tie-break per source
-    lengths = np.array([s.n_rows for s in sources])
+    lengths = np.array([s.n_rows for s in sources.tables])
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     width = lengths.max()
-    dist = sq_dists(t_knobs, s_knobs)
-    slot = np.arange(len(s_knobs)) + np.repeat(np.arange(len(sources)) * width - starts, lengths)
+    dist = sq_dists(t_features[:, :k], sources.features[:, :k])
+    slot = np.arange(lengths.sum()) + np.repeat(np.arange(len(sources)) * width - starts, lengths)
     grid = np.full((target.n_rows, len(sources) * width), np.inf)
     grid[:, slot] = dist
     pair = grid.reshape(target.n_rows, len(sources), width).argmin(axis=2) + starts
 
-    # only the paired rows' pruned metrics are scaled: (sources, metrics, target rows)
-    paired = np.concatenate([s.metrics for s in sources]).take(midx, axis=1)[pair.T]
-    paired = np.ascontiguousarray(scaler.transform_metrics(paired).transpose(0, 2, 1))
-    per_metric = _metric_distances(np.ascontiguousarray(t_metrics.T), paired, variant)
-    return np.mean(per_metric, axis=-1)
+    # the paired rows' metric features: (sources, metrics, target rows)
+    paired = np.ascontiguousarray(sources.features[pair.T, k:].transpose(0, 2, 1))
+    with np.errstate(over="ignore"):  # refused below
+        per_metric = _metric_distances(np.ascontiguousarray(t_features[:, k:].T), paired, variant)
+        scores = np.mean(per_metric, axis=-1)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NumericalError(f"target {target.workload_id}: its score against source "
+                             f"{sources.tables[bad[0]].workload_id} is {scores[bad[0]]}")
+    return scores
 
 
 def augment(target: WorkloadTable, source: WorkloadTable) -> tuple[WorkloadTable, int]:
@@ -116,16 +133,15 @@ def augment(target: WorkloadTable, source: WorkloadTable) -> tuple[WorkloadTable
     return merged, dropped
 
 
-def map_and_augment(corpus_sources: list[WorkloadTable], target: WorkloadTable,
-                    scaler: StandardScaler, variant: str = "euclid") -> MappingResult:
+def map_and_augment(sources: Repository, target: WorkloadTable,
+                    variant: str = "euclid") -> MappingResult:
     """Score the sources, pick the lowest score and augment the target with
     that source; on a tie the smaller source id wins."""
-    sources = sorted(corpus_sources, key=lambda s: s.workload_id)
-    scores = score_workloads(target, sources, scaler, variant)
-    source = sources[int(scores.argmin())]  # the first minimum, so the smallest id
+    scores = score_workloads(target, sources, variant)
+    source = sources.tables[int(scores.argmin())]  # the first minimum, so the smallest id
     augmented, dropped = augment(target, source)
     return MappingResult(target_id=target.workload_id,
-                         source_ids=tuple(s.workload_id for s in sources), scores=scores,
+                         source_ids=tuple(s.workload_id for s in sources.tables), scores=scores,
                          chosen_source=source.workload_id, augmented=augmented,
                          conflicts_dropped=dropped)
 

@@ -38,8 +38,8 @@ class StandardScaler:
     `means` and `stds` hold one value per feature, knobs first. Features with
     std below 1e-12 are only centered; their names are kept in
     `constant_features`. `train` stores the scaler in the model's model.json
-    (`save_model`), and `predict` picks and scales the columns of any corpus
-    with it.
+    (`save_model`), and `build_features` picks and scales the columns of any
+    corpus with it.
     """
 
     knob_names: tuple[str, ...]
@@ -62,19 +62,6 @@ class StandardScaler:
             raise DataError("every mean must be finite")
         if not (np.isfinite(self.stds) & (self.stds > 0)).all():
             raise DataError("every std must be finite and > 0")
-
-    def columns(self, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the knob and metric features among a schema's columns."""
-        return (_positions("knob", self.knob_names, schema.knob_names),
-                _positions("metric", self.metric_names, schema.metric_names))
-
-    def transform_knobs(self, knobs: np.ndarray) -> np.ndarray:
-        k = len(self.knob_names)
-        return (np.asarray(knobs, dtype=float) - self.means[:k]) / self.stds[:k]
-
-    def transform_metrics(self, metrics: np.ndarray) -> np.ndarray:
-        k = len(self.knob_names)
-        return (np.asarray(metrics, dtype=float) - self.means[k:]) / self.stds[k:]
 
 
 def _positions(kind: str, names: tuple[str, ...], columns: tuple[str, ...]) -> np.ndarray:
@@ -117,10 +104,11 @@ def build_features(table: WorkloadTable, scaler: StandardScaler) -> np.ndarray:
     that scales past the float range, from an extreme scaler value or a
     corpus value far outside the training range, is a DataError.
     """
-    kidx, midx = scaler.columns(table.schema)
+    kidx = _positions("knob", scaler.knob_names, table.schema.knob_names)
+    midx = _positions("metric", scaler.metric_names, table.schema.metric_names)
+    raw = np.hstack([table.knobs.take(kidx, axis=1), table.metrics.take(midx, axis=1)])
     with np.errstate(over="ignore"):  # refused below
-        features = np.hstack([scaler.transform_knobs(table.knobs.take(kidx, axis=1)),
-                              scaler.transform_metrics(table.metrics.take(midx, axis=1))])
+        features = (raw - scaler.means) / scaler.stds
     if not np.isfinite(features).all():
         row, col = np.argwhere(~np.isfinite(features))[0]
         name = (scaler.knob_names + scaler.metric_names)[col]

@@ -99,12 +99,12 @@ def test_criterion_4_mapping_oracle():
         scaler = predict.fit_scaler(list(corpus.offline), corpus.schema,
                                     corpus.schema.metric_names)
         target = corpus.online_b[0]
-        res = mapping.map_and_augment(list(corpus.offline), target, scaler)
+        res = mapping.map_and_augment(mapping.Repository(list(corpus.offline), scaler), target)
         if res.chosen_source == truth.nearest_source_of[target.workload_id]:
             hits += 1
     # self-source distance is exactly zero
     t = corpus.offline[0]
-    self_zero = mapping.score_workloads(t, [t], scaler)[0] == 0.0
+    self_zero = mapping.score_workloads(t, mapping.Repository([t], scaler))[0] == 0.0
     elapsed = time.monotonic() - start
     _verdict("criterion-4 mapping oracle",
              hits >= 95 and self_zero and elapsed < 30.0,

@@ -12,6 +12,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dbtune import cli, evaluate, ingest, mapping, predict, synth
 from dbtune.errors import ConfigError
@@ -794,6 +795,102 @@ class TestPipelineCommand:
         capsys.readouterr()
 
 
+def _set_cell(path, line, column, value):
+    """Rewrite one cell of a corpus CSV (`line` 0 is the header); None drops it."""
+    lines = path.read_text().split("\n")
+    cells = lines[line].split(",")
+    if value is None:
+        del cells[column]
+    else:
+        cells[column] = value
+    lines[line] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
+def _run_quiet(argv, capsys):
+    """(exit code, stderr, warnings raised) of one in-process command."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, capsys.readouterr().err, [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def seed3_pruned(tmp_path_factory):
+    """The `synth --seed 3` corpus and its pruned metric file."""
+    root = tmp_path_factory.mktemp("seed3")
+    assert run(["synth", "--out", root / "c", "--seed", "3"]) == 0
+    assert run(["prune", "--manifest", root / "c" / "manifest.json", "--out", root / "p"]) == 0
+    return root / "c", root / "p" / "pruned_metrics.txt"
+
+
+class TestMapCommand:
+    # metric_g00_1 is pruned from the seed-3 corpus, and its offline std is
+    # below 1: 1.7e308 scales past the float range, 1e200 scales to a finite
+    # value whose squared distance to every source overflows
+    @pytest.mark.parametrize("command, value, code, message", [
+        ("map", "1.7e308", 2, "workload b_000: feature 'metric_g00_1' of row 0 scales to inf"),
+        ("map", "1e200", 3, "target b_000: its score against source off_000 is inf"),
+        ("pipeline", "1e200", 3,
+         "[stage1/b_000] target b_000: its score against source off_000 is inf"),
+    ], ids=["map-overflow", "map-score", "pipeline-score"])
+    def test_online_value_past_float_range_refused(self, command, value, code, message,
+                                                   seed3_pruned, tmp_path, capsys):
+        corpus, pruned = seed3_pruned
+        data = tmp_path / "data"
+        shutil.copytree(corpus, data)
+        path = data / "online_b_b_000.csv"
+        header = path.read_text().split("\n")[0].split(",")
+        _set_cell(path, 1, header.index("metric_g00_1"), value)
+        argv = [command, "--manifest", data / "manifest.json", "--out", tmp_path / "out"]
+        got, err, caught = _run_quiet(argv + (["--pruned", pruned] if command == "map" else []),
+                                      capsys)
+        assert (got, err, caught) == (code, f"error: {message}\n", [])
+        assert not (tmp_path / "out" / "map_report.csv").exists()
+
+
+# what one cell of an online CSV becomes: a value, a dropped cell (None) or
+# two cells ("1,1")
+_CELL_VALUES = ["", "nan", "inf", "1e309", "1e200", "-1e200", "1.7e308", "true", "abc",
+                None, "1,1"]
+_ONLINE_FILES = ["online_b_b_000.csv", "online_b_b_001.csv", "online_c_c_000.csv",
+                 "online_c_c_001.csv"]
+
+
+@pytest.fixture(scope="module")
+def map_pruned(corpus_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("map_pruned")
+    assert run(["prune", "--manifest", corpus_dir, "--out", out]) == 0
+    return out / "pruned_metrics.txt"
+
+
+class TestMapMutations:
+    """`map` on a corpus with one online cell changed: an exit code of the
+    contract, nothing escapes, one error line, and only finite scores."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.sampled_from(_CELL_VALUES), name=st.sampled_from(_ONLINE_FILES),
+           line=st.integers(0, 6), column=st.integers(0, 7))
+    # metric_g01_0 (column 5) is pruned: its score overflows, or its feature does
+    @example(value="1e200", name="online_b_b_000.csv", line=1, column=5)
+    @example(value="1.7e308", name="online_b_b_000.csv", line=1, column=5)
+    def test_exit_contract(self, value, name, line, column, corpus_dir, map_pruned,
+                           tmp_path_factory, capsys):
+        data = tmp_path_factory.mktemp("mutated")
+        shutil.copytree(corpus_dir.parent, data, dirs_exist_ok=True)
+        _set_cell(data / name, line, column, value)
+        code, err, caught = _run_quiet(["map", "--manifest", data / "manifest.json",
+                                        "--out", data / "out", "--pruned", map_pruned], capsys)
+        assert code in (0, 1, 2, 3) and not caught, (code, err, caught)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            rows = list(csv.DictReader((data / "out" / "map_report.csv").read_text().splitlines()))
+            assert rows and all(math.isfinite(float(r["score"])) for r in rows)
+
+
 class TestEvalCommand:
     def test_recompute_from_csvs(self, tmp_path, capsys):
         pdir = tmp_path / "preds"
@@ -1061,7 +1158,8 @@ class TestStageComposability:
         scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
         table = min(corpus.online_b, key=lambda t: t.workload_id)
         map_part, val_part = ingest.split_map_validation(table, config.n_map)
-        res = mapping.map_and_augment(list(corpus.offline), map_part, scaler, config.map_score)
+        res = mapping.map_and_augment(mapping.Repository(list(corpus.offline), scaler),
+                                      map_part, config.map_score)
         feats = predict.build_features(res.augmented, scaler)
         model = predict.gpr_fit(feats, res.augmented.latency, config.alpha)
         pred = predict.predict_with(model, predict.build_features(val_part, scaler))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from dbtune import synth
-from dbtune.errors import DataError
+from dbtune.errors import DataError, NumericalError
 from dbtune.evaluate import MAPE_EPS
 from dbtune.ingest import Schema
-from dbtune.mapping import augment, map_and_augment, score_workloads
-from dbtune.predict import fit_scaler
+from dbtune.mapping import Repository, augment, map_and_augment, score_workloads
+from dbtune.predict import build_features, fit_scaler
 
 from conftest import identity_scaler, make_table
 
@@ -20,28 +20,29 @@ def simple_table(wid, schema, knob_rows, metric_rows, latency=None):
 class TestScoreWorkloads:
     def test_self_source_scores_zero(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
-        assert score_workloads(t, [t], identity_scaler(tiny_schema))[0] == 0.0
+        assert score_workloads(t, Repository([t], identity_scaler(tiny_schema)))[0] == 0.0
 
     def test_hand_evaluation(self, tiny_schema):
         # single pruned metric, single row: target 3 vs paired source 0
         target = simple_table("t", tiny_schema, [[0, 0]], [[3.0, 9]])
         source = simple_table("s", tiny_schema, [[0, 0]], [[0.0, 9]])
-        scores = score_workloads(target, [source], identity_scaler(tiny_schema, ("m0",)))
+        scores = score_workloads(target, Repository([source], identity_scaler(tiny_schema, ("m0",))))
         assert scores.tolist() == [pytest.approx(3.0)]
 
     def test_copy_beats_perturbed(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
         copy = simple_table("copy", tiny_schema, [[1, 2], [3, 4]], [[5, 6], [7, 8]])
         pert = simple_table("pert", tiny_schema, [[1, 2], [3, 4]], [[6, 7], [9, 8]])
-        # one score per source, in the order given
-        copy_score, pert_score = score_workloads(t, [copy, pert], identity_scaler(tiny_schema))
+        # one score per source, in id order
+        copy_score, pert_score = score_workloads(
+            t, Repository([pert, copy], identity_scaler(tiny_schema)))
         assert copy_score < pert_score
 
     def test_score_is_mean_of_metric_distances(self, tiny_schema):
         # one row each: the euclid distances of m0 and m1 are 3 and 4
         t = simple_table("t", tiny_schema, [[0, 0]], [[1.0, 2.0]])
         s = simple_table("s", tiny_schema, [[0, 0]], [[4.0, 6.0]])
-        assert score_workloads(t, [s], identity_scaler(tiny_schema))[0] == 3.5
+        assert score_workloads(t, Repository([s], identity_scaler(tiny_schema)))[0] == 3.5
 
     def test_empty_pruned_rejected(self, tiny_schema):
         # the scaler declares the features, so an empty metric set is refused there
@@ -52,7 +53,15 @@ class TestScoreWorkloads:
         t = simple_table("t", tiny_schema, [[0, 0], [1, 1]], [[1, 2], [3, 4]])
         s = simple_table("s", tiny_schema, [[0, 0], [1, 1]], [[2, 2], [3, 5]])
         for variant in ("euclid", "mse", "mape"):
-            assert score_workloads(t, [s], identity_scaler(tiny_schema), variant)[0] >= 0
+            assert score_workloads(t, Repository([s], identity_scaler(tiny_schema)), variant)[0] >= 0
+
+    @pytest.mark.parametrize("variant", ["euclid", "mse", "mape"])
+    def test_overflowing_score_refused(self, tiny_schema, variant):
+        # finite features whose distance overflows: the first source by id is named
+        t = simple_table("t", tiny_schema, [[0, 0]], [[0.0, 2.0]])
+        sources = [simple_table(w, tiny_schema, [[0, 0]], [[1.7e308, 2.0]]) for w in ("s1", "s0")]
+        with pytest.raises(NumericalError, match="target t: its score against source s0 is inf"):
+            score_workloads(t, Repository(sources, identity_scaler(tiny_schema)), variant)
 
 
 def reference_scores(target, sources, scaler, variant):
@@ -60,12 +69,13 @@ def reference_scores(target, sources, scaler, variant):
     must give exactly these floats. Returns the id-sorted source ids and
     their scores."""
     idx = [target.schema.metric_names.index(name) for name in scaler.metric_names]
-    t_knobs = scaler.transform_knobs(target.knobs)
-    t_metrics = scaler.transform_metrics(target.metrics[:, idx])
+    k = len(scaler.knob_names)
+    t_knobs = (target.knobs - scaler.means[:k]) / scaler.stds[:k]
+    t_metrics = (target.metrics[:, idx] - scaler.means[k:]) / scaler.stds[k:]
     ids, scores = [], []
     for source in sorted(sources, key=lambda s: s.workload_id):
-        s_knobs = scaler.transform_knobs(source.knobs)
-        s_metrics = scaler.transform_metrics(source.metrics[:, idx])
+        s_knobs = (source.knobs - scaler.means[:k]) / scaler.stds[:k]
+        s_metrics = (source.metrics[:, idx] - scaler.means[k:]) / scaler.stds[k:]
         diff = t_knobs[:, None, :] - s_knobs[None, :, :]
         paired = s_metrics[np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)]
         per_metric = []
@@ -104,14 +114,13 @@ class TestBatchedScoringExact:
         scaler = fit_scaler(sources + [target], self.schema, self.pruned)
         for variant in ("euclid", "mse", "mape"):
             want_ids, want_scores = reference_scores(target, sources, scaler, variant)
-            res = map_and_augment(sources, target, scaler, variant)
+            repository = Repository(sources, scaler)
+            res = map_and_augment(repository, target, variant)
             assert res.source_ids == want_ids
             assert res.scores.tolist() == want_scores
             assert res.chosen_source == min(zip(want_scores, want_ids))[1]
-            # scored directly, the sources keep the order they are given in
-            got = score_workloads(target, sources, scaler, variant)
-            assert dict(zip([s.workload_id for s in sources], got.tolist())) == dict(
-                zip(want_ids, want_scores))
+            # scored directly, the sources come back in id order
+            assert score_workloads(target, repository, variant).tolist() == want_scores
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n_target", [1, 5, 11])
@@ -135,20 +144,33 @@ class TestBatchedScoringExact:
         t = simple_table("t", tiny_schema, [[0, 0]], [[1.0, 1.0]])
         s = simple_table("s", tiny_schema, [[1, 0], [0, 1], [5, 5]],
                          [[1.0, 1.0], [9.0, 9.0], [1.0, 1.0]])
-        assert score_workloads(t, [s], identity_scaler(tiny_schema))[0] == 0.0
+        assert score_workloads(t, Repository([s], identity_scaler(tiny_schema)))[0] == 0.0
 
     def test_empty_source_list(self, tiny_schema):
-        t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
-        with pytest.raises(DataError, match="no source workloads to map t onto"):
-            score_workloads(t, [], identity_scaler(tiny_schema))
+        with pytest.raises(DataError, match="no source workloads to map onto"):
+            Repository([], identity_scaler(tiny_schema))
 
     def test_zero_row_source_named_first_in_sorted_order(self, tiny_schema):
-        t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
         ok = simple_table("a_ok", tiny_schema, [[0, 0]], [[1, 2]])
         empties = [make_table(w, np.zeros((0, 2)), np.zeros((0, 2)), [], tiny_schema)
                    for w in ("z_empty", "m_empty")]
         with pytest.raises(DataError, match="source m_empty has no rows"):
-            score_workloads(t, [ok, *empties], identity_scaler(tiny_schema))
+            Repository([ok, *empties], identity_scaler(tiny_schema))
+
+
+class TestRepository:
+    def test_sources_in_id_order_with_their_features(self):
+        spec = synth.SynthSpec(n_offline=5, n_online=1, rows_per_workload=4, seed=3)
+        corpus, _ = synth.generate_corpus(spec)
+        pruned = corpus.schema.metric_names[1::2]
+        scaler = fit_scaler(list(corpus.offline), corpus.schema, pruned)
+        tables = list(corpus.offline)[::-1]
+        repository = Repository(tables, scaler)
+        assert len(repository) == len(tables) == 5
+        ordered = sorted(tables, key=lambda t: t.workload_id)
+        assert [t.workload_id for t in repository.tables] == [t.workload_id for t in ordered]
+        want = np.vstack([build_features(t, scaler) for t in ordered])
+        assert repository.features.tobytes() == want.tobytes()
 
 
 class TestAugment:
@@ -192,14 +214,14 @@ class TestMapAndAugment:
     def test_single_source_forced(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
         s = simple_table("only", tiny_schema, [[5, 5]], [[9, 9]])
-        res = map_and_augment([s], t, identity_scaler(tiny_schema))
+        res = map_and_augment(Repository([s], identity_scaler(tiny_schema)), t)
         assert res.chosen_source == "only"
 
     def test_lowest_score_chosen(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
         far = simple_table("A", tiny_schema, [[1, 0]], [[5, 9]])
         near = simple_table("B", tiny_schema, [[1, 0]], [[1, 3]])
-        res = map_and_augment([near, far], t, identity_scaler(tiny_schema))
+        res = map_and_augment(Repository([near, far], identity_scaler(tiny_schema)), t)
         assert res.source_ids == ("A", "B")
         assert res.scores[1] < res.scores[0]
         assert res.chosen_source == "B"
@@ -207,13 +229,13 @@ class TestMapAndAugment:
 
     def test_empty_sources_rejected(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
-        with pytest.raises(DataError, match="no source workloads to map t onto"):
-            map_and_augment([], t, identity_scaler(tiny_schema))
+        with pytest.raises(DataError, match="no source workloads to map onto"):
+            map_and_augment(Repository([], identity_scaler(tiny_schema)), t)
 
     def test_tie_breaks_lexicographic(self, tiny_schema):
         t = simple_table("t", tiny_schema, [[0, 0]], [[1, 2]])
         b, a = (simple_table(w, tiny_schema, [[1, 1]], [[3, 4]], [7.0]) for w in "BA")
-        res = map_and_augment([b, a], t, identity_scaler(tiny_schema))
+        res = map_and_augment(Repository([b, a], identity_scaler(tiny_schema)), t)
         assert res.scores[0] == res.scores[1]
         assert res.chosen_source == "A"
 
@@ -224,7 +246,7 @@ class TestMapAndAugment:
         s = simple_table("s", tiny_schema,
                          [[10 + i, i] for i in range(12)],
                          [[i, i] for i in range(12)])
-        res = map_and_augment([s], t, identity_scaler(tiny_schema))
+        res = map_and_augment(Repository([s], identity_scaler(tiny_schema)), t)
         assert res.augmented.n_rows == 17
         assert res.conflicts_dropped == 0
 
@@ -235,8 +257,8 @@ class TestMapAndAugment:
         sources = [simple_table(f"s{i}", tiny_schema, rng.normal(size=(3, 2)),
                                 rng.normal(size=(3, 2))) for i in range(4)]
         scaler = identity_scaler(tiny_schema)
-        a = map_and_augment(sources, t, scaler).chosen_source
-        b = map_and_augment(sources[::-1], t, scaler).chosen_source
+        a = map_and_augment(Repository(sources, scaler), t).chosen_source
+        b = map_and_augment(Repository(sources[::-1], scaler), t).chosen_source
         assert a == b
 
     def test_far_source_never_chosen(self, tiny_schema):
@@ -248,8 +270,8 @@ class TestMapAndAugment:
         far = simple_table("zzz_far", tiny_schema, t.knobs,
                            t.metrics + 1e6)
         scaler = identity_scaler(tiny_schema)
-        before = map_and_augment([near], t, scaler).chosen_source
-        after = map_and_augment([near, far], t, scaler).chosen_source
+        before = map_and_augment(Repository([near], scaler), t).chosen_source
+        after = map_and_augment(Repository([near, far], scaler), t).chosen_source
         assert before == after == "near"
 
     def test_planted_neighbor_recovery(self):
@@ -259,6 +281,7 @@ class TestMapAndAugment:
         corpus, truth = synth.generate_corpus(spec)
         p = (corpus.schema.metric_names[0], corpus.schema.metric_names[2])
         scaler = fit_scaler(list(corpus.offline), corpus.schema, p)
+        sources = Repository(list(corpus.offline), scaler)
         for t in corpus.online_b:
-            res = map_and_augment(list(corpus.offline), t, scaler)
+            res = map_and_augment(sources, t)
             assert res.chosen_source == truth.nearest_source_of[t.workload_id]
