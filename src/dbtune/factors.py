@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ingest import WorkloadTable, csv_text
+from .ingest import WorkloadTable, column_stats, csv_text
 
 DEFAULT_FACTOR_CAP = 30
 
@@ -80,14 +80,11 @@ def build_metric_matrix(offline: list[WorkloadTable]) -> MetricMatrix:
         raise DataError("no metric columns")
     tables = sorted(offline, key=lambda t: t.workload_id)
     cols = np.vstack([t.metrics for t in tables])  # (n_configs, n_metrics)
-    if cols.shape[0] < 2:
-        raise DataError(f"need at least 2 configurations, have {cols.shape[0]}")
-    x = cols.T.astype(float)
-    mean = x.mean(axis=1, keepdims=True)
-    std = x.std(axis=1, keepdims=True)
+    mean, std = column_stats(cols, schema.metric_names)
+    x = cols.T
     nonconstant = np.any(x != x[:, :1], axis=1)
     dropped = tuple(n for n, keep in zip(schema.metric_names, nonconstant) if not keep)
-    x = (x[nonconstant] - mean[nonconstant]) / std[nonconstant]
+    x = (x[nonconstant] - mean[nonconstant, None]) / std[nonconstant, None]
     names = tuple(n for n, keep in zip(schema.metric_names, nonconstant) if keep)
     if not names:
         raise DataError("all metric rows have zero variance")

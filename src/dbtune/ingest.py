@@ -14,11 +14,12 @@ import json
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DbtuneError
+from .errors import DataError, DbtuneError, NumericalError
 
 _BOOL_TOKENS = {
     "true": 1.0, "false": 0.0,
@@ -377,40 +378,41 @@ def _load_files(schema: Schema, files) -> Corpus:
     """Parse each (path, group) file. Rows of one workload id in several files
     of a group are concatenated in file order; one id in two groups is a
     DataError."""
-    k, m = schema.n_knobs, schema.n_metrics
-    blocks_by_group: dict[str, dict[str, list]] = {g: {} for g in GROUP_NAMES}
+    parsed = {g: [] for g in GROUP_NAMES}
     for path, group in files:
-        ids, values = parse_csv(read_text(path), schema, str(path))
-        rows_of: dict[str, list[int]] = {}
-        for i, wid in enumerate(ids):
-            rows_of.setdefault(wid, []).append(i)
-        dest = blocks_by_group[group]
-        for wid, idx in rows_of.items():
-            dest.setdefault(wid, []).append((values[idx, :k], values[idx, k:k + m],
-                                             values[idx, -1]))
-
-    group_of_id: dict[str, str] = {}
+        parsed[group].append(parse_csv(read_text(path), schema, str(path)))
+    k, m = schema.n_knobs, schema.n_metrics
+    group_of: dict[str, str] = {}
+    tables: dict[str, list[WorkloadTable]] = {g: [] for g in GROUP_NAMES}
     for group in GROUP_NAMES:
-        for wid in sorted(blocks_by_group[group]):
-            if wid in group_of_id:
+        if not parsed[group]:
+            continue
+        ids = [wid for file_ids, _ in parsed[group] for wid in file_ids]
+        values = np.concatenate([v for _, v in parsed.pop(group)])  # frees the file arrays
+        # a stable sort: each id's rows stay in file order, then line order
+        for wid, run in groupby(sorted(range(len(ids)), key=ids.__getitem__), ids.__getitem__):
+            if group_of.setdefault(wid, group) != group:
                 raise DataError(f"workload id {wid!r} appears in groups "
-                                f"{group_of_id[wid]} and {group}")
-            group_of_id[wid] = group
+                                f"{group_of[wid]} and {group}")
+            idx = list(run)
+            tables[group].append(WorkloadTable(wid, values[idx, :k], values[idx, k:k + m],
+                                               values[idx, -1], schema))
+    return Corpus(*(tuple(tables[g]) for g in GROUP_NAMES), schema)
 
-    def build(group):
-        tables = []
-        for wid in sorted(blocks_by_group[group]):
-            knobs, metrics, latency = zip(*blocks_by_group[group][wid])
-            tables.append(WorkloadTable(
-                workload_id=wid,
-                knobs=np.vstack(knobs),
-                metrics=np.vstack(metrics),
-                latency=np.concatenate(latency),
-                schema=schema,
-            ))
-        return tuple(tables)
 
-    return Corpus(build("offline"), build("online_b"), build("online_c"), schema)
+def column_stats(rows: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and population std of each column of `rows`, named by `names`.
+    Fewer than 2 rows is a DataError; a mean or std past the float range is a
+    NumericalError naming the first such column."""
+    if rows.shape[0] < 2:
+        raise DataError(f"column statistics need at least 2 rows, have {rows.shape[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        means, stds = rows.mean(axis=0), rows.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+    if bad.size:
+        j = bad[0]
+        raise NumericalError(f"column {names[j]!r} overflows: mean {means[j]}, std {stds[j]}")
+    return means, stds
 
 
 def drop_constant_columns(corpus: Corpus) -> tuple[Corpus, list[str]]:

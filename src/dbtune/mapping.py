@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# build_features and mape go through their modules: wrappers of module attributes see them
+from . import evaluate, predict
 from .cluster import sq_dists
 from .errors import ConfigError, DataError, NumericalError
-from .evaluate import mape
 from .ingest import WorkloadTable, csv_text
-from .predict import StandardScaler, build_features
 
 KNOB_CONFLICT_TOL = 1e-9
 SCORE_VARIANTS = ("euclid", "mse", "mape")
@@ -34,7 +34,7 @@ class Repository:
     """The sources a stage maps its targets onto: their tables in id order, the
     scaler, and every row's features (`build_features`), stacked once."""
 
-    def __init__(self, tables: list[WorkloadTable], scaler: StandardScaler):
+    def __init__(self, tables: list[WorkloadTable], scaler: predict.StandardScaler):
         self.tables = sorted(tables, key=lambda t: t.workload_id)
         self.scaler = scaler
         if not self.tables:
@@ -42,7 +42,7 @@ class Repository:
         empty = next((t.workload_id for t in self.tables if t.n_rows < 1), None)
         if empty is not None:
             raise DataError(f"source {empty} has no rows")
-        self.features = np.vstack([build_features(t, scaler) for t in self.tables])
+        self.features = np.vstack([predict.build_features(t, scaler) for t in self.tables])
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -66,7 +66,7 @@ def _metric_distances(t_cols: np.ndarray, paired: np.ndarray, variant: str) -> n
     last axis, the same summation as on the 1-D column of one metric.
     """
     if variant == "mape":
-        return mape(np.broadcast_to(t_cols, paired.shape), paired, axis=-1)
+        return evaluate.mape(np.broadcast_to(t_cols, paired.shape), paired, axis=-1)
     diff = t_cols - paired
     if variant == "euclid":
         return np.sqrt(np.sum(diff ** 2, axis=-1))
@@ -77,13 +77,13 @@ def score_workloads(target: WorkloadTable, sources: Repository,
                     variant: str = "euclid") -> np.ndarray:
     """Score of each source workload, in id order, against the target on the
     scaler's knobs and pruned metrics; lower is more similar. The sources
-    share the target's schema. A score that is not finite is a
-    NumericalError."""
+    share the target's schema. A knob distance or a score that is not finite
+    is a NumericalError."""
     if target.n_rows < 1:
         raise DataError(f"target {target.workload_id} has no rows")
     if variant not in SCORE_VARIANTS:
         raise ConfigError(f"unknown score variant {variant!r}")
-    t_features = build_features(target, sources.scaler)
+    t_features = predict.build_features(target, sources.scaler)
     k = len(sources.scaler.knob_names)
 
     # nearest source row of every target row, within each source's own rows:
@@ -93,6 +93,10 @@ def score_workloads(target: WorkloadTable, sources: Repository,
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     width = lengths.max()
     dist = sq_dists(t_features[:, :k], sources.features[:, :k])
+    bad = np.flatnonzero(~np.isfinite(dist).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"target {target.workload_id}: the knob distance of its row "
+                             f"{bad[0]} to a source row is {dist[bad[0]].max()}")
     slot = np.arange(lengths.sum()) + np.repeat(np.arange(len(sources)) * width - starts, lengths)
     grid = np.full((target.n_rows, len(sources) * width), np.inf)
     grid[:, slot] = dist

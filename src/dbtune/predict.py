@@ -21,8 +21,8 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from .cluster import sq_dists
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import MAPE_EPS, mape
-from .ingest import (Schema, WorkloadTable, json_field, json_strings, read_json_object,
-                     write_text)
+from .ingest import (Schema, WorkloadTable, column_stats, json_field, json_strings,
+                     read_json_object, write_text)
 
 CONST_STD_EPS = 1e-12
 
@@ -83,12 +83,11 @@ def fit_scaler(tables: list[WorkloadTable], schema: Schema,
     """
     rows = np.hstack([np.vstack([t.knobs for t in tables]),
                       np.vstack([t.metrics for t in tables])])
-    if rows.shape[0] < 2:
-        raise DataError(f"scaler needs >= 2 rows, has {rows.shape[0]}")
+    means, stds = column_stats(rows, schema.knob_names + schema.metric_names)
     metrics = tuple(metric_names)
     idx = np.concatenate([np.arange(schema.n_knobs),
                           schema.n_knobs + _positions("metric", metrics, schema.metric_names)])
-    means, stds = rows.mean(axis=0)[idx], rows.std(axis=0)[idx]
+    means, stds = means[idx], stds[idx]
     const = stds < CONST_STD_EPS
     return StandardScaler(
         schema.knob_names, metrics, means, np.where(const, 1.0, stds),

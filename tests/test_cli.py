@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -828,21 +829,28 @@ def seed3_pruned(tmp_path_factory):
 class TestMapCommand:
     # metric_g00_1 is pruned from the seed-3 corpus, and its offline std is
     # below 1: 1.7e308 scales past the float range, 1e200 scales to a finite
-    # value whose squared distance to every source overflows
-    @pytest.mark.parametrize("command, value, code, message", [
-        ("map", "1.7e308", 2, "workload b_000: feature 'metric_g00_1' of row 0 scales to inf"),
-        ("map", "1e200", 3, "target b_000: its score against source off_000 is inf"),
-        ("pipeline", "1e200", 3,
+    # value whose squared distance to every source overflows; so does the
+    # squared knob distance of a row whose knob_0 is +-1e200
+    @pytest.mark.parametrize("command, column, value, code, message", [
+        ("map", "metric_g00_1", "1.7e308", 2,
+         "workload b_000: feature 'metric_g00_1' of row 0 scales to inf"),
+        ("map", "metric_g00_1", "1e200", 3,
+         "target b_000: its score against source off_000 is inf"),
+        ("pipeline", "metric_g00_1", "1e200", 3,
          "[stage1/b_000] target b_000: its score against source off_000 is inf"),
-    ], ids=["map-overflow", "map-score", "pipeline-score"])
-    def test_online_value_past_float_range_refused(self, command, value, code, message,
+        ("map", "knob_0", "1e200", 3,
+         "target b_000: the knob distance of its row 0 to a source row is inf"),
+        ("pipeline", "knob_0", "-1e200", 3,
+         "[stage1/b_000] target b_000: the knob distance of its row 0 to a source row is inf"),
+    ], ids=["map-overflow", "map-score", "pipeline-score", "map-knob", "pipeline-knob"])
+    def test_online_value_past_float_range_refused(self, command, column, value, code, message,
                                                    seed3_pruned, tmp_path, capsys):
         corpus, pruned = seed3_pruned
         data = tmp_path / "data"
         shutil.copytree(corpus, data)
         path = data / "online_b_b_000.csv"
         header = path.read_text().split("\n")[0].split(",")
-        _set_cell(path, 1, header.index("metric_g00_1"), value)
+        _set_cell(path, 1, header.index(column), value)
         argv = [command, "--manifest", data / "manifest.json", "--out", tmp_path / "out"]
         got, err, caught = _run_quiet(argv + (["--pruned", pruned] if command == "map" else []),
                                       capsys)
@@ -889,6 +897,48 @@ class TestMapMutations:
         else:
             rows = list(csv.DictReader((data / "out" / "map_report.csv").read_text().splitlines()))
             assert rows and all(math.isfinite(float(r["score"])) for r in rows)
+
+
+_OFFLINE_FILES = [f"offline_off_{i:03d}.csv" for i in range(6)]
+
+
+class TestOfflineMutations:
+    """`prune`, `train` and `map` on a corpus with one offline cell changed:
+    an exit code of the contract, nothing escapes, one error line and no
+    warning."""
+
+    @pytest.mark.parametrize("command", ["prune", "train", "map"])
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.sampled_from(_CELL_VALUES), name=st.sampled_from(_OFFLINE_FILES),
+           line=st.integers(0, 6), column=st.integers(0, 7))
+    # metric_g01_0 (column 5) is pruned: its offline std overflows
+    @example(value="1e200", name="offline_off_000.csv", line=1, column=5)
+    def test_exit_contract(self, command, value, name, line, column, corpus_dir, map_pruned,
+                           tmp_path_factory, capsys):
+        data = tmp_path_factory.mktemp("mutated")
+        shutil.copytree(corpus_dir.parent, data, dirs_exist_ok=True)
+        _set_cell(data / name, line, column, value)
+        pruned = [] if command == "prune" else ["--pruned", map_pruned]
+        code, err, caught = _run_quiet([command, "--manifest", data / "manifest.json",
+                                        "--out", data / "out", *pruned], capsys)
+        assert code in (0, 1, 2, 3) and not caught, (code, err, caught)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    # prune and pipeline standardize the metrics in their factors stage
+    @pytest.mark.parametrize("command, stage", [
+        ("prune", "[factors] "), ("pipeline", "[factors] "), ("train", ""), ("map", "")])
+    def test_overflowing_statistics_refused(self, command, stage, corpus_dir, map_pruned,
+                                            tmp_path, capsys):
+        shutil.copytree(corpus_dir.parent, tmp_path / "data")
+        _set_cell(tmp_path / "data" / "offline_off_000.csv", 1, 5, "1e200")
+        pruned = ["--pruned", map_pruned] if command in ("train", "map") else []
+        code, err, caught = _run_quiet([command, "--manifest", tmp_path / "data" / "manifest.json",
+                                        "--out", tmp_path / "out", *pruned], capsys)
+        assert (code, caught) == (3, [])
+        assert re.fullmatch(rf"error: {re.escape(stage)}column 'metric_g01_0' overflows: "
+                            r"mean \S+e\+198, std inf\n", err), err
 
 
 class TestEvalCommand:

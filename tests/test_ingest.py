@@ -70,6 +70,18 @@ class TestLoadCorpus:
         corpus = load_corpus([csv], manifest)
         assert sum(t.n_rows for t in corpus.offline) == 17
 
+    def test_rows_in_file_then_line_order(self, tmp_path):
+        # a and b interleave in z.csv; a goes on in a.csv, read second
+        manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"])
+        first, second = tmp_path / "z.csv", tmp_path / "a.csv"
+        first.write_text("workload_id,k0,m0,latency\na,30,0,30\nb,20,0,20\na,10,0,10\n"
+                         "b,40,0,40\n")
+        second.write_text("workload_id,k0,m0,latency\na,5,0,5\na,50,0,50\n")
+        tables = load_corpus([first, second], manifest).offline
+        assert [t.workload_id for t in tables] == ["a", "b"]
+        assert [t.latency.tolist() for t in tables] == [[30, 10, 5, 50], [20, 40]]
+        assert all((t.knobs[:, 0] == t.latency).all() for t in tables)
+
     def test_empty_csv_rejected(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.json", ["k0"], ["m0"])
         csv = tmp_path / "data.csv"
