@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.special import logsumexp
 
 from .errors import DataError, NumericalError
@@ -227,11 +227,14 @@ def _weighted_log_prob(points, weights, means, covs):
     k = means.shape[0]
     out = np.empty((n, k))
     for j in range(k):
-        try:
-            chol = cholesky(covs[j], lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"component {j} covariance not PD: {exc}") from exc
-        sol = solve_triangular(chol, (points - means[j]).T, lower=True)
+        if not np.isfinite(covs[j]).all():
+            raise NumericalError(f"component {j} covariance holds "
+                                 f"{covs[j][~np.isfinite(covs[j])][0]}")
+        chol, info = dpotrf(covs[j], lower=1, clean=1)
+        if info > 0:
+            raise NumericalError(f"component {j} covariance not PD: {info}-th leading "
+                                 f"minor of the array is not positive definite")
+        sol, _ = dtrtrs(chol, (points - means[j]).T, lower=1)
         log_det = 2.0 * np.log(np.diag(chol)).sum()
         out[:, j] = (
             np.log(max(weights[j], 1e-300))
@@ -253,6 +256,7 @@ def fit_gmm_em(points: np.ndarray, k: int, seed: int,
     if k < 1 or k > n:
         raise DataError(f"k={k} outside [1, {n}]")
     weights, means, covs = _init_gmm_from_kmeans(points, k, seed, seedings)
+    reg = COV_REG * np.eye(d)
     trace: list[float] = []
     # the pass that breaks has evaluated the returned parameters, on convergence or past the cap
     for it in range(MAX_EM_ITER + 1):
@@ -271,7 +275,7 @@ def fit_gmm_em(points: np.ndarray, k: int, seed: int,
         for j in range(k):
             diff = points - means[j]
             cov = (resp[:, j, None] * diff).T @ diff / nk[j]
-            covs[j] = 0.5 * (cov + cov.T) + COV_REG * np.eye(d)
+            covs[j] = 0.5 * (cov + cov.T) + reg
     return GmmModel(k=k, weights=weights, means=means, covariances=covs,
                     log_likelihood_trace=tuple(trace),
                     assignments=resp.argmax(axis=1), log_likelihood=float(norm.sum()))

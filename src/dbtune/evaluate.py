@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .ingest import Schema, csv_text, parse_csv
 
 MAPE_EPS = 1e-6
@@ -33,9 +34,13 @@ def mape(truth, pred, axis=None):
 
 
 def mse(truth, pred) -> float:
-    """Mean squared error."""
+    """Mean squared error; one that overflows is a NumericalError."""
     t, p = _check(truth, pred)
-    return float(np.mean((t - p) ** 2))
+    with np.errstate(over="ignore"):  # refused below
+        value = float(np.mean((t - p) ** 2))
+    if not math.isfinite(value):
+        raise NumericalError(f"the mean squared error overflows to {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,10 @@ class EvalReport:
 
     @property
     def mse(self) -> float:
-        return mse(self.truth, self.prediction)
+        try:
+            return mse(self.truth, self.prediction)
+        except NumericalError as exc:
+            raise NumericalError(f"model {self.model_name}: {exc}") from None
 
     def predictions_csv(self) -> str:
         return csv_text(["workload_id", "truth", "prediction"],

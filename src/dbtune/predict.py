@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .cluster import sq_dists
 from .errors import ConfigError, DataError, NumericalError
@@ -168,25 +168,30 @@ def _rbf_kernel(d2: np.ndarray, length_scale: float, signal_variance: float) -> 
     return signal_variance * np.exp(-d2 / (2.0 * length_scale ** 2))
 
 
-def _try_cholesky(k_matrix: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """Cholesky of K + alpha I, escalating jitter alpha, 10a, 100a."""
-    n = k_matrix.shape[0]
-    for mult in (1.0, 10.0, 100.0):
-        try:
-            return cholesky(k_matrix + alpha * mult * np.eye(n), lower=True), alpha * mult
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(f"Cholesky failed up to jitter {100 * alpha}")
+def _try_cholesky(k_matrix: np.ndarray, alpha: float,
+                  mults: tuple[float, ...] = (1.0, 10.0, 100.0)) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K + a I and a, for the first jitter a of
+    alpha * mults that factors. Writes K + a I onto k_matrix's diagonal; a
+    kernel holding inf or NaN is a NumericalError."""
+    if not np.isfinite(k_matrix).all():
+        raise NumericalError(f"the kernel holds {k_matrix[~np.isfinite(k_matrix)][0]}")
+    diag = k_matrix.diagonal().copy()
+    for mult in mults:
+        k_matrix.flat[::len(diag) + 1] = diag + alpha * mult
+        chol, info = dpotrf(k_matrix, lower=1, clean=1)
+        if not info:
+            return chol, alpha * mult
+    raise NumericalError(f"Cholesky failed up to jitter {alpha * mults[-1]}")
 
 
-def _log_marginal_likelihood(d2, y, length_scale, signal_variance, alpha):
+def _log_marginal_likelihood(k_matrix, y, alpha):
     """(log marginal likelihood, dual coefficients, effective jitter) of the
-    centered targets `y` under the kernel of the rows' squared distances `d2`."""
-    k = _rbf_kernel(d2, length_scale, signal_variance)
-    chol, eff = _try_cholesky(k, alpha)
-    dual = cho_solve((chol, True), y)
+    centered targets `y` under the kernel `k_matrix`, whose diagonal the
+    jitter is written onto."""
+    chol, eff = _try_cholesky(k_matrix, alpha)
+    dual, _ = dpotrs(chol, y, lower=1)
     n = len(y)
-    lml = -0.5 * float(y @ dual) - np.log(np.diag(chol)).sum() - 0.5 * n * math.log(2 * math.pi)
+    lml = -0.5 * float(y @ dual) - np.log(chol.diagonal()).sum() - 0.5 * n * math.log(2 * math.pi)
     return lml, dual, eff
 
 
@@ -211,6 +216,8 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
     n = x.shape[0]
     # train x train squared distances, for the median heuristic and every kernel
     d2 = sq_dists(x, x)
+    if not np.isfinite(d2).all():
+        raise NumericalError("the squared distances between training rows overflow")
     base = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)]))) if n > 1 else 0.0
     if base <= 0:
         base = 1.0
@@ -220,20 +227,24 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
     sig_grid = [sig_base * f for f in (0.1, 1.0, 10.0)]
 
     best = None
-    for ell in ell_grid:
-        for sig in sig_grid:
-            lml, dual, eff = _log_marginal_likelihood(d2, yc, ell, sig, alpha)
-            if best is None or lml > best[0]:
-                best = (lml, ell, sig, dual, eff)
+    # a kernel that is not finite is refused by _try_cholesky
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ell in ell_grid:
+            # sig * unit is _rbf_kernel's product, so one exponential serves every sig
+            unit = np.exp(-d2 / (2.0 * ell ** 2))
+            for sig in sig_grid:
+                lml, dual, eff = _log_marginal_likelihood(sig * unit, yc, alpha)
+                if best is None or lml > best[0]:
+                    best = (lml, ell, sig, dual, eff)
 
-    # one local coordinate-refinement pass around the grid optimum
-    for factors, coord in (((2 ** -0.5, 2 ** 0.5), "ell"), ((0.5, 2.0), "sig")):
-        for f in factors:
-            ell = best[1] * f if coord == "ell" else best[1]
-            sig = best[2] * f if coord == "sig" else best[2]
-            lml, dual, eff = _log_marginal_likelihood(d2, yc, ell, sig, alpha)
-            if lml > best[0]:
-                best = (lml, ell, sig, dual, eff)
+        # one local coordinate-refinement pass around the grid optimum
+        for factors, coord in (((2 ** -0.5, 2 ** 0.5), "ell"), ((0.5, 2.0), "sig")):
+            for f in factors:
+                ell = best[1] * f if coord == "ell" else best[1]
+                sig = best[2] * f if coord == "sig" else best[2]
+                lml, dual, eff = _log_marginal_likelihood(_rbf_kernel(d2, ell, sig), yc, alpha)
+                if lml > best[0]:
+                    best = (lml, ell, sig, dual, eff)
 
     _, ell, sig, dual, eff = best
     return GprModel(alpha=eff, length_scale=ell, signal_variance=sig,
@@ -243,11 +254,11 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
 def gpr_posterior(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and raw (unclamped) variance at the query points. The
     Cholesky factor of K + alpha I is computed again at the model's
-    effective alpha, as the fit computed it."""
+    effective alpha, as the fit computed it, without escalating."""
     x = model.x_train
     k = _rbf_kernel(sq_dists(x, x), model.length_scale, model.signal_variance)
-    chol = cholesky(k + model.alpha * np.eye(len(x)), lower=True)
-    v = solve_triangular(chol, model.cross_kernel(features), lower=True)
+    chol, _ = _try_cholesky(k, model.alpha, (1.0,))
+    v, _ = dtrtrs(chol, model.cross_kernel(features), lower=1)
     return model.predict(features), model.signal_variance - np.sum(v ** 2, axis=0)
 
 
@@ -547,10 +558,15 @@ def rf_fit_many(jobs, n_trees: int, max_depth: int):
                           f"got {n_trees} and {max_depth}")
     jobs = [(np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float), seed)
             for x, y, seed in jobs]
-    for i, (x, _, _) in enumerate(jobs):
+    for i, (x, y, _) in enumerate(jobs):
+        in_job = f" in job {i}" if len(jobs) > 1 else ""
         if len(x) < 2:
-            raise DataError(f"random forest needs >= 2 rows, has {len(x)}"
-                            + (f" in job {i}" if len(jobs) > 1 else ""))
+            raise DataError(f"random forest needs >= 2 rows, has {len(x)}{in_job}")
+        # a split's cost squares sums of up to len(y) targets
+        largest = float(np.abs(y).max())
+        if not 2.0 * (len(y) * largest) * (len(y) * largest) < math.inf:
+            raise NumericalError(f"latencies up to {largest} over {len(y)} rows: the "
+                                 f"forest's squared sums overflow{in_job}")
         if x.shape[1] != jobs[0][0].shape[1]:
             raise DataError(f"job {i} has {x.shape[1]} features, job 0 has "
                             f"{jobs[0][0].shape[1]}")

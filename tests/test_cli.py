@@ -941,6 +941,52 @@ class TestOfflineMutations:
                             r"mean \S+e\+198, std inf\n", err), err
 
 
+class TestOnlineMutations:
+    """`pipeline` on a corpus with one online cell changed, the held-out row
+    (line 6) included: an exit code of the contract, nothing escapes, one
+    error line, no warning, and only finite predictions."""
+
+    @pytest.mark.parametrize("flags", [["--method", "gmm"],
+                                       ["--predictor", "rf", "--trees", "10"]],
+                             ids=["gpr-gmm", "rf"])
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.sampled_from(_CELL_VALUES), name=st.sampled_from(_ONLINE_FILES),
+           line=st.integers(0, 6), column=st.integers(0, 7))
+    # a held-out latency whose squared error overflows the MSE
+    @example(value="1e200", name="online_b_b_000.csv", line=6, column=7)
+    # a training latency whose squares overflow a forest's split costs
+    @example(value="1e200", name="online_b_b_000.csv", line=1, column=7)
+    def test_exit_contract(self, flags, value, name, line, column, corpus_dir,
+                           tmp_path_factory, capsys):
+        data = tmp_path_factory.mktemp("mutated")
+        shutil.copytree(corpus_dir.parent, data, dirs_exist_ok=True)
+        _set_cell(data / name, line, column, value)
+        code, err, caught = _run_quiet(["pipeline", "--manifest", data / "manifest.json",
+                                        "--out", data / "out", "--alpha", "1e-4", *flags], capsys)
+        assert code in (0, 1, 2, 3) and not caught, (code, err, caught)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            files = sorted((data / "out").glob("predictions_*.csv"))
+            rows = [r for f in files for r in csv.DictReader(f.read_text().splitlines())]
+            assert len(files) == 2 and all(math.isfinite(float(r["prediction"])) for r in rows)
+
+    @pytest.mark.parametrize("flags, line, message", [
+        ([], 6, "model gpr_stage1: the mean squared error overflows to inf"),
+        (["--predictor", "rf", "--trees", "10"], 1,
+         "[stage1] latencies up to 1e+200 over 11 rows: the forest's squared sums overflow "
+         "in job 0"),
+    ], ids=["mse", "rf-latency"])
+    def test_latency_overflow_refused(self, flags, line, message, corpus_dir, tmp_path, capsys):
+        shutil.copytree(corpus_dir.parent, tmp_path / "data")
+        _set_cell(tmp_path / "data" / "online_b_b_000.csv", line, 7, "1e200")
+        code, err, caught = _run_quiet(["pipeline", "--manifest", tmp_path / "data" / "manifest.json",
+                                        "--out", tmp_path / "out", *flags], capsys)
+        assert (code, err, caught) == (3, f"error: {message}\n", [])
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+
 class TestEvalCommand:
     def test_recompute_from_csvs(self, tmp_path, capsys):
         pdir = tmp_path / "preds"
@@ -969,6 +1015,15 @@ class TestEvalCommand:
             f"workload_id,truth,prediction\nw,1,1\n{row}\n")
         assert run(["eval", "--predictions-dir", pdir, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == f"error: [eval/predictions_x.csv] x:3: {message}\n"
+
+    def test_overflowing_mse_is_numerical_error(self, tmp_path, capsys):
+        pdir = tmp_path / "preds"
+        pdir.mkdir()
+        (pdir / "predictions_x.csv").write_text("workload_id,truth,prediction\nw,1e200,1\n")
+        code, err, caught = _run_quiet(["eval", "--predictions-dir", pdir,
+                                        "--out", tmp_path / "out"], capsys)
+        assert (code, err, caught) == (
+            3, "error: model x: the mean squared error overflows to inf\n", [])
 
     def test_unwritable_model_name_is_data_error(self, tmp_path, capsys):
         # the name from predictions_<name>.csv is a cell of summary.csv

@@ -1,13 +1,15 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
 
 from dbtune import cluster
-from dbtune.errors import DataError
+from dbtune.errors import DataError, NumericalError
 from dbtune.factors import FactorModel
 
 
@@ -242,6 +244,60 @@ class TestGmmEm:
         model = cluster.fit_gmm_em(pts, 2, seed=0)
         for cov in model.covariances:
             assert np.max(np.abs(cov - cov.T)) < 1e-9
+
+
+def _reference_weighted_log_prob(points, weights, means, covs):
+    """The E-step's weighted log densities through scipy's cholesky and
+    solve_triangular."""
+    n, d = points.shape
+    out = np.empty((n, len(means)))
+    for j in range(len(means)):
+        chol = cholesky(covs[j], lower=True)
+        sol = solve_triangular(chol, (points - means[j]).T, lower=True)
+        log_det = 2.0 * np.log(np.diag(chol)).sum()
+        out[:, j] = (np.log(max(weights[j], 1e-300))
+                     - 0.5 * (d * math.log(2 * math.pi) + log_det + np.sum(sol ** 2, axis=0)))
+    return out
+
+
+class TestEStep:
+    """The E-step factors each covariance with LAPACK directly."""
+
+    def test_equals_reference(self):
+        for rng, points in _exactness_cases(60, seed=2):
+            n, d = points.shape
+            k = int(rng.integers(1, 6))
+            a = rng.normal(size=(k, d, d)) * 10.0 ** rng.uniform(-3, 3)
+            covs = a @ a.transpose(0, 2, 1) + cluster.COV_REG * np.eye(d)
+            weights = rng.dirichlet(np.ones(k))
+            weights[0] = 0.0  # floored at 1e-300
+            means = points[rng.integers(0, n, size=k)]
+            got = cluster._weighted_log_prob(points, weights, means, covs)
+            assert got.tobytes() == _reference_weighted_log_prob(
+                points, weights, means, covs).tobytes()
+        # and at the parameters of a fit
+        points = blobs([[0, 0, 0], [4, 4, 0], [0, 4, 4]], 20, 0.5, seed=4)
+        m = cluster.fit_gmm_em(points, 3, seed=0)
+        assert cluster._weighted_log_prob(points, m.weights, m.means, m.covariances).tobytes() \
+            == _reference_weighted_log_prob(points, m.weights, m.means, m.covariances).tobytes()
+
+    def _params(self):
+        points = np.random.default_rng(0).normal(size=(10, 2))
+        return points, np.array([0.5, 0.5]), points[:2].copy(), np.stack([np.eye(2)] * 2)
+
+    def test_covariance_not_pd_refused(self):
+        points, weights, means, covs = self._params()
+        covs[1] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(NumericalError, match="^component 1 covariance not PD: 2-th leading "
+                                                 "minor of the array is not positive definite$"):
+            cluster._weighted_log_prob(points, weights, means, covs)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariance_refused(self, value):
+        points, weights, means, covs = self._params()
+        covs[1, 1, 0] = value
+        with pytest.raises(NumericalError, match=f"^component 1 covariance holds {value}$"):
+            cluster._weighted_log_prob(points, weights, means, covs)
 
 
 class TestBic:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dbtune.errors import DataError
+from dbtune.errors import DataError, NumericalError
 from dbtune.evaluate import (
     EvalReport,
     compare_models,
@@ -68,6 +68,10 @@ class TestMse:
         p = np.array([1.5, 2.5, 2.0])
         assert mse(3 * t, 3 * p) == pytest.approx(9 * mse(t, p), rel=1e-12)
 
+    def test_overflow_refused(self):
+        with pytest.raises(NumericalError, match="^the mean squared error overflows to inf$"):
+            mse([1e200, 1.0], [1.0, 1.0])
+
 
 class TestEvalReport:
     def test_metrics_recomputable(self):
@@ -75,6 +79,12 @@ class TestEvalReport:
         assert report.mape == pytest.approx(10.0)
         assert report.mse == pytest.approx(100.0)
         assert report.n == 2
+
+    def test_overflowing_mse_names_the_model(self):
+        report = EvalReport("gpr_stage1", (("a", 1e200, 3.0), ("b", 2.0, 3.0)))
+        with pytest.raises(NumericalError, match="^model gpr_stage1: the mean squared error "
+                                                 "overflows to inf$"):
+            compare_models([report])
 
     def test_csv_roundtrip(self):
         report = EvalReport("m", (("a", 1.2345678901234567, 2.0),

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from dbtune import predict
-from dbtune.errors import ConfigError, DataError
+from dbtune.errors import ConfigError, DataError, NumericalError
 from dbtune.ingest import Schema
 
 from conftest import arrays, decode_arrays, make_table, width_scaler
@@ -193,17 +193,17 @@ class TestGpr:
         # the first Cholesky attempt of every kernel fails, so the fit
         # escalates the jitter to 10 alpha and the model stores that alpha
         calls = []
+        dpotrf = predict.dpotrf
 
-        def first_attempt_fails(a, lower):
+        def first_attempt_fails(a, lower, clean):
             calls.append(len(calls))
-            if len(calls) % 2:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cholesky(a, lower=lower)
+            chol, info = dpotrf(a, lower=lower, clean=clean)
+            return chol, 1 if len(calls) % 2 else info  # info 1: not positive definite
 
         rng = np.random.default_rng(5)
         x, y = rng.uniform(size=(10, 3)), rng.uniform(1, 5, size=10)
         q = np.vstack([x[:3], rng.uniform(size=(3, 3))])  # the noise shows at training rows
-        monkeypatch.setattr(predict, "cholesky", first_attempt_fails)
+        monkeypatch.setattr(predict, "dpotrf", first_attempt_fails)
         m = predict.gpr_fit(x, y, alpha=1e-2)
         monkeypatch.undo()
         assert m.alpha == 1e-2 * 10.0
@@ -226,15 +226,20 @@ class TestGpr:
         alpha = 1e-3
         m = predict.gpr_fit(x, y, alpha)
         yc = y - y.mean()
-        d2 = predict.sq_dists(x, x)
-        chosen, _, _ = predict._log_marginal_likelihood(
-            d2, yc, m.length_scale, m.signal_variance, alpha)
-        d = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
-        base = np.median(d[np.triu_indices(12, k=1)])
+        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+
+        def lml(ell, sig):
+            # log N(yc | 0, K + alpha I), from a determinant and a solve
+            a = sig * np.exp(-d2 / (2 * ell ** 2)) + alpha * np.eye(12)
+            _, logdet = np.linalg.slogdet(a)
+            return -0.5 * (yc @ np.linalg.solve(a, yc) + logdet + 12 * math.log(2 * math.pi))
+
+        assert m.alpha == alpha
+        chosen = lml(m.length_scale, m.signal_variance)
+        base = np.median(np.sqrt(d2[np.triu_indices(12, k=1)]))
         for ell in [base * 2.0 ** e for e in range(-5, 6)]:
             for sig in [yc.var() * f for f in (0.1, 1.0, 10.0)]:
-                lml, _, _ = predict._log_marginal_likelihood(d2, yc, ell, sig, alpha)
-                assert chosen >= lml - 1e-9
+                assert chosen >= lml(ell, sig) - 1e-9
 
     def test_bad_alpha_rejected(self):
         for alpha in (0.0, -1.0, math.nan, math.inf):
@@ -245,6 +250,90 @@ class TestGpr:
         m = predict.gpr_fit(np.zeros((3, 2)), np.arange(3.0), alpha=1e-2)
         with pytest.raises(DataError):
             m.predict(np.zeros((1, 5)))
+
+
+def _reference_gpr_fit(x, y, alpha):
+    """gpr_fit's grid and refinement, each grid point's kernel from
+    _rbf_kernel and factored with scipy's cholesky of k + a * np.eye(n),
+    solved with cho_solve: (length scale, signal variance, alpha, dual)."""
+    n = len(x)
+    yc = y - float(y.mean())
+    d2 = predict.sq_dists(x, x)
+    base = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)]))) if n > 1 else 0.0
+    base = base if base > 0 else 1.0
+    sig_base = float(yc.var()) if yc.var() > 0 else 1.0
+
+    def lml(ell, sig):
+        k = predict._rbf_kernel(d2, ell, sig)
+        for a in (alpha, alpha * 10.0, alpha * 100.0):
+            try:
+                chol = cholesky(k + a * np.eye(n), lower=True)
+            except np.linalg.LinAlgError:
+                continue
+            dual = cho_solve((chol, True), yc)
+            return (-0.5 * float(yc @ dual) - np.log(np.diag(chol)).sum()
+                    - 0.5 * n * math.log(2 * math.pi)), ell, sig, a, dual
+        raise NumericalError(f"Cholesky failed up to jitter {alpha * 100.0}")
+
+    best = max((lml(base * 2.0 ** e, sig_base * f) for e in range(-5, 6)
+                for f in (0.1, 1.0, 10.0)), key=lambda fit: fit[0])  # the first of the largest
+    for f in (2 ** -0.5, 2 ** 0.5):
+        best = max(best, lml(best[1] * f, best[2]), key=lambda fit: fit[0])
+    for f in (0.5, 2.0):
+        best = max(best, lml(best[1], best[2] * f), key=lambda fit: fit[0])
+    return best[1:]
+
+
+class TestGprExact:
+    """gpr_fit factors with LAPACK directly and takes one exponential per
+    length scale: the bytes of scipy's wrappers and one kernel per point."""
+
+    @staticmethod
+    def _case(i):
+        # n = 1 every tenth case; every third case has near-duplicate rows
+        # and a jitter too small to factor some kernels, which escalates
+        rng = np.random.default_rng(i)
+        n = 1 if i % 10 == 0 else int(rng.integers(2, 30))
+        x = rng.normal(size=(n, int(rng.integers(1, 6))))
+        alpha = 0.1
+        if i % 3 == 1:
+            x[n // 2:] = x[:n - n // 2] + rng.normal(size=(n - n // 2, x.shape[1])) * 1e-9
+            alpha = 1e-13
+        return x, rng.uniform(1, 100, size=n), alpha
+
+    @staticmethod
+    def _outcome(fit, *args):
+        """(length scale, signal variance, alpha, dual bytes), or the message
+        of the NumericalError the fit raised."""
+        try:
+            result = fit(*args)
+        except NumericalError as exc:
+            return str(exc)
+        if isinstance(result, predict.GprModel):
+            result = result.length_scale, result.signal_variance, result.alpha, result.dual_coef
+        return *result[:3], result[3].tobytes()
+
+    def test_fit_equals_reference(self):
+        outcomes = set()
+        for i in range(60):
+            args = self._case(i)
+            got = self._outcome(predict.gpr_fit, *args)
+            assert got == self._outcome(_reference_gpr_fit, *args), i
+            outcomes.add(got if isinstance(got, str) else got[2] / args[2])
+        # the chosen kernel factored at alpha, 10 alpha and 100 alpha, and
+        # one fit found a kernel that factors at none of them
+        assert outcomes == {1.0, 10.0, 100.0, f"Cholesky failed up to jitter {1e-13 * 100.0}"}
+
+    @pytest.mark.parametrize("x, y, message", [
+        # the rows' squared distances overflow
+        ([[1e155], [-1e155], [0.0]], [1.0, 2.0, 3.0],
+         "the squared distances between training rows overflow"),
+        # the latency variance is finite, ten times it is not
+        ([[0.0], [1.0], [2.0]], [9e153, -9e153, 0.0], "the kernel holds inf"),
+    ], ids=["distances", "signal-variance"])
+    def test_non_finite_kernel_refused(self, x, y, message):
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            predict.gpr_fit(np.array(x), np.array(y), 0.1)
 
 
 def _gaussian_elimination(a, b):
@@ -422,7 +511,8 @@ def _forest_case(i):
     """Inputs of random case i: ties in features and targets, n = 2, d = 1,
     depth limits 0..60, mostly constant features (the all-features retry),
     signed zeros, non-finite features and nodes past 128 rows; from case 64
-    on, also targets whose squares overflow and features one ulp apart; from
+    on, also targets near the largest scale a forest accepts (a 130-row
+    node's squared sum is about 1e306) and features one ulp apart; from
     case 80 on, targets within about 1e-6 of each other, whose split costs
     are mostly rounding, so the rounding of a square can pick the split."""
     rng = np.random.default_rng(1000 + i)
@@ -444,7 +534,7 @@ def _forest_case(i):
         x[rng.uniform(size=x.shape) < 0.15] = np.nan
         x[rng.uniform(size=x.shape) < 0.1] = np.inf
     elif kind == 6:
-        y = y * 1e156
+        y = y * 1e149
     elif kind == 7:
         x = x[0] + np.spacing(np.abs(x[0])) * rng.integers(0, 3, size=(n, d))
     elif kind == 8:
@@ -454,10 +544,6 @@ def _forest_case(i):
 
 
 class TestForestExact:
-    # an inf threshold can leave a child empty; squares of 1e156-scale
-    # targets overflow
-    @pytest.mark.filterwarnings("ignore:invalid value encountered",
-                                "ignore:overflow encountered")
     def test_model_json_and_predictions_equal_reference(self, tmp_path):
         log = {"retries": 0}
         # in cases 80, 105 and 304 a tree changes if _best_splits takes the
@@ -650,6 +736,16 @@ class TestForestMany:
     """Each forest of rf_fit_many has the bytes of rf_fit on its job alone;
     rf_fit is checked against the tree-by-tree reference (TestForestExact)."""
 
+    def test_targets_whose_squared_sums_overflow_refused(self):
+        # 2 * (4 * 3e153) ** 2 is about 2.9e308; 2 * (4 * 2e153) ** 2 fits
+        x = np.arange(4.0)[:, None]
+        fits = (x, np.array([1.0, 2.0, 2e153, 3.0]), 0)
+        for y in ([1.0, 2.0, 3e153, 3.0], [1.0, 2.0, -3e153, 3.0]):
+            with pytest.raises(NumericalError, match=r"^latencies up to 3e\+153 over 4 rows: the "
+                                                     r"forest's squared sums overflow in job 1$"):
+                next(predict.rf_fit_many([fits, (x, np.array(y), 1)], 3, 5))
+        assert next(predict.rf_fit_many([fits], 3, 5)).n_trees == 3
+
     @staticmethod
     def _assert_alone(jobs, n_trees, max_depth):
         many = [json.dumps(m.to_json()) for m in predict.rf_fit_many(jobs, n_trees, max_depth)]
@@ -670,10 +766,6 @@ class TestForestMany:
         big = next(predict.rf_fit_many(jobs[-1:], 3, 50))
         assert max(_split_counts(big)) > predict._CAND_BLOCK
 
-    # an inf threshold can leave a child empty; squares of 1e156-scale
-    # targets overflow
-    @pytest.mark.filterwarnings("ignore:invalid value encountered",
-                                "ignore:overflow encountered")
     @pytest.mark.parametrize("max_depth", [0, 4, 60])
     def test_forest_cases_grouped_by_width(self, max_depth):
         by_width = {}
