@@ -12,10 +12,11 @@ directory, removed afterwards; each tree runs with its own `src`. The matrix:
 `--seed 8`; on the seed-7 corpus, `prune`, then `train` and `predict` (both
 online groups) with gpr and with nn (`--epochs 20`), so that a gpr and an nn
 model.json are written and read; and one corpus of each benchmark workload
-(seed `corpus_seed(181, 0)`) through the commands of its `Workload.steps`. Every
-file the commands write is compared, and so is each command's stdout, stderr
-and exit code, as the pseudo-paths `<step>.stdout`, `.stderr` and `.exit`.
-Only the temporary run directories are masked.
+(seed `corpus_seed(181, 0)`) through the commands of its `Workload.steps`, and
+the prune-wide corpus through `pipeline --method kmeans --k-max 30`, the k-means
+form of its sweep. Every file the commands write is compared, and so is each
+command's stdout, stderr and exit code, as the pseudo-paths `<step>.stdout`,
+`.stderr` and `.exit`. Only the temporary run directories are masked.
 
 Each differing path prints with its first differing line. Exit 0 when every
 difference matches an --expect glob (fnmatch, on the path relative to the
@@ -71,6 +72,9 @@ def matrix() -> list[tuple[str, list[str]]]:
                                         "--out", f"{name}/corpus"]))
         runs += [(f"{name}/{step}", argv) for step, argv in
                  workload.steps(Path(name, "corpus", "manifest.json"), Path(name))]
+    runs.append(("prune-wide/kmeans", ["pipeline", "--manifest", "prune-wide/corpus/manifest.json",
+                                       "--out", "prune-wide/kmeans", "--method", "kmeans",
+                                       "--k-max", "30"]))
     return runs
 
 

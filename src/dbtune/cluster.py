@@ -78,8 +78,15 @@ class ClusterSelection:
 
 
 def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of every point to every center, (n, k)."""
-    diff = points[:, None, :] - centers[None, :, :]
+    """Squared Euclidean distance of every point to every center, (n, k).
+
+    Each point is repeated k times and the centers subtracted in place, so
+    one subtraction runs over k * d contiguous values. A cell depends on its
+    point and center alone: a column is bit-equal whatever the other centers.
+    """
+    n, k = points.shape[0], centers.shape[0]
+    diff = np.repeat(points, k, axis=0).reshape(n, k, points.shape[1])
+    diff -= centers
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
@@ -111,51 +118,72 @@ def _label_sums(values: np.ndarray, labels: np.ndarray, n_labels: int) -> np.nda
                        minlength=rows * n_labels).reshape(rows, n_labels)
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+def _lloyd(points: np.ndarray, centroids: np.ndarray, d2: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """Lloyd iterations from `centroids`: (centroids, assignments, inertia,
+    inertia of every step).
+
+    One (n, k) matrix of squared distances to the current centroids is kept:
+    `d2` when given (it is copied), else `sq_dists(points, centroids)`. After
+    each centroid update only the columns of centroids that moved are
+    computed again, so the step that converges computes none. A step's
+    inertia sums each point's cell at its assigned centroid.
+    """
     n = points.shape[0]
     k = centroids.shape[0]
+    rows = np.arange(n)
     centroids = centroids.copy()
+    d2 = sq_dists(points, centroids) if d2 is None else d2.copy()
     prev_assign = None
     trace: list[float] = []
     for _ in range(MAX_LLOYD_ITER):
-        d2 = sq_dists(points, centroids)
         assign = d2.argmin(axis=1)
         counts = np.bincount(assign, minlength=k)
         if counts.min() == 0:
             # empty-cluster repair: reseed at the point farthest from its centroid
             for j in range(k):
                 if not np.any(assign == j):
-                    far = int(d2[np.arange(n), assign].argmax())
+                    far = int(d2[rows, assign].argmax())
                     centroids[j] = points[far]
                     d2[:, j] = sq_dists(points, centroids[j:j + 1])[:, 0]
                     assign = d2.argmin(axis=1)
             counts = np.bincount(assign, minlength=k)
         sums = _label_sums(points.T, assign, k).T
         filled = counts > 0
-        centroids[filled] = sums[filled] / counts[filled, None]
-        diff = points - centroids[assign]
-        inertia = float(np.einsum("ij,ij->i", diff, diff).sum())
-        trace.append(inertia)
+        updated = centroids.copy()
+        updated[filled] = sums[filled] / counts[filled, None]
+        # a centroid equal to its old value keeps its column: +0.0 and -0.0
+        # subtract to differences whose squares agree
+        moved = np.flatnonzero((updated != centroids).any(axis=1))
+        if moved.size:
+            d2[:, moved] = sq_dists(points, updated[moved])
+        centroids = updated
+        trace.append(float(d2[rows, assign].sum()))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
     return centroids, assign, trace[-1], trace
 
 
-def _seedings(points: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
-    """The k-means++ seeding of each restart r, drawn from `default_rng(seed + r)`."""
-    return [_kmeanspp_init(points, k, np.random.default_rng(seed + r))
-            for r in range(N_RESTARTS)]
+def _seedings(points: np.ndarray, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The k-means++ seeding of each restart r, drawn from `default_rng(seed + r)`,
+    with its (n, k) squared distances `sq_dists(points, seeding)`."""
+    inits = [_kmeanspp_init(points, k, np.random.default_rng(seed + r))
+             for r in range(N_RESTARTS)]
+    return [(init, sq_dists(points, init)) for init in inits]
 
 
 def fit_kmeans(points: np.ndarray, k: int, seed: int,
-               seedings: list[np.ndarray] | None = None) -> KMeansModel:
+               seedings: list[tuple[np.ndarray, np.ndarray]] | None = None) -> KMeansModel:
     """Seeded k-means: k-means++ init, Lloyd iterations, best of 10 restarts.
 
-    Restart r starts from the first k rows of `seedings[r]`, by default
-    `_seedings(points, k, seed)`. k-means++ draws each center given the ones
-    before it, so the first k rows of a seeding drawn at a larger k are the
-    seeding at k, and a sweep passes one set of seedings to every k.
+    Restart r starts from the first k rows of `seedings[r]`'s seeding, by
+    default `_seedings(points, k, seed)`, and from the first k columns of its
+    distances, so Lloyd's first step computes none. k-means++ draws each
+    center given the ones before it, so the first k rows of a seeding drawn
+    at a larger k are the seeding at k, and a column of `sq_dists` does not
+    depend on the other centers: a sweep passes one set of seedings, and
+    their distances, to every k.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] < 1:
@@ -166,8 +194,8 @@ def fit_kmeans(points: np.ndarray, k: int, seed: int,
     if seedings is None:
         seedings = _seedings(points, k, seed)
     best = None
-    for init in seedings:
-        centroids, assign, inertia, trace = _lloyd(points, init[:k])
+    for init, d2 in seedings:
+        centroids, assign, inertia, trace = _lloyd(points, init[:k], d2[:, :k])
         if best is None or inertia < best[2]:
             best = (centroids, assign, inertia, trace)
     centroids, assign, inertia, trace = best
@@ -244,7 +272,7 @@ def _weighted_log_prob(points, weights, means, covs):
 
 
 def fit_gmm_em(points: np.ndarray, k: int, seed: int,
-               seedings: list[np.ndarray] | None = None) -> GmmModel:
+               seedings: list[tuple[np.ndarray, np.ndarray]] | None = None) -> GmmModel:
     """Full-covariance Gaussian mixture fit by EM, initialized from k-means.
 
     `seedings` goes to `fit_kmeans`. Stops when the relative log-likelihood
@@ -311,7 +339,8 @@ def sweep_k(points: np.ndarray, method: str, ks, seed: int = 0) -> ClusterSelect
         raise DataError(f"unknown clustering method {method!r}")
 
     dists = _point_dists(points)
-    seedings = _seedings(points, ks[-1], seed)  # each k starts from their first k rows
+    # each k starts from the first k rows of the seedings and columns of their distances
+    seedings = _seedings(points, ks[-1], seed)
     sil: dict[int, float] = {}
     bic: dict[int, float] = {}
     models = {}

@@ -165,7 +165,19 @@ class GprModel:
 
 def _rbf_kernel(d2: np.ndarray, length_scale: float, signal_variance: float) -> np.ndarray:
     """RBF kernel from pairwise squared distances."""
-    return signal_variance * np.exp(-d2 / (2.0 * length_scale ** 2))
+    return signal_variance * np.exp(-d2 / _rbf_divisor(length_scale))
+
+
+def _rbf_divisor(length_scale: float) -> float:
+    """The RBF kernel's `2 * length_scale ** 2`; one that overflows is a NumericalError."""
+    try:
+        divisor = 2.0 * length_scale ** 2
+    except OverflowError:  # a Python float's power raises where numpy's gives inf
+        divisor = math.inf
+    if divisor == math.inf:
+        raise NumericalError(f"length scale {length_scale}: the kernel's "
+                             f"2 * length_scale ** 2 overflows")
+    return divisor
 
 
 def _try_cholesky(k_matrix: np.ndarray, alpha: float,
@@ -231,7 +243,7 @@ def gpr_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> GprModel
     with np.errstate(over="ignore", invalid="ignore"):
         for ell in ell_grid:
             # sig * unit is _rbf_kernel's product, so one exponential serves every sig
-            unit = np.exp(-d2 / (2.0 * ell ** 2))
+            unit = np.exp(-d2 / _rbf_divisor(ell))
             for sig in sig_grid:
                 lml, dual, eff = _log_marginal_likelihood(sig * unit, yc, alpha)
                 if best is None or lml > best[0]:

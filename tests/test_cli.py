@@ -987,6 +987,44 @@ class TestOnlineMutations:
         assert not (tmp_path / "out" / "summary.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def gpr_predictions(corpus_dir, tmp_path_factory):
+    """The predictions CSVs of a gpr `pipeline` on the module corpus."""
+    out = tmp_path_factory.mktemp("gpr_pipeline")
+    assert run(["pipeline", "--manifest", corpus_dir, "--out", out]) == 0
+    files = sorted(out.glob("predictions_*.csv"))
+    assert [f.name for f in files] == ["predictions_gpr_stage1.csv", "predictions_gpr_stage2.csv"]
+    return files
+
+
+class TestEvalMutations:
+    """`eval` on predictions CSVs with one truth or prediction cell changed:
+    an exit code of the contract, nothing escapes, one error line, no
+    warning, and only finite summary cells."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.sampled_from(_CELL_VALUES), index=st.integers(0, 1),
+           line=st.integers(0, 2), column=st.integers(1, 2))
+    # a truth whose squared error overflows the MSE
+    @example(value="1e200", index=0, line=1, column=1)
+    def test_exit_contract(self, value, index, line, column, gpr_predictions,
+                           tmp_path_factory, capsys):
+        data = tmp_path_factory.mktemp("mutated")
+        for f in gpr_predictions:
+            shutil.copy(f, data)
+        _set_cell(data / gpr_predictions[index].name, line, column, value)
+        code, err, caught = _run_quiet(["eval", "--predictions-dir", data,
+                                        "--out", data / "out"], capsys)
+        assert code in (0, 1, 2, 3) and not caught, (code, err, caught)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            rows = list(csv.DictReader((data / "out" / "summary.csv").read_text().splitlines()))
+            assert len(rows) == 2 and all(math.isfinite(float(r[key])) for r in rows
+                                          for key in ("mape", "mse", "n"))
+
+
 class TestEvalCommand:
     def test_recompute_from_csvs(self, tmp_path, capsys):
         pdir = tmp_path / "preds"

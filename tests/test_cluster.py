@@ -526,6 +526,64 @@ class TestSweepSeedsOnce:
                         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
+class TestKeptDistances:
+    """Lloyd keeps one matrix of squared distances: the seedings bring their
+    distances, and a step computes only the columns of centroids that moved."""
+
+    def test_sq_dists_bit_equal_to_broadcast_differences(self):
+        shapes = set()
+        for rng, points in _exactness_cases(240, seed=5):
+            n, d = points.shape
+            k = int(rng.integers(1, 2 * n + 2))
+            # centers on the points (their differences hold +-0.0) or off them
+            centers = points[rng.integers(0, n, size=k)]
+            if rng.random() < 0.5:
+                centers = centers + rng.normal(size=(k, d)) * np.abs(points).max()
+            diff = points[:, None] - centers[None]
+            want = np.einsum("ijk,ijk->ij", diff, diff)
+            assert cluster.sq_dists(points, centers).tobytes() == want.tobytes()
+            shapes.add(np.sign(n - k))
+        assert shapes == {-1, 0, 1}
+
+    def test_lloyd_from_seeding_distances_equals_reference(self):
+        restarts = 0
+        for rng, points in _exactness_cases(60, seed=6):
+            n = points.shape[0]
+            top = int(rng.integers(1, n + 1))
+            seedings = cluster._seedings(points, top, int(rng.integers(0, 1000)))
+            assert len(seedings) == cluster.N_RESTARTS
+            for k in sorted({1, int(rng.integers(1, top + 1)), top}):
+                for init, d2 in seedings:
+                    want = _reference_lloyd(points, init[:k])
+                    got = cluster._lloyd(points, init[:k], d2[:, :k])
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+                    assert got[2] == want[2] and got[3] == want[3]
+                    restarts += 1
+        assert restarts > 1000
+
+    def test_converged_start_computes_no_distances(self, monkeypatch):
+        compared = 0
+        for rng, points in _exactness_cases(60, seed=7):
+            n = points.shape[0]
+            k = int(rng.integers(1, min(n, 6) + 1))
+            model = cluster.fit_kmeans(points, k, seed=0)
+            if (np.bincount(model.assignments, minlength=k).min() == 0
+                    or len(model.inertia_trace) == cluster.MAX_LLOYD_ITER):
+                continue  # an empty cluster is repaired; an unconverged fit moves on
+            d2 = cluster.sq_dists(points, model.centroids)
+            calls, real = [], cluster.sq_dists
+            monkeypatch.setattr(cluster, "sq_dists", lambda p, c: calls.append(c) or real(p, c))
+            centroids, assign, inertia, trace = cluster._lloyd(points, model.centroids, d2)
+            monkeypatch.undo()
+            assert calls == []
+            assert centroids.tobytes() == model.centroids.tobytes()
+            assert assign.tobytes() == model.assignments.tobytes()
+            assert inertia == model.inertia and trace == [inertia] * 2
+            compared += 1
+        assert compared > 40
+
+
 def _reference_gmm_start(points, km):
     """The member-mean loop that set the GMM's starting weights and means,
     each mean summed left to right."""

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,9 +331,16 @@ class TestGprExact:
          "the squared distances between training rows overflow"),
         # the latency variance is finite, ten times it is not
         ([[0.0], [1.0], [2.0]], [9e153, -9e153, 0.0], "the kernel holds inf"),
-    ], ids=["distances", "signal-variance"])
+        # the grid reaches 2 ** 4 times the median distance, 1e153, and 2 * ell ** 2 overflows
+        ([[1e153], [-1e153], [0.0]], [1.0, 2.0, 3.0],
+         "length scale 1.6e+154: the kernel's 2 * length_scale ** 2 overflows"),
+        # constant targets favour the largest grid length scale, 8e153, whose
+        # square doubles to a finite value; the refinement tries it times sqrt(2)
+        ([[2.5e152], [-2.5e152], [0.0]], [1.0, 1.0, 1.0],
+         "length scale 1.1313708498984762e+154: the kernel's 2 * length_scale ** 2 overflows"),
+    ], ids=["distances", "signal-variance", "length-scale-grid", "length-scale-refinement"])
     def test_non_finite_kernel_refused(self, x, y, message):
-        with pytest.raises(NumericalError, match=f"^{message}$"):
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
             predict.gpr_fit(np.array(x), np.array(y), 0.1)
 
 
