@@ -45,15 +45,13 @@ class PipelineConfig:
     depth: int = 50
     hidden: int = 64
     epochs: int = 500
-    map_score: str = "euclid"
     n_map: int = 5
     seed: int = 0
     out: str = "out"
 
     def __post_init__(self):
         for name, allowed in (("method", ("kmeans", "gmm")),
-                              ("predictor", tuple(predict.MODEL_KINDS)),
-                              ("map_score", mapping.SCORE_VARIANTS)):
+                              ("predictor", tuple(predict.MODEL_KINDS))):
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.k_min < 2 or self.k_max < self.k_min:
@@ -161,7 +159,7 @@ def _map_train_predict(config, sources, targets, scaler, stage_name):
         wid = table.workload_id
         with _stage(f"{stage_name}/{wid}"):
             map_part, val_part = ingest.split_map_validation(table, config.n_map)
-            res = mapping.map_and_augment(repository, map_part, config.map_score)
+            res = mapping.map_and_augment(repository, map_part)
             fits.append((wid, predict.build_features(res.augmented, scaler), res.augmented.latency))
         map_tables.append(map_part)
         val_parts.append(val_part)
@@ -294,7 +292,7 @@ def _cmd_map(args, config: PipelineConfig) -> int:
     out = Path(config.out)
     corpus, scaler = _load_with_pruned(config, args.pruned)
     repository = mapping.Repository(list(corpus.offline), scaler)
-    results = [mapping.map_and_augment(repository, table, config.map_score)
+    results = [mapping.map_and_augment(repository, table)
                for table in corpus.online_b + corpus.online_c]
     text = mapping.mapping_report_csv(results)
     ingest.write_text(out / "map_report.csv", text)

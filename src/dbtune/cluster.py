@@ -90,20 +90,22 @@ def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, d) k-means++ centers and their (n, k) squared distances."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = sq_dists(points, centroids[:1])[:, 0]
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
+    cols = np.empty((n, k))
+    idx = int(rng.integers(n))
+    d2 = np.full(n, np.inf)  # each point's distance to its nearest center so far
+    for j in range(k):
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, sq_dists(points, centroids[j:j + 1])[:, 0])
-    return centroids
+        cols[:, j:j + 1] = sq_dists(points, centroids[j:j + 1])
+        if j + 1 < k:
+            d2 = np.minimum(d2, cols[:, j])
+            total = d2.sum()
+            idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+    return centroids, cols
 
 
 def _label_sums(values: np.ndarray, labels: np.ndarray, n_labels: int) -> np.ndarray:
@@ -168,9 +170,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, d2: np.ndarray | None = No
 def _seedings(points: np.ndarray, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The k-means++ seeding of each restart r, drawn from `default_rng(seed + r)`,
     with its (n, k) squared distances `sq_dists(points, seeding)`."""
-    inits = [_kmeanspp_init(points, k, np.random.default_rng(seed + r))
-             for r in range(N_RESTARTS)]
-    return [(init, sq_dists(points, init)) for init in inits]
+    return [_kmeanspp_init(points, k, np.random.default_rng(seed + r))
+            for r in range(N_RESTARTS)]
 
 
 def fit_kmeans(points: np.ndarray, k: int, seed: int,

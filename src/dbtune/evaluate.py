@@ -25,12 +25,11 @@ def _check(truth, pred):
     return t, p
 
 
-def mape(truth, pred, axis=None):
-    """Mean absolute percentage error over `axis` (every value by default), in
-    percent, with a 1e-6 denominator guard: 100/n * sum(|t - p| / max(|t|, 1e-6))."""
+def mape(truth, pred):
+    """Mean absolute percentage error, in percent, with a 1e-6 denominator
+    guard: 100/n * sum(|t - p| / max(|t|, 1e-6))."""
     t, p = _check(truth, pred)
-    n = t.size if axis is None else t.shape[axis]
-    return 100.0 / n * np.sum(np.abs(t - p) / np.maximum(np.abs(t), MAPE_EPS), axis=axis)
+    return 100.0 / t.size * np.sum(np.abs(t - p) / np.maximum(np.abs(t), MAPE_EPS))
 
 
 def mse(truth, pred) -> float:

@@ -1,10 +1,11 @@
 """Workload similarity mapping and training-table augmentation.
 
 Each target row is paired with the source row whose scaled knob vector is
-nearest; per pruned metric the paired value vectors are compared, and the
-per-metric distances are averaged into a workload score. The lowest-scoring
-source is the match (the smallest id on ties), and its rows (minus
-knob-config conflicts) are appended to the target's rows as training data.
+nearest; per pruned metric the Euclidean distance between the paired value
+vectors is taken, and the per-metric distances are averaged into a workload
+score, as OtterTune scores a match. The lowest-scoring source is the match
+(the smallest id on ties), and its rows (minus knob-config conflicts) are
+appended to the target's rows as training data.
 
 A stage's sources form one `Repository`, their features (`build_features`,
 as the target's) stacked once. A target is scored against all of them in one
@@ -20,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# build_features and mape go through their modules: wrappers of module attributes see them
-from . import evaluate, predict
+# build_features goes through its module: wrappers of module attributes see it
+from . import predict
 from .cluster import sq_dists
-from .errors import ConfigError, DataError, NumericalError
+from .errors import DataError, NumericalError
 from .ingest import WorkloadTable, csv_text
 
 KNOB_CONFLICT_TOL = 1e-9
-SCORE_VARIANTS = ("euclid", "mse", "mape")
 
 
 class Repository:
@@ -58,31 +58,13 @@ class MappingResult:
     conflicts_dropped: int
 
 
-def _metric_distances(t_cols: np.ndarray, paired: np.ndarray, variant: str) -> np.ndarray:
-    """Per-metric distances of every source, (n_sources, n_metrics).
-
-    `t_cols` is (n_metrics, n_rows) and `paired` is (n_sources, n_metrics,
-    n_rows), both C-contiguous: each reduction then runs over a contiguous
-    last axis, the same summation as on the 1-D column of one metric.
-    """
-    if variant == "mape":
-        return evaluate.mape(np.broadcast_to(t_cols, paired.shape), paired, axis=-1)
-    diff = t_cols - paired
-    if variant == "euclid":
-        return np.sqrt(np.sum(diff ** 2, axis=-1))
-    return np.mean(diff ** 2, axis=-1)
-
-
-def score_workloads(target: WorkloadTable, sources: Repository,
-                    variant: str = "euclid") -> np.ndarray:
+def score_workloads(target: WorkloadTable, sources: Repository) -> np.ndarray:
     """Score of each source workload, in id order, against the target on the
     scaler's knobs and pruned metrics; lower is more similar. The sources
     share the target's schema. A knob distance or a score that is not finite
     is a NumericalError."""
     if target.n_rows < 1:
         raise DataError(f"target {target.workload_id} has no rows")
-    if variant not in SCORE_VARIANTS:
-        raise ConfigError(f"unknown score variant {variant!r}")
     t_features = predict.build_features(target, sources.scaler)
     k = len(sources.scaler.knob_names)
 
@@ -105,8 +87,8 @@ def score_workloads(target: WorkloadTable, sources: Repository,
     # the paired rows' metric features: (sources, metrics, target rows)
     paired = np.ascontiguousarray(sources.features[pair.T, k:].transpose(0, 2, 1))
     with np.errstate(over="ignore"):  # refused below
-        per_metric = _metric_distances(np.ascontiguousarray(t_features[:, k:].T), paired, variant)
-        scores = np.mean(per_metric, axis=-1)
+        diff = np.ascontiguousarray(t_features[:, k:].T) - paired
+        scores = np.mean(np.sqrt(np.sum(diff ** 2, axis=-1)), axis=-1)
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise NumericalError(f"target {target.workload_id}: its score against source "
@@ -137,11 +119,10 @@ def augment(target: WorkloadTable, source: WorkloadTable) -> tuple[WorkloadTable
     return merged, dropped
 
 
-def map_and_augment(sources: Repository, target: WorkloadTable,
-                    variant: str = "euclid") -> MappingResult:
+def map_and_augment(sources: Repository, target: WorkloadTable) -> MappingResult:
     """Score the sources, pick the lowest score and augment the target with
     that source; on a tie the smaller source id wins."""
-    scores = score_workloads(target, sources, variant)
+    scores = score_workloads(target, sources)
     source = sources.tables[int(scores.argmin())]  # the first minimum, so the smallest id
     augmented, dropped = augment(target, source)
     return MappingResult(target_id=target.workload_id,

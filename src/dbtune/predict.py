@@ -362,7 +362,7 @@ class RfModel:
         """The root of each tree, its nodes linked as objects that hold no
         threshold or value, built on first use. Only the benchmark's node
         count (bench/layers.py) reads them; they go when it counts model.flat
-        (ROADMAP item 5)."""
+        (ROADMAP item 8)."""
         nodes = [_TreeNode(f) for f in self.flat.feature.tolist()]
         for i in np.flatnonzero(self.flat.feature >= 0).tolist():
             nodes[i].left, nodes[i].right = nodes[self.flat.left[i]], nodes[self.flat.right[i]]

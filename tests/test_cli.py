@@ -75,7 +75,7 @@ SCALER_KEYS = ("knob_names", "pruned_metrics", "scaler_means", "scaler_stds",
 # a value for every PipelineConfig field, none of them its default
 NON_DEFAULT = dict(manifest="m.json", method="gmm", k_min=3, k_max=9, factor_cap=4,
                    predictor="nn", alpha=0.25, trees=7, depth=5, hidden=8, epochs=3,
-                   map_score="mape", n_map=4, seed=11, out="elsewhere")
+                   n_map=4, seed=11, out="elsewhere")
 
 
 class TestConfig:
@@ -130,13 +130,17 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"{name} must be <= {high}"):
                 cli.build_config(args)
 
-    def test_unknown_config_key(self, tmp_path):
+    # map_score names no field: mapping has one score
+    @pytest.mark.parametrize("doc", [{"bogus": 1}, {"map_score": "euclid"}])
+    def test_unknown_config_key(self, doc, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
+        cfg.write_text(json.dumps(doc))
         parser = cli.build_parser()
         args = parser.parse_args(["pipeline", "--config", str(cfg)])
-        with pytest.raises(ConfigError, match="bogus"):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: {sorted(doc)}")):
             cli.build_config(args)
+        assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown config keys")
 
 
 class TestExitCodes:
@@ -350,8 +354,9 @@ class TestExitContract:
         (["--epochs", "-1"], "epochs must be >= 0, got -1"),
         (["--n-map", "0"], "n_map must be >= 1, got 0"),
         (["--seed=-1"], "seed must be >= 0, got -1"),
+        (["--map-score", "mape"], "unrecognized arguments"),
     ], ids=["zero-trees", "negative-depth", "zero-factor-cap", "zero-hidden",
-            "negative-epochs", "zero-n-map", "negative-seed"])
+            "negative-epochs", "zero-n-map", "negative-seed", "score-flag"])
     def test_bad_forest_config_exits_1(self, flags, message, corpus_dir, tmp_path, capsys):
         assert run(["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out",
                     "--predictor", "rf", *flags]) == 1
@@ -1025,6 +1030,34 @@ class TestEvalMutations:
                                           for key in ("mape", "mse", "n"))
 
 
+class TestPredictMutations:
+    """`predict` of a gpr or forest model on a corpus with one online cell
+    changed, in the group of the changed file: an exit code of the contract,
+    nothing escapes, one error line, no warning, and only finite predictions."""
+
+    @pytest.mark.parametrize("model_dir", ["trained_dir", "rf_trained_dir"], ids=["gpr", "rf"])
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.sampled_from(_CELL_VALUES), name=st.sampled_from(_ONLINE_FILES),
+           line=st.integers(0, 6), column=st.integers(0, 7))
+    def test_exit_contract(self, model_dir, value, name, line, column, corpus_dir, request,
+                           tmp_path_factory, capsys):
+        data = tmp_path_factory.mktemp("mutated")
+        shutil.copytree(corpus_dir.parent, data, dirs_exist_ok=True)
+        _set_cell(data / name, line, column, value)
+        code, err, caught = _run_quiet(["predict", "--manifest", data / "manifest.json",
+                                        "--out", data / "out", "--group", name[:8],
+                                        "--model-dir", request.getfixturevalue(model_dir)],
+                                       capsys)
+        assert code in (0, 1, 2, 3) and not caught, (code, err, caught)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            [path] = (data / "out").glob("predictions_*.csv")
+            rows = list(csv.DictReader(path.read_text().splitlines()))
+            assert rows and all(math.isfinite(float(r["prediction"])) for r in rows)
+
+
 class TestEvalCommand:
     def test_recompute_from_csvs(self, tmp_path, capsys):
         pdir = tmp_path / "preds"
@@ -1302,7 +1335,7 @@ class TestStageComposability:
         table = min(corpus.online_b, key=lambda t: t.workload_id)
         map_part, val_part = ingest.split_map_validation(table, config.n_map)
         res = mapping.map_and_augment(mapping.Repository(list(corpus.offline), scaler),
-                                      map_part, config.map_score)
+                                      map_part)
         feats = predict.build_features(res.augmented, scaler)
         model = predict.gpr_fit(feats, res.augmented.latency, config.alpha)
         pred = predict.predict_with(model, predict.build_features(val_part, scaler))

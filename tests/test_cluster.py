@@ -485,10 +485,13 @@ class TestSweepSeedsOnce:
             n = points.shape[0]
             top = int(rng.integers(1, n + 1))
             seed = int(rng.integers(0, 1000))
-            full = cluster._kmeanspp_init(points, top, np.random.default_rng(seed))
+            full, full_d2 = cluster._kmeanspp_init(points, top, np.random.default_rng(seed))
+            # the distances handed over are those of the seeding
+            assert full_d2.tobytes() == cluster.sq_dists(points, full).tobytes()
             for k in range(1, top + 1):
-                alone = cluster._kmeanspp_init(points, k, np.random.default_rng(seed))
+                alone, alone_d2 = cluster._kmeanspp_init(points, k, np.random.default_rng(seed))
                 assert full[:k].tobytes() == alone.tobytes()
+                assert np.ascontiguousarray(full_d2[:, :k]).tobytes() == alone_d2.tobytes()
             # fewer distinct rows than centers: the draws run out of distance
             # and take the `total <= 0` branch
             exhausted += int(np.unique(points, axis=0).shape[0] < top)

@@ -3,7 +3,6 @@ import pytest
 
 from dbtune import synth
 from dbtune.errors import DataError, NumericalError
-from dbtune.evaluate import MAPE_EPS
 from dbtune.ingest import Schema
 from dbtune.mapping import Repository, augment, map_and_augment, score_workloads
 from dbtune.predict import build_features, fit_scaler
@@ -49,22 +48,15 @@ class TestScoreWorkloads:
         with pytest.raises(DataError, match="empty pruned metric set"):
             identity_scaler(tiny_schema, ())
 
-    def test_variants_run(self, tiny_schema):
-        t = simple_table("t", tiny_schema, [[0, 0], [1, 1]], [[1, 2], [3, 4]])
-        s = simple_table("s", tiny_schema, [[0, 0], [1, 1]], [[2, 2], [3, 5]])
-        for variant in ("euclid", "mse", "mape"):
-            assert score_workloads(t, Repository([s], identity_scaler(tiny_schema)), variant)[0] >= 0
-
-    @pytest.mark.parametrize("variant", ["euclid", "mse", "mape"])
-    def test_overflowing_score_refused(self, tiny_schema, variant):
+    def test_overflowing_score_refused(self, tiny_schema):
         # finite features whose distance overflows: the first source by id is named
         t = simple_table("t", tiny_schema, [[0, 0]], [[0.0, 2.0]])
         sources = [simple_table(w, tiny_schema, [[0, 0]], [[1.7e308, 2.0]]) for w in ("s1", "s0")]
         with pytest.raises(NumericalError, match="target t: its score against source s0 is inf"):
-            score_workloads(t, Repository(sources, identity_scaler(tiny_schema)), variant)
+            score_workloads(t, Repository(sources, identity_scaler(tiny_schema)))
 
 
-def reference_scores(target, sources, scaler, variant):
+def reference_scores(target, sources, scaler):
     """One source at a time, one metric column at a time: the batched scorer
     must give exactly these floats. Returns the id-sorted source ids and
     their scores."""
@@ -78,16 +70,8 @@ def reference_scores(target, sources, scaler, variant):
         s_metrics = (source.metrics[:, idx] - scaler.means[k:]) / scaler.stds[k:]
         diff = t_knobs[:, None, :] - s_knobs[None, :, :]
         paired = s_metrics[np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)]
-        per_metric = []
-        for j in range(len(scaler.metric_names)):
-            t_col, d = t_metrics[:, j], t_metrics[:, j] - paired[:, j]
-            if variant == "euclid":
-                per_metric.append(float(np.sqrt(np.sum(d ** 2))))
-            elif variant == "mse":
-                per_metric.append(float(np.mean(d ** 2)))
-            else:
-                per_metric.append(float(100.0 / len(d) * np.sum(
-                    np.abs(d) / np.maximum(np.abs(t_col), MAPE_EPS))))
+        per_metric = [float(np.sqrt(np.sum((t_metrics[:, j] - paired[:, j]) ** 2)))
+                      for j in range(len(scaler.metric_names))]
         ids.append(source.workload_id)
         scores.append(float(np.mean(per_metric)))
     return tuple(ids), scores
@@ -99,7 +83,7 @@ class TestBatchedScoringExact:
     schema = Schema(knob_names=("k0", "k1", "k2"),
                     metric_names=tuple(f"m{i}" for i in range(12)),
                     latency_name="latency", workload_id_name="workload_id")
-    # 9 pruned metrics and up to 11 target rows: both means run over >= 8
+    # 9 pruned metrics and up to 11 target rows: both reductions run over >= 8
     # values, where numpy's pairwise summation differs from a plain loop
     pruned = ("m7", "m0", "m3", "m11", "m5", "m1", "m9", "m2", "m10")
 
@@ -107,20 +91,18 @@ class TestBatchedScoringExact:
         knobs = (rng.integers(0, knob_levels, size=(n, 3)).astype(float)
                  if knob_levels else rng.normal(size=(n, 3)) * 5.0)
         metrics = rng.lognormal(size=(n, 12)) * 100.0
-        metrics[:, 4] = 0.0  # zero truth values exercise the MAPE guard
         return make_table(wid, knobs, metrics, rng.random(n), self.schema)
 
     def _check(self, target, sources):
         scaler = fit_scaler(sources + [target], self.schema, self.pruned)
-        for variant in ("euclid", "mse", "mape"):
-            want_ids, want_scores = reference_scores(target, sources, scaler, variant)
-            repository = Repository(sources, scaler)
-            res = map_and_augment(repository, target, variant)
-            assert res.source_ids == want_ids
-            assert res.scores.tolist() == want_scores
-            assert res.chosen_source == min(zip(want_scores, want_ids))[1]
-            # scored directly, the sources come back in id order
-            assert score_workloads(target, repository, variant).tolist() == want_scores
+        want_ids, want_scores = reference_scores(target, sources, scaler)
+        repository = Repository(sources, scaler)
+        res = map_and_augment(repository, target)
+        assert res.source_ids == want_ids
+        assert res.scores.tolist() == want_scores
+        assert res.chosen_source == min(zip(want_scores, want_ids))[1]
+        # scored directly, the sources come back in id order
+        assert score_workloads(target, repository).tolist() == want_scores
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n_target", [1, 5, 11])
