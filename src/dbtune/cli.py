@@ -27,9 +27,11 @@ from .errors import ConfigError, DataError, DbtuneError, NumericalError
 
 EXIT_CODES = {ConfigError: 1, DataError: 2, NumericalError: 3}
 # Upper bounds of the flags that size a fit, far above every value in use
-# (200 trees, 64 hidden units, 500 epochs). The other counts need none: they
-# are clipped to the data or refused against it.
-MAX_TREES, MAX_HIDDEN, MAX_EPOCHS = 10**4, 10**4, 10**5
+# (200 trees, 500 epochs). The other counts need none: they are clipped to
+# the data or refused against it.
+MAX_TREES, MAX_EPOCHS = 10**4, 10**5
+# the first N_MAP rows of an online workload map it; the next row is predicted
+N_MAP = 5
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,11 @@ class PipelineConfig:
     method: str = "kmeans"
     k_min: int = 2
     k_max: int = 15
-    factor_cap: int = factors.DEFAULT_FACTOR_CAP
     predictor: str = "gpr"
     alpha: float = 1e-1
     trees: int = 200
     depth: int = 50
-    hidden: int = 64
     epochs: int = 500
-    n_map: int = 5
     seed: int = 0
     out: str = "out"
 
@@ -61,10 +60,10 @@ class PipelineConfig:
         if self.trees < 1 or self.depth < 0:
             raise ConfigError(f"trees must be >= 1 and depth >= 0, "
                               f"got {self.trees} and {self.depth}")
-        for name, low in (("factor_cap", 1), ("hidden", 1), ("epochs", 0), ("n_map", 1), ("seed", 0)):
+        for name, low in (("epochs", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name, high in (("trees", MAX_TREES), ("hidden", MAX_HIDDEN), ("epochs", MAX_EPOCHS)):
+        for name, high in (("trees", MAX_TREES), ("epochs", MAX_EPOCHS)):
             if getattr(self, name) > high:
                 raise ConfigError(f"{name} must be <= {high}, got {getattr(self, name)}")
 
@@ -101,7 +100,7 @@ def run_prune(config: PipelineConfig, corpus: ingest.Corpus | None = None
     with _stage("factors"):
         x = factors.build_metric_matrix(list(corpus.offline))
         model = factors.fit_factors(x)
-        model = factors.retain_significant(model, config.factor_cap)
+        model = factors.retain_significant(model)
     ingest.write_text(out / "loadings.csv", factors.export_loadings_csv(model))
     ingest.write_text(out / "eigenvalues.csv", factors.export_eigenvalues_csv(model))
 
@@ -131,7 +130,7 @@ def _train_predictor(config: PipelineConfig, features: np.ndarray,
         return predict.gpr_fit(features, targets, config.alpha)
     if config.predictor == "rf":
         return predict.rf_fit(features, targets, config.trees, config.depth, seed)
-    return predict.mlp_fit(features, targets, config.hidden, config.epochs, seed)
+    return predict.mlp_fit(features, targets, predict.HIDDEN_UNITS, config.epochs, seed)
 
 
 def _fit_models(config, stage_name, fits):
@@ -158,7 +157,7 @@ def _map_train_predict(config, sources, targets, scaler, stage_name):
     for table in sorted(targets, key=lambda t: t.workload_id):
         wid = table.workload_id
         with _stage(f"{stage_name}/{wid}"):
-            map_part, val_part = ingest.split_map_validation(table, config.n_map)
+            map_part, val_part = ingest.split_map_validation(table, N_MAP)
             res = mapping.map_and_augment(repository, map_part)
             fits.append((wid, predict.build_features(res.augmented, scaler), res.augmented.latency))
         map_tables.append(map_part)
@@ -230,23 +229,14 @@ def run_eval(config: PipelineConfig, predictions_dir) -> str:
 
 def _add_config_flags(p: argparse.ArgumentParser):
     """One flag per PipelineConfig field (`k_min` -> `--k-min`), typed like its default."""
-    p.add_argument("--config", help="JSON config file; flags override its values")
     for f in fields(PipelineConfig):
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    """The --config file's values, each checked against its field's type,
-    overridden by the flags given."""
-    merged = {}
-    if args.config:
-        doc = ingest.read_json_object(args.config, ConfigError)
-        merged.update(ingest.check_fields(PipelineConfig, doc, "config", ConfigError))
-    for f in fields(PipelineConfig):
-        v = getattr(args, f.name)
-        if v is not None:
-            merged[f.name] = v
-    return PipelineConfig(**merged)
+    """The config of the flags given; every other field keeps its default."""
+    return PipelineConfig(**{f.name: v for f in fields(PipelineConfig)
+                             if (v := getattr(args, f.name)) is not None})
 
 
 def _cmd_synth(args) -> int:

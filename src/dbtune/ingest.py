@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DbtuneError, NumericalError
+from .errors import DataError, NumericalError
 
 _BOOL_TOKENS = {
     "true": 1.0, "false": 0.0,
@@ -160,20 +160,20 @@ def _field(column) -> tuple[str, Sequence]:
                   for v in column]
 
 
-def read_text(path, error: type[DbtuneError] = DataError) -> str:
+def read_text(path) -> str:
     """The text of a UTF-8 file, without a leading byte-order mark (Excel
     writes one) and with its line ends as written; a file that cannot be
     read (such as a directory or a name holding a NUL byte) or decoded
-    raises `error`."""
+    raises DataError."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror}") from None
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise error(f"cannot decode {path}: {exc.reason}") from None
+        raise DataError(f"cannot decode {path}: {exc.reason}") from None
     except ValueError as exc:  # open's "embedded null byte"
-        raise error(f"cannot read {str(path)!r}: {exc}") from None
+        raise DataError(f"cannot read {str(path)!r}: {exc}") from None
 
 
 def write_text(path, text: str) -> None:
@@ -194,18 +194,18 @@ def write_text(path, text: str) -> None:
         raise DataError(f"cannot encode {path}: {exc.reason}") from None
 
 
-def read_json_object(path, error: type[DbtuneError] = DataError) -> dict:
+def read_json_object(path) -> dict:
     """Parse a JSON object file; an unreadable file, invalid JSON, JSON
-    nested too deeply to parse or another JSON value raises `error`."""
-    text = read_text(path, error)
+    nested too deeply to parse or another JSON value raises DataError."""
+    text = read_text(path)
     try:
         doc = json.loads(text)
     except ValueError as exc:
-        raise error(f"{path} is not valid JSON: {exc}") from None
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise error(f"{path} nests too deeply to parse") from None
+        raise DataError(f"{path} nests too deeply to parse") from None
     if not isinstance(doc, dict):
-        raise error(f"{path} must hold a JSON object")
+        raise DataError(f"{path} must hold a JSON object")
     return doc
 
 
@@ -225,17 +225,17 @@ def json_strings(doc: dict, key: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def check_fields(cls, doc: dict, what: str, error: type[Exception] = DataError) -> dict:
+def check_fields(cls, doc: dict, what: str) -> dict:
     """doc, as keyword arguments of the dataclass cls: every key names a field
     and every value has the type of that field's default (an int is also a
-    valid float, as JSON writes 1.0 as 1). Anything else raises `error`."""
+    valid float, as JSON writes 1.0 as 1). Anything else raises DataError."""
     types = {f.name: type(f.default) for f in fields(cls)}
     unknown = set(doc) - set(types)
     if unknown:
-        raise error(f"unknown {what} keys: {sorted(unknown)}")
+        raise DataError(f"unknown {what} keys: {sorted(unknown)}")
     for key, value in doc.items():
         if type(value) is not types[key] and not (types[key] is float and type(value) is int):
-            raise error(f"{what} key {key!r} must be {types[key].__name__}, got {value!r}")
+            raise DataError(f"{what} key {key!r} must be {types[key].__name__}, got {value!r}")
     return doc
 
 

@@ -681,7 +681,9 @@ def _grow(jobs, n_trees: int, max_depth: int) -> tuple[_FlatForest, np.ndarray]:
 # Neural network (1 hidden layer, Adam, MAPE loss)
 # ---------------------------------------------------------------------------
 
-# mini-batch size and Adam's step size, moment decays and epsilon
+# the network's width, its mini-batch size and Adam's step size, moment
+# decays and epsilon
+HIDDEN_UNITS = 64
 BATCH_SIZE = 32
 LEARNING_RATE = 1e-3
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999

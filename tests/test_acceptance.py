@@ -263,14 +263,14 @@ def _held_out_against_constant(tmp_path, predictor, args):
     below that of predicting each target's mean latency over its n_map
     mapping rows, and a line per seed and stage. Both are scored against the
     held-out latencies of the generated corpus."""
-    n_map, detail, ok = 5, [], True
+    n_map, detail, ok = cli.N_MAP, [], True
     for seed in (1, 2, 3):
         spec = synth.SynthSpec(n_online=16, freq_scale=1.0, profile_scale=2.0, seed=seed)
         corpus, _ = synth.generate_corpus(spec)
         manifest = synth.write_corpus(corpus, tmp_path / f"corpus{seed}")
         out = tmp_path / f"run{seed}"
         assert cli.main(["pipeline", "--manifest", str(manifest), "--out", str(out),
-                         "--predictor", predictor, *args, "--n-map", str(n_map)]) == 0
+                         "--predictor", predictor, *args]) == 0
         for stage, targets in (("stage1", corpus.online_b), ("stage2", corpus.online_c)):
             lines = (out / f"predictions_{predictor}_{stage}.csv").read_text().splitlines()[1:]
             pred = {line.split(",")[0]: float(line.split(",")[2]) for line in lines}

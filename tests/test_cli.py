@@ -73,9 +73,8 @@ SCALER_KEYS = ("knob_names", "pruned_metrics", "scaler_means", "scaler_stds",
 
 
 # a value for every PipelineConfig field, none of them its default
-NON_DEFAULT = dict(manifest="m.json", method="gmm", k_min=3, k_max=9, factor_cap=4,
-                   predictor="nn", alpha=0.25, trees=7, depth=5, hidden=8, epochs=3,
-                   n_map=4, seed=11, out="elsewhere")
+NON_DEFAULT = dict(manifest="m.json", method="gmm", k_min=3, k_max=9, predictor="nn",
+                   alpha=0.25, trees=7, depth=5, epochs=3, seed=11, out="elsewhere")
 
 
 class TestConfig:
@@ -90,57 +89,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cli.PipelineConfig(k_min=5, k_max=4)
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"predictor": "rf", "trees": 7, "seed": 3}))
-        parser = cli.build_parser()
-        args = parser.parse_args(["pipeline", "--config", str(cfg), "--trees", "9"])
-        config = cli.build_config(args)
-        assert config.predictor == "rf"
-        assert config.trees == 9
-        assert config.seed == 3
-
-    @pytest.mark.parametrize("source", ["flags", "config"])
-    def test_every_field_round_trips(self, source, tmp_path):
+    def test_every_field_round_trips(self):
         assert set(NON_DEFAULT) == {f.name for f in fields(cli.PipelineConfig)}
         default = cli.PipelineConfig()
         assert all(getattr(default, k) != v for k, v in NON_DEFAULT.items())
-        if source == "flags":
-            argv = [a for k, v in NON_DEFAULT.items()
-                    for a in ("--" + k.replace("_", "-"), str(v))]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(NON_DEFAULT))
-            argv = ["--config", str(cfg)]
+        argv = [a for k, v in NON_DEFAULT.items() for a in ("--" + k.replace("_", "-"), str(v))]
         args = cli.build_parser().parse_args(["pipeline", *argv])
         assert cli.build_config(args) == cli.PipelineConfig(**NON_DEFAULT)
 
     # checked on the config alone: a fit at an over-bound value is never started
-    @pytest.mark.parametrize("name, high", [("trees", cli.MAX_TREES), ("hidden", cli.MAX_HIDDEN),
-                                            ("epochs", cli.MAX_EPOCHS)])
-    def test_size_bounds(self, name, high, tmp_path):
+    @pytest.mark.parametrize("name, high", [("trees", cli.MAX_TREES), ("epochs", cli.MAX_EPOCHS)])
+    def test_size_bounds(self, name, high):
         assert getattr(cli.PipelineConfig(**{name: high}), name) == high
         message = f"{name} must be <= {high}, got {high + 1}"
         with pytest.raises(ConfigError, match=message):
             cli.PipelineConfig(**{name: high + 1})
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({name: 10**30}))
-        for argv in (["--" + name, str(high + 1)], ["--config", str(cfg)]):
-            args = cli.build_parser().parse_args(["pipeline", *argv])
-            with pytest.raises(ConfigError, match=f"{name} must be <= {high}"):
-                cli.build_config(args)
-
-    # map_score names no field: mapping has one score
-    @pytest.mark.parametrize("doc", [{"bogus": 1}, {"map_score": "euclid"}])
-    def test_unknown_config_key(self, doc, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        parser = cli.build_parser()
-        args = parser.parse_args(["pipeline", "--config", str(cfg)])
-        with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: {sorted(doc)}")):
+        args = cli.build_parser().parse_args(["pipeline", "--" + name, str(high + 1)])
+        with pytest.raises(ConfigError, match=message):
             cli.build_config(args)
-        assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == 1
-        assert capsys.readouterr().err.startswith("error: unknown config keys")
 
 
 class TestExitCodes:
@@ -152,31 +118,17 @@ class TestExitCodes:
         assert run(["pipeline", "--manifest", tmp_path / "nope.json",
                     "--out", tmp_path / "out"]) == 2
 
-    def test_bad_config_file(self, tmp_path):
-        assert run(["pipeline", "--config", tmp_path / "nope.json"]) == 1
-
-    @pytest.mark.parametrize("config_text, flags, message", [
-        ('{"k_min": 3,', [], "not valid JSON"),
-        ('{"k_min": "a"}', [], "'k_min' must be int"),
-        ('{"alpha": true}', [], "'alpha' must be float"),
-        ('[["k_min", 3]]', [], "must hold a JSON object"),
-        (None, ["--predictor", "xx"], "predictor must be one of"),
-        (None, ["--k-min", "a"], "invalid int value"),
-        ("[" * 100000 + "]" * 100000, [], "nests too deeply to parse"),
-        (None, ["--alpha", "nan"], "alpha must be finite and > 0, got nan"),
-        (None, ["--alpha", "inf"], "alpha must be finite and > 0, got inf"),
-        (None, ["--alpha", "0"], "alpha must be finite and > 0, got 0.0"),
-        (None, ["--alpha", "-1"], "alpha must be finite and > 0, got -1.0"),
-    ], ids=["bad-json", "str-for-int", "bool-for-float", "not-an-object",
-            "unknown-predictor", "flag-not-int", "too-deep", "alpha-nan", "alpha-inf",
-            "alpha-zero", "alpha-negative"])
-    def test_bad_config_exits_1(self, config_text, flags, message, corpus_dir,
-                                tmp_path, capsys):
-        argv = ["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out", *flags]
-        if config_text is not None:
-            (tmp_path / "cfg.json").write_text(config_text)
-            argv += ["--config", tmp_path / "cfg.json"]
-        assert run(argv) == 1
+    @pytest.mark.parametrize("flags, message", [
+        (["--predictor", "xx"], "predictor must be one of"),
+        (["--k-min", "a"], "invalid int value"),
+        (["--alpha", "nan"], "alpha must be finite and > 0, got nan"),
+        (["--alpha", "inf"], "alpha must be finite and > 0, got inf"),
+        (["--alpha", "0"], "alpha must be finite and > 0, got 0.0"),
+        (["--alpha", "-1"], "alpha must be finite and > 0, got -1.0"),
+    ], ids=["unknown-predictor", "flag-not-int", "alpha-nan", "alpha-inf", "alpha-zero",
+            "alpha-negative"])
+    def test_bad_config_exits_1(self, flags, message, corpus_dir, tmp_path, capsys):
+        assert run(["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
@@ -349,19 +301,37 @@ class TestExitContract:
     @pytest.mark.parametrize("flags, message", [
         (["--trees", "0"], "trees must be >= 1"),
         (["--depth", "-1"], "depth >= 0"),
-        (["--factor-cap", "0"], "factor_cap must be >= 1, got 0"),
-        (["--hidden", "0"], "hidden must be >= 1, got 0"),
         (["--epochs", "-1"], "epochs must be >= 0, got -1"),
-        (["--n-map", "0"], "n_map must be >= 1, got 0"),
         (["--seed=-1"], "seed must be >= 0, got -1"),
         (["--map-score", "mape"], "unrecognized arguments"),
-    ], ids=["zero-trees", "negative-depth", "zero-factor-cap", "zero-hidden",
-            "negative-epochs", "zero-n-map", "negative-seed", "score-flag"])
+        # the factor cap, the network's width and the mapping rows are constants
+        (["--factor-cap", "4"], "unrecognized arguments"),
+        (["--hidden", "8"], "unrecognized arguments"),
+        (["--n-map", "5"], "unrecognized arguments"),
+        (["--config", "c.json"], "unrecognized arguments"),
+    ], ids=["zero-trees", "negative-depth", "negative-epochs", "negative-seed", "score-flag",
+            "factor-cap-flag", "hidden-flag", "n-map-flag", "config-flag"])
     def test_bad_forest_config_exits_1(self, flags, message, corpus_dir, tmp_path, capsys):
         assert run(["pipeline", "--manifest", corpus_dir, "--out", tmp_path / "out",
                     "--predictor", "rf", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    # every command that takes the pipeline's settings refused the removed
+    # options before it read an input
+    @pytest.mark.parametrize("argv", [["prune"], ["map", "--pruned", "p.txt"],
+                                      ["train", "--pruned", "p.txt"],
+                                      ["predict", "--model-dir", "m"],
+                                      ["eval", "--predictions-dir", "d"], ["pipeline"]],
+                             ids=["prune", "map", "train", "predict", "eval", "pipeline"])
+    def test_removed_options_exit_1(self, argv, tmp_path, capsys):
+        for flags in (["--factor-cap", "4"], ["--hidden", "8"], ["--n-map", "5"],
+                      ["--config", "c.json"]):
+            assert run([*argv, "--out", tmp_path / "out", *flags]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "unrecognized arguments: " + " ".join(flags) in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, message", [
@@ -376,6 +346,10 @@ class TestExitContract:
         ("prune-csv-huge-field", "offline_off_000.csv:8: field larger than field limit"),
         ("prune-manifest-knobs-int", "knobs must be list, got 3"),
         ("synth-spec-str-count", "'n_offline' must be int"),
+        ("synth-spec-bool-for-float", "'noise_std' must be float, got True"),
+        ("synth-spec-not-object", "must hold a JSON object"),
+        ("synth-spec-too-deep", "nests too deeply to parse"),
+        ("prune-manifest-too-deep", "nests too deeply to parse"),
         ("synth-negative-seed", "seed must be >= 0, got -1"),
         ("prune-long-manifest", "x.json: File name too long"),
         ("prune-manifest-nul-name", "off\\x00.csv': embedded null byte"),
@@ -390,6 +364,12 @@ class TestExitContract:
         missing = tmp_path / "missing.txt"
         spec = tmp_path / "spec.json"
         spec.write_text('{"n_offline": "6"}')
+        bool_float = tmp_path / "bool_float.json"
+        bool_float.write_text('{"noise_std": true}')
+        not_object = tmp_path / "not_object.json"
+        not_object.write_text('[["n_offline", 3]]')
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps({"n_offline": 2 ** 70}))
         wide = tmp_path / "wide.json"
@@ -431,6 +411,10 @@ class TestExitContract:
             "prune-manifest-knobs-int": ["prune", "--manifest", knobs_int],
             "prune-manifest-nul-name": ["prune", "--manifest", nul_name],
             "synth-spec-str-count": ["synth", "--spec", spec],
+            "synth-spec-bool-for-float": ["synth", "--spec", bool_float],
+            "synth-spec-not-object": ["synth", "--spec", not_object],
+            "synth-spec-too-deep": ["synth", "--spec", deep],
+            "prune-manifest-too-deep": ["prune", "--manifest", deep],
             "synth-spec-huge-count": ["synth", "--spec", huge],
             "synth-spec-wide-latent": ["synth", "--spec", wide],
             "synth-negative-seed": ["synth", "--seed", "-1"],
@@ -952,8 +936,9 @@ class TestOnlineMutations:
     error line, no warning, and only finite predictions."""
 
     @pytest.mark.parametrize("flags", [["--method", "gmm"],
-                                       ["--predictor", "rf", "--trees", "10"]],
-                             ids=["gpr-gmm", "rf"])
+                                       ["--predictor", "rf", "--trees", "10"],
+                                       ["--predictor", "nn", "--epochs", "5"]],
+                             ids=["gpr-gmm", "rf", "nn"])
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(value=st.sampled_from(_CELL_VALUES), name=st.sampled_from(_ONLINE_FILES),
@@ -1031,11 +1016,12 @@ class TestEvalMutations:
 
 
 class TestPredictMutations:
-    """`predict` of a gpr or forest model on a corpus with one online cell
+    """`predict` of a gpr, forest or network model on a corpus with one online cell
     changed, in the group of the changed file: an exit code of the contract,
     nothing escapes, one error line, no warning, and only finite predictions."""
 
-    @pytest.mark.parametrize("model_dir", ["trained_dir", "rf_trained_dir"], ids=["gpr", "rf"])
+    @pytest.mark.parametrize("model_dir", ["trained_dir", "rf_trained_dir", "nn_trained_dir"],
+                             ids=["gpr", "rf", "nn"])
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(value=st.sampled_from(_CELL_VALUES), name=st.sampled_from(_ONLINE_FILES),
@@ -1333,7 +1319,7 @@ class TestStageComposability:
         pruned = cli.run_prune(config, corpus)
         scaler = predict.fit_scaler(list(corpus.offline), corpus.schema, pruned)
         table = min(corpus.online_b, key=lambda t: t.workload_id)
-        map_part, val_part = ingest.split_map_validation(table, config.n_map)
+        map_part, val_part = ingest.split_map_validation(table, cli.N_MAP)
         res = mapping.map_and_augment(mapping.Repository(list(corpus.offline), scaler),
                                       map_part)
         feats = predict.build_features(res.augmented, scaler)
